@@ -12,12 +12,12 @@ Config schema (see docs/cli.md for a worked example)::
       builtin: example52        # shortcut; exclusive with the fields below
       delta: 1.0                #   (builtin parameter)
       dimension: 1
-      drift: "-x/(2*k**2)"      # numpy expression in x ((...,d) array), k
+      drift: "-x/(2*k[..., None]**2)"   # numpy expression in x ((...,d) array), k
       sigma: "cbrt(x[..., 0])**2 + 1"   # scalar multiple of the identity
       jump:                     # optional; power-law family du/|u|^p on 0<|u|<1
         family: power_law
         exponent: 2.0
-        coeff: "u[..., 0] * x / k"      # expression in x, k, u
+        coeff: "u * x / k[..., None]"   # expression in x, k, u
         epsilon: 0.05
       rates:                    # optional; zero-rate model when omitted
         expr: "k*exp(-(l+k)*log(3.0))/(1+l*norm2(x))"

@@ -41,14 +41,15 @@ first |X~ - X| above delta0, first regime disagreement, and the meeting time.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from ._linalg import sqrt_psd_batched
 from .model import HybridState, ModelSpec, RowTruncator
-from .simulate import CHUNK_SIZE, IntegratorConfig, PathRecord, derive_rng
+from .simulate import (CHUNK_SIZE, SCREEN_SLACK, IntegratorConfig, PathRecord, _resolve_eps,
+                       derive_rng)
 
 __all__ = [
     "CouplingConfig",
@@ -146,13 +147,16 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     exit_time = np.full(n, np.inf)
     n_clamped = 0
 
-    eps = None
+    eps = _resolve_eps(spec, cfg)
     jumps = spec.has_jumps
     if jumps:
-        eps = cfg.epsilon if cfg.epsilon is not None else spec.jump_measure.epsilon
         lam_rate = float(spec.jump_measure.large_jump_rate(eps))
+        if not np.isfinite(lam_rate) or lam_rate < 0:
+            raise ValueError("large-jump rate must be finite and nonnegative")
     row_tol = cfg.regime_tol if cfg.regime_tol is not None else spec.regime_tol
     trunc = RowTruncator(spec.rates, row_tol)
+    qbar1 = trunc.row_bound(K) * SCREEN_SLACK
+    qbar2 = trunc.row_bound(Kt) * SCREEN_SLACK
 
     rec = None
     if record:
@@ -246,36 +250,43 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
         Xn = np.where(alive[:, None], X + dX, X)
         Xtn = np.where(alive[:, None], Xt + dXt, Xt)
 
-        # regimes via the basic coupling of the two rate rows, one event per step
-        rows_all, ls = trunc.rows(np.concatenate([X, Xt], axis=0),
-                                  np.concatenate([K, Kt]))
-        rows1, rows2 = rows_all[:n], rows_all[n:]
-        ml = np.minimum(rows1, rows2)
-        al = rows1 - ml
-        bl = rows2 - ml
-        stot = ml.sum(axis=1) + al.sum(axis=1) + bl.sum(axis=1)
+        # regimes via the basic coupling of the two rate rows, one event per step;
+        # its total rate sum_l max(q1_l, q2_l) <= Qbar_K + Qbar_Kt screens the rows
         u1 = rng.random(n)
         u2 = rng.random(n)
-        do = alive & (u1 < -np.expm1(-stot * h)) & (stot > 0.0)
         Kn, Ktn = K, Kt
-        if do.any():
-            L = rows1.shape[1]
-            allr = np.concatenate([ml, al, bl], axis=1)
-            cum = np.cumsum(allr, axis=1)
-            tgt = u2 * stot
-            idx = np.minimum((cum < tgt[:, None]).sum(axis=1), 3 * L - 1)
-            which = idx // L
-            l_new = ls[idx % L]
-            Kn = K.copy()
-            Ktn = Kt.copy()
-            first = do & (which != 2)
-            second = do & (which != 1)
-            Kn[first] = l_new[first]
-            Ktn[second] = l_new[second]
-            if record and do[0]:
-                if first[0]:
+        cand = np.flatnonzero(alive & (u1 < -np.expm1(-(qbar1 + qbar2) * h)))
+        if cand.size:
+            m = cand.size
+            rows_all, ls = trunc.rows(np.concatenate([X[cand], Xt[cand]], axis=0),
+                                      np.concatenate([K[cand], Kt[cand]]),
+                                      bound=np.concatenate([qbar1[cand], qbar2[cand]]))
+            rows1, rows2 = rows_all[:m], rows_all[m:]
+            ml = np.minimum(rows1, rows2)
+            al = rows1 - ml
+            bl = rows2 - ml
+            stot = ml.sum(axis=1) + al.sum(axis=1) + bl.sum(axis=1)
+            do = (u1[cand] < -np.expm1(-stot * h)) & (stot > 0.0)
+            if do.any():
+                fire = cand[do]
+                L = rows1.shape[1]
+                allr = np.concatenate([ml[do], al[do], bl[do]], axis=1)
+                cum = np.cumsum(allr, axis=1)
+                tgt = u2[fire] * stot[do]
+                idx = np.minimum((cum < tgt[:, None]).sum(axis=1), 3 * L - 1)
+                which = idx // L
+                l_new = ls[idx % L]
+                first = fire[which != 2]
+                second = fire[which != 1]
+                Kn = K.copy()
+                Ktn = Kt.copy()
+                Kn[first] = l_new[which != 2]
+                Ktn[second] = l_new[which != 1]
+                qbar1[first] = trunc.row_bound(Kn[first]) * SCREEN_SLACK
+                qbar2[second] = trunc.row_bound(Ktn[second]) * SCREEN_SLACK
+                if record and first.size and first[0] == 0:
                     rec["sw1"].append((t_next, int(K[0]), int(Kn[0])))
-                if second[0]:
+                if record and second.size and second[0] == 0:
                     rec["sw2"].append((t_next, int(Kt[0]), int(Ktn[0])))
 
         if reflect:
@@ -380,7 +391,6 @@ class CoupledEnsemble:
     t_meet: np.ndarray
     coalesced: np.ndarray
     exit_time: np.ndarray
-    hook_buffers: list = field(default_factory=list)
 
     @property
     def n_censored(self) -> int:
@@ -440,6 +450,8 @@ def couple_ensemble(spec: ModelSpec, start: HybridState, start2: HybridState,
     spec.check_state(start2)
     if start.k != start2.k:
         raise ValueError("coupled starts must share the initial regime")
+    if n_pairs < 1:
+        raise ValueError("need at least one pair")
     bounds = [(lo, min(lo + CHUNK_SIZE, n_pairs)) for lo in range(0, n_pairs, CHUNK_SIZE)]
     d = spec.d
     arrays = {name: np.empty(n_pairs) for name in

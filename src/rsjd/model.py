@@ -98,8 +98,11 @@ class RateMatrixSpec:
     ``rate(x, k, l)`` must be nonnegative for l != k; its value at l == k is
     never used (callers mask the diagonal).  ``tail_bound(k, L)`` must bound
     sum_{l>L, l!=k} q_kl(x) uniformly in x and tend to 0 as L grows; it is the
-    certificate that makes row truncation sound.  ``row_sum`` is optional and,
-    when absent, rows are summed through the truncation machinery.
+    certificate that makes row truncation sound.  The integrators also use
+    ``tail_bound(k, 0)`` as the uniform bound on the whole row q_k(x) when they
+    screen for switches, so it must be valid at L = 0; a built row whose sum
+    exceeds it raises ``TruncationError``.  ``row_sum`` is optional and, when
+    absent, rows are summed through the truncation machinery.
     """
 
     rate: Callable[..., np.ndarray]
@@ -200,11 +203,33 @@ class RowTruncator:
         self.rel_tol = float(rel_tol)
         self.l_cap = int(l_cap)
         self._level = int(l_start)
+        self._row_bounds: dict = {}
 
-    def rows(self, x: np.ndarray, k: np.ndarray):
-        """Return ``(rows, ls)`` with rows[i, j] = q_{k_i, ls_j}(x_i), diagonal zeroed."""
+    def _require_tail_bound(self):
         if self.rates.tail_bound is None:
             raise TruncationError("rate matrix has no tail bound; cannot certify truncation")
+
+    def row_bound(self, k: np.ndarray) -> np.ndarray:
+        """Per-path ``tail_bound(k, 0)``: the bound on the whole row q_k(x),
+        uniform in x.  Cached per regime."""
+        self._require_tail_bound()
+        uniq, inv = np.unique(np.asarray(k), return_inverse=True)
+        cache = self._row_bounds
+        for kk in uniq.tolist():
+            if kk not in cache:
+                v = float(self.rates.tail_bound(kk, 0))
+                if not v >= 0.0:
+                    raise TruncationError(f"tail_bound({kk}, 0) = {v!r} is not a nonnegative bound")
+                cache[kk] = v
+        return np.array([cache[kk] for kk in uniq.tolist()])[inv]
+
+    def rows(self, x: np.ndarray, k: np.ndarray, bound: np.ndarray | None = None):
+        """Return ``(rows, ls)`` with rows[i, j] = q_{k_i, ls_j}(x_i), diagonal zeroed.
+
+        With ``bound`` (per path), a row whose sum exceeds it raises
+        ``TruncationError``: the model broke its declared row bound.
+        """
+        self._require_tail_bound()
         k = np.asarray(k)
         uniq = np.unique(k)
         L = self._level
@@ -222,6 +247,11 @@ class RowTruncator:
             ok = tail_per_path <= self.rel_tol * (s + tail_per_path)
             if bool(np.all(ok)):
                 self._level = L
+                if bound is not None and bool(np.any(s > bound)):
+                    i = int(np.argmax(s - bound))
+                    raise TruncationError(
+                        f"rate row sum {s[i]!r} (k={int(k[i])}) exceeds the declared "
+                        f"whole-row bound tail_bound(k, 0)")
                 return q, ls
             if L >= self.l_cap:
                 raise TruncationError(

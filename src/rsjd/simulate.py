@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 4096  # fixed chunk width; part of the determinism contract
+# relative slack on the whole-row bound Qbar_k, so that round-off in a row sum
+# can never drop a switch that should fire
+SCREEN_SLACK = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -158,8 +161,10 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     The RNG consumption order per step is fixed (normals, Poisson counts,
     jump marks, gaussian-policy normals, switch uniforms) and every draw is
     sized by the full batch, so a given seed always yields the same stream
-    layout.  Killed mode freezes the regime and accumulates the trapezoid
-    rule for int q_k(X(s)) ds instead of switching.
+    layout.  Rate rows are built only for the switch candidates, the paths
+    whose first switch uniform falls below 1 - exp(-Qbar_k h); the switch law
+    is the same as building every row.  Killed mode freezes the regime and
+    accumulates the trapezoid rule for int q_k(X(s)) ds instead of switching.
     """
     n, d = x0.shape
     x = x0.astype(float).copy()
@@ -176,6 +181,9 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     row_tol = cfg.regime_tol if cfg.regime_tol is not None else spec.regime_tol
     trunc = RowTruncator(spec.rates, row_tol) if use_rows else None
 
+    # Exact switch pre-screen: q_k(x) <= Qbar_k = tail_bound(k, 0), so only a
+    # path with u1 < 1 - exp(-Qbar_k h) can switch and needs its rate row.
+    qbar = trunc.row_bound(k) * SCREEN_SLACK if switching else None
     alive = np.ones(n, dtype=bool)
     exit_time = np.full(n, np.inf)
     kill_int = np.zeros(n) if killed else None
@@ -231,20 +239,23 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
 
         kn = k
         if switching:
-            rows, ls = trunc.rows(x, k)
-            qk = rows.sum(axis=1)
             u1 = rng.random(n)
-            psw = -np.expm1(-qk * h)
             u2 = rng.random(n)
-            do = alive & (u1 < psw) & (qk > 0.0)
-            if do.any():
-                cum = np.cumsum(rows, axis=1)
-                tgt = u2 * qk
-                idx = np.minimum((cum < tgt[:, None]).sum(axis=1), rows.shape[1] - 1)
-                kn = k.copy()
-                kn[do] = ls[idx[do]]
-                if record and do[0]:
-                    switch_events.append((t_next, int(k[0]), int(kn[0])))
+            cand = np.flatnonzero(alive & (u1 < -np.expm1(-qbar * h)))
+            if cand.size:
+                rows, ls = trunc.rows(x[cand], k[cand], bound=qbar[cand])
+                qk = rows.sum(axis=1)
+                do = (u1[cand] < -np.expm1(-qk * h)) & (qk > 0.0)
+                if do.any():
+                    fire = cand[do]
+                    cum = np.cumsum(rows[do], axis=1)
+                    tgt = u2[fire] * qk[do]
+                    idx = np.minimum((cum < tgt[:, None]).sum(axis=1), rows.shape[1] - 1)
+                    kn = k.copy()
+                    kn[fire] = ls[idx]
+                    qbar[fire] = trunc.row_bound(kn[fire]) * SCREEN_SLACK
+                    if record and fire[0] == 0:
+                        switch_events.append((t_next, int(k[0]), int(kn[0])))
         elif killed:
             q_new = trunc.rows(xn, k)[0].sum(axis=1)
             kill_int += np.where(alive, 0.5 * h * (q_prev + q_new), 0.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,29 @@ class TestMarginalCorrectness:
                                         cfg, 21)
         # 4 tests at the 5% level with Bonferroni correction
         assert all(p >= 0.05 / 4 for p in pvals.values()), pvals
+
+
+class TestEnsembleValidation:
+    def test_cutoff_outside_mark_domain_rejected(self):
+        spec = example51()
+        cfg = CouplingConfig(step=0.25, horizon=0.5, epsilon=1.5)
+        with pytest.raises(ValueError, match="jump cutoff outside the mark domain"):
+            couple_ensemble(spec, HybridState(np.array([0.0]), 1),
+                            HybridState(np.array([0.1]), 1), cfg, 8, 0)
+
+    @pytest.mark.parametrize("bad_rate", [float("nan"), float("inf"), -1.0])
+    def test_bad_large_jump_rate_rejected(self, bad_rate):
+        base = example51()
+        spec = replace(base, jump_measure=replace(base.jump_measure,
+                                                  large_jump_rate=lambda eps: bad_rate))
+        cfg = CouplingConfig(step=0.25, horizon=0.5)
+        with pytest.raises(ValueError, match="large-jump rate must be finite and nonnegative"):
+            couple_ensemble(spec, HybridState(np.array([0.0]), 1),
+                            HybridState(np.array([0.1]), 1), cfg, 8, 0)
+
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_empty_ensemble_rejected(self, n_pairs):
+        cfg = CouplingConfig(step=0.25, horizon=0.5)
+        with pytest.raises(ValueError, match="at least one pair"):
+            couple_ensemble(example51(), HybridState(np.array([0.0]), 1),
+                            HybridState(np.array([0.1]), 1), cfg, n_pairs, 0)
