@@ -15,11 +15,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate, stats
 
-from .coupling import CouplingConfig, couple_ensemble, pair_one_step, _sigma_lambda
+from .coupling import CouplingConfig, _resolve_lambda, couple_ensemble, pair_one_step
 from .errors import EstimationError, QuadratureError
 from .generator import as_test_function
 from .model import HybridState, ModelSpec
-from .simulate import IntegratorConfig, derive_rng, simulate_ensemble
+from .simulate import IntegratorConfig, _sigma_lambda, derive_rng, simulate_ensemble
 
 __all__ = [
     "EstimatorResult",
@@ -256,7 +256,8 @@ def estimate_killed_subtransition(spec: ModelSpec, start: HybridState, t: float,
     extra = {"mean_weight": float(np.mean(ens.weight))}
     if keep_terminal:
         extra["_terminal"] = {"x": ens.x, "k": ens.k, "weight": ens.weight}
-    return _mean_result(vals, n_censored=0, extra=extra)
+    # censored paths stay in vals as 0, so they count once in n_paths
+    return replace(_mean_result(vals, extra=extra), n_censored=ens.n_censored)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +540,8 @@ def reflection_cross_covariance(spec: ModelSpec, x, xt, k: int, h: float, n: int
     xt = np.asarray(xt, dtype=float)
     if np.allclose(x, xt):
         raise ValueError("probe states must differ (the reflection direction needs x != x~)")
-    rng = derive_rng(seed, 0, 0)
-    dX, dXt = pair_one_step(spec, x, xt, k, h, n, rng, lambda_R=lambda_R,
-                            kind="reflection", with_jumps=False)
+    cfg = CouplingConfig(step=h, horizon=h, kind="reflection", lambda_R=lambda_R)
+    dX, dXt = pair_one_step(spec, x, xt, k, n, cfg, derive_rng(seed, 0, 0), with_jumps=False)
     K1 = np.full(1, k, dtype=np.int64)
     b1 = np.asarray(spec.drift(x[None, :], K1), dtype=float)[0]
     b2 = np.asarray(spec.drift(xt[None, :], K1), dtype=float)[0]
@@ -611,9 +611,8 @@ def verify_coupling_drift(spec: ModelSpec, Gf: GFunction, pairs, h_small: float,
     respect the gauge's validity range alpha (skipped when alpha degenerated
     to 0) and delta0.
     """
-    lam = cfg.lambda_R if cfg.lambda_R is not None else spec.ellipticity_floor
-    if lam is None:
-        raise ValueError("drift check needs lambda_R")
+    step_cfg = replace(cfg, kind="reflection", step=h_small, horizon=h_small)
+    lam = _resolve_lambda(spec, step_cfg)
     limit = cfg.delta0 if Gf.alpha_boundary else min(Gf.alpha, cfg.delta0)
     ests, ses, allows = [], [], []
     clipped = 0
@@ -626,9 +625,7 @@ def verify_coupling_drift(spec: ModelSpec, Gf: GFunction, pairs, h_small: float,
         if max(np.linalg.norm(x), np.linalg.norm(xt)) > cfg.ball_radius:
             raise ValueError("pair states must lie inside the coupling ball radius")
         rng = derive_rng(seed, idx, 0)
-        dX, dXt = pair_one_step(spec, x, xt, int(k), h_small, n_paths, rng,
-                                lambda_R=lam, kind="reflection", with_jumps=True,
-                                epsilon=cfg.epsilon)
+        dX, dXt = pair_one_step(spec, x, xt, int(k), n_paths, step_cfg, rng)
         end = (xt + dXt) - (x + dX)
         delta_h = np.linalg.norm(end, axis=1)
         # bridge-crossing sample, as in the coupled engine (frozen-state Abar)

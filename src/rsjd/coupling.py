@@ -42,14 +42,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from ._linalg import sqrt_psd_batched
 from .model import HybridState, ModelSpec, RowTruncator
-from .simulate import (CHUNK_SIZE, SCREEN_SLACK, IntegratorConfig, PathRecord, _resolve_eps,
-                       derive_rng)
+from .simulate import (CHUNK_SIZE, SCREEN_SLACK, IntegratorConfig, PathRecord, _increment,
+                       _jump_setup, derive_rng)
 
 __all__ = [
     "CouplingConfig",
@@ -114,23 +113,13 @@ def _resolve_lambda(spec: ModelSpec, cfg: CouplingConfig) -> float:
     return float(lam)
 
 
-def _sigma_lambda(spec: ModelSpec, x: np.ndarray, k: np.ndarray, lam: float):
-    sig = np.asarray(spec.sigma(x, k), dtype=float)
-    a = np.einsum("nij,nkj->nik", sig, sig)
-    a -= lam * np.eye(spec.d)
-    return sqrt_psd_batched(a)
-
-
 def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
-                 rng: np.random.Generator, *, record: bool = False,
-                 step_hook: Callable | None = None, hook_buf=None):
+                 rng: np.random.Generator, *, record: bool = False):
     """Advance an (n, d) batch of coupled pairs over the full grid."""
     n, d = x0.shape
     reflect = cfg.kind == "reflection"
     lam = _resolve_lambda(spec, cfg) if reflect else None
-    sqlam = np.sqrt(lam) if reflect else None
     nsteps, h = cfg.grid()
-    sqh = np.sqrt(h)
     eta = cfg.eta if cfg.eta is not None else 1e-6 * (1.0 + float(np.linalg.norm(x0[0])))
 
     X = x0.astype(float).copy()
@@ -147,12 +136,8 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     exit_time = np.full(n, np.inf)
     n_clamped = 0
 
-    eps = _resolve_eps(spec, cfg)
-    jumps = spec.has_jumps
-    if jumps:
-        lam_rate = float(spec.jump_measure.large_jump_rate(eps))
-        if not np.isfinite(lam_rate) or lam_rate < 0:
-            raise ValueError("large-jump rate must be finite and nonnegative")
+    eps, lam_rate = _jump_setup(spec, cfg)
+    gaussian = cfg.small_jump_policy == "gaussian"
     row_tol = cfg.regime_tol if cfg.regime_tol is not None else spec.regime_tol
     trunc = RowTruncator(spec.rates, row_tol)
     qbar1 = trunc.row_bound(K) * SCREEN_SLACK
@@ -188,64 +173,12 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     if record:
         rec["x1"][0], rec["k1"][0] = X[0], K[0]
         rec["x2"][0], rec["k2"][0] = Xt[0], Kt[0]
-    if step_hook is not None:
-        step_hook(0, 0.0, X, K, Xt, Kt, alive, hook_buf)
 
     for i in range(nsteps):
         t_next = (i + 1) * h
-
-        b1 = np.asarray(spec.drift(X, K), dtype=float)
-        b2 = np.asarray(spec.drift(Xt, Kt), dtype=float)
-        if reflect:
-            z1 = rng.standard_normal((n, d))
-            z2 = rng.standard_normal((n, d))
-            sl1, c1 = _sigma_lambda(spec, X, K, lam)
-            sl2, c2 = _sigma_lambda(spec, Xt, Kt, lam)
-            n_clamped += c1 + c2
-            diff = Xt - X
-            dn = np.linalg.norm(diff, axis=1)
-            u = np.where(dn[:, None] > 0.0, diff / np.where(dn[:, None] > 0.0, dn[:, None], 1.0), 0.0)
-            w2_ref = z2 - 2.0 * u * np.einsum("ni,ni->n", u, z2)[:, None]
-            dX = b1 * h + sqh * (np.einsum("nij,nj->ni", sl1, z1) + sqlam * z2)
-            dXt = b2 * h + sqh * (np.einsum("nij,nj->ni", sl2, z1) + sqlam * w2_ref)
-        else:
-            z = rng.standard_normal((n, d))
-            sig1 = np.asarray(spec.sigma(X, K), dtype=float)
-            sig2 = np.asarray(spec.sigma(Xt, Kt), dtype=float)
-            dX = b1 * h + sqh * np.einsum("nij,nj->ni", sig1, z)
-            dXt = b2 * h + sqh * np.einsum("nij,nj->ni", sig2, z)
-
-        if jumps:
-            counts = rng.poisson(lam_rate * h, n)
-            if spec.jump_compensator is not None:
-                dX -= np.asarray(spec.jump_compensator(X, K, eps), dtype=float) * h
-                dXt -= np.asarray(spec.jump_compensator(Xt, Kt, eps), dtype=float) * h
-            else:
-                from .simulate import _compensator_quadrature
-                dX -= _compensator_quadrature(spec, X, K, eps) * h
-                dXt -= _compensator_quadrature(spec, Xt, Kt, eps) * h
-            mmax = int(counts.max()) if n else 0
-            for j in range(mmax):
-                m = counts > j
-                u_marks = spec.jump_measure.large_jump_sampler(eps, int(m.sum()), rng)
-                d1 = np.asarray(spec.jump_coeff(X[m], K[m], u_marks), dtype=float)
-                d2 = np.asarray(spec.jump_coeff(Xt[m], Kt[m], u_marks), dtype=float)
-                dX[m] += d1
-                dXt[m] += d2
-                if record and m[0]:
-                    rec["jp1"].append((t_next, u_marks[0].copy(), d1[0].copy()))
-                    rec["jp2"].append((t_next, u_marks[0].copy(), d2[0].copy()))
-            if cfg.small_jump_policy == "gaussian":
-                if spec.small_jump_cov is None:
-                    raise ValueError(
-                        "gaussian small-jump policy needs a closed-form small_jump_cov")
-                # shared draw keeps the substitute synchronous; per-side roots
-                # preserve each marginal's covariance exactly
-                zg = rng.standard_normal((n, d))
-                rt1, _ = sqrt_psd_batched(np.asarray(spec.small_jump_cov(X, K, eps), dtype=float))
-                rt2, _ = sqrt_psd_batched(np.asarray(spec.small_jump_cov(Xt, Kt, eps), dtype=float))
-                dX += sqh * np.einsum("nij,nj->ni", rt1, zg)
-                dXt += sqh * np.einsum("nij,nj->ni", rt2, zg)
+        (dX, dXt), refl = _increment(
+            spec, ((X, K), (Xt, Kt)), h, rng, eps, lam_rate, gaussian, lam=lam,
+            events=(t_next, (rec["jp1"], rec["jp2"])) if record else None)
 
         Xn = np.where(alive[:, None], X + dX, X)
         Xtn = np.where(alive[:, None], Xt + dXt, Xt)
@@ -291,6 +224,8 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
 
         if reflect:
             # within-step meeting via the Brownian-bridge crossing probability
+            sl1, sl2, u, clamps = refl
+            n_clamped += clamps
             uco = rng.random(n)
             r0 = np.linalg.norm(Xt - X, axis=1)
             r1 = np.linalg.norm(Xtn - Xn, axis=1)
@@ -320,8 +255,6 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
         if record:
             rec["x1"][i + 1], rec["k1"][i + 1] = X[0], K[0]
             rec["x2"][i + 1], rec["k2"][i + 1] = Xt[0], Kt[0]
-        if step_hook is not None:
-            step_hook(i + 1, t_next, X, K, Xt, Kt, alive, hook_buf)
 
     out = {
         "x": X, "xt": Xt, "k": K, "kt": Kt,
@@ -487,59 +420,21 @@ def couple_ensemble(spec: ModelSpec, start: HybridState, start2: HybridState,
                            co_out, arrays["exit_time"])
 
 
-def pair_one_step(spec: ModelSpec, x, xt, k: int, h: float, n: int,
-                  rng: np.random.Generator, lambda_R: float | None = None,
-                  kind: str = "reflection", with_jumps: bool = True,
-                  epsilon: float | None = None):
-    """One coupled step of size h from a frozen pair state, n times.
+def pair_one_step(spec: ModelSpec, x, xt, k: int, n: int, cfg: CouplingConfig,
+                  rng: np.random.Generator, with_jumps: bool = True):
+    """One coupled step of size cfg.step from a frozen pair state, n times.
 
     Returns raw increments (dX, dXt) with the regimes held fixed -- the
     moment tests for the coupled diffusion block and the short-time contraction
-    of the pair distance both probe exactly this frozen-state transition.
+    of the pair distance both probe exactly this frozen-state transition.  The
+    increment is the coupled engine's own, under ``cfg``'s coupling kind,
+    lambda_R, jump cutoff and small-jump policy.
     """
-    x = np.asarray(x, dtype=float)
-    xt = np.asarray(xt, dtype=float)
-    d = spec.d
-    X = np.tile(x, (n, 1))
-    Xt = np.tile(xt, (n, 1))
+    lam = _resolve_lambda(spec, cfg) if cfg.kind == "reflection" else None
+    eps, lam_rate = _jump_setup(spec, cfg) if with_jumps else (None, None)
     K = np.full(n, k, dtype=np.int64)
-    sqh = np.sqrt(h)
-
-    b1 = np.asarray(spec.drift(X, K), dtype=float)
-    b2 = np.asarray(spec.drift(Xt, K), dtype=float)
-    if kind == "reflection":
-        lam = lambda_R if lambda_R is not None else spec.ellipticity_floor
-        if lam is None:
-            raise ValueError("reflection step needs lambda_R")
-        z1 = rng.standard_normal((n, d))
-        z2 = rng.standard_normal((n, d))
-        sl1, _ = _sigma_lambda(spec, X, K, lam)
-        sl2, _ = _sigma_lambda(spec, Xt, K, lam)
-        diff = Xt - X
-        dn = np.linalg.norm(diff, axis=1)
-        u = np.where(dn[:, None] > 0.0, diff / np.where(dn[:, None] > 0.0, dn[:, None], 1.0), 0.0)
-        w2_ref = z2 - 2.0 * u * np.einsum("ni,ni->n", u, z2)[:, None]
-        dX = b1 * h + sqh * (np.einsum("nij,nj->ni", sl1, z1) + np.sqrt(lam) * z2)
-        dXt = b2 * h + sqh * (np.einsum("nij,nj->ni", sl2, z1) + np.sqrt(lam) * w2_ref)
-    else:
-        z = rng.standard_normal((n, d))
-        sig1 = np.asarray(spec.sigma(X, K), dtype=float)
-        sig2 = np.asarray(spec.sigma(Xt, K), dtype=float)
-        dX = b1 * h + sqh * np.einsum("nij,nj->ni", sig1, z)
-        dXt = b2 * h + sqh * np.einsum("nij,nj->ni", sig2, z)
-
-    if with_jumps and spec.has_jumps:
-        eps = epsilon if epsilon is not None else spec.jump_measure.epsilon
-        lam_rate = float(spec.jump_measure.large_jump_rate(eps))
-        counts = rng.poisson(lam_rate * h, n)
-        if spec.jump_compensator is not None:
-            dX -= np.asarray(spec.jump_compensator(X, K, eps), dtype=float) * h
-            dXt -= np.asarray(spec.jump_compensator(Xt, K, eps), dtype=float) * h
-        mmax = int(counts.max()) if n else 0
-        for j in range(mmax):
-            m = counts > j
-            u_marks = spec.jump_measure.large_jump_sampler(eps, int(m.sum()), rng)
-            dX[m] += np.asarray(spec.jump_coeff(X[m], K[m], u_marks), dtype=float)
-            dXt[m] += np.asarray(spec.jump_coeff(Xt[m], K[m], u_marks), dtype=float)
-
+    sides = ((np.tile(np.asarray(x, dtype=float), (n, 1)), K),
+             (np.tile(np.asarray(xt, dtype=float), (n, 1)), K))
+    (dX, dXt), _ = _increment(spec, sides, cfg.step, rng, eps, lam_rate,
+                              cfg.small_jump_policy == "gaussian", lam=lam)
     return dX, dXt

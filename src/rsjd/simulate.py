@@ -144,13 +144,97 @@ class EnsembleResult:
         return int(np.count_nonzero(self.censored))
 
 
-def _resolve_eps(spec: ModelSpec, cfg: IntegratorConfig) -> float | None:
+def _jump_setup(spec: ModelSpec, cfg: IntegratorConfig):
+    """Validated (cutoff, large-jump rate) for ``cfg``; (None, None) without jumps."""
     if not spec.has_jumps:
-        return None
+        return None, None
     eps = cfg.epsilon if cfg.epsilon is not None else spec.jump_measure.epsilon
     if not (0.0 < eps < spec.jump_measure.radius_max):
         raise ValueError("jump cutoff outside the mark domain")
-    return eps
+    lam_rate = float(spec.jump_measure.large_jump_rate(eps))
+    if not np.isfinite(lam_rate) or lam_rate < 0:
+        raise ValueError("large-jump rate must be finite and nonnegative")
+    if cfg.small_jump_policy == "gaussian" and spec.small_jump_cov is None:
+        raise ValueError("gaussian small-jump policy needs a closed-form small_jump_cov")
+    return eps, lam_rate
+
+
+def _sigma_lambda(spec: ModelSpec, x: np.ndarray, k: np.ndarray, lam: float):
+    sig = np.asarray(spec.sigma(x, k), dtype=float)
+    a = np.einsum("nij,nkj->nik", sig, sig)
+    a -= lam * np.eye(spec.d)
+    return sqrt_psd_batched(a)
+
+
+def _increment(spec: ModelSpec, sides, h: float, rng: np.random.Generator, eps, lam_rate,
+               gaussian: bool, lam: float | None = None, events=None):
+    """Euler increments of one step for a batch, or for a coupled pair of batches.
+
+    ``sides`` is ``((x, k),)`` or ``((X, K), (Xt, Kt))``, each x an (n, d)
+    batch; every side is driven by the same noise.  With ``lam`` (reflection,
+    two sides only) the Brownian part goes through the two-noise split of
+    Lindvall & Rogers (1986): the first side gets s_lam(X) dW1 + sqrt(lam) dW2,
+    the second s_lam(X~) dW1 + sqrt(lam) (I - 2uu^T) dW2, with u the unit
+    vector along X~ - X.  ``eps`` None means no jumps.
+
+    The RNG consumption order is fixed -- normals (two sets under
+    reflection), Poisson counts, then the marks of each round, then the
+    gaussian-policy normals -- and every draw is sized by the full batch, so
+    a given seed always yields the same stream layout.  Callers draw their
+    switch (and bridge-crossing) uniforms after this.
+
+    Returns the list of increments, one per side, and under reflection
+    (sl1, sl2, u, clamps) for the bridge-crossing step, else None.
+    ``events`` = (t, logs) appends (t, mark, displacement) to ``logs[s]``
+    for every jump of path 0 of side s.
+    """
+    n, d = sides[0][0].shape
+    sqh = np.sqrt(h)
+    refl = None
+    if lam is None:
+        z = rng.standard_normal((n, d))
+        dxs = [np.asarray(spec.drift(x, k), dtype=float) * h
+               + sqh * np.einsum("nij,nj->ni", np.asarray(spec.sigma(x, k), dtype=float), z)
+               for x, k in sides]
+    else:
+        (X, K), (Xt, Kt) = sides
+        z1 = rng.standard_normal((n, d))
+        z2 = rng.standard_normal((n, d))
+        sl1, c1 = _sigma_lambda(spec, X, K, lam)
+        sl2, c2 = _sigma_lambda(spec, Xt, Kt, lam)
+        diff = Xt - X
+        dn = np.linalg.norm(diff, axis=1)
+        u = np.where(dn[:, None] > 0.0, diff / np.where(dn[:, None] > 0.0, dn[:, None], 1.0), 0.0)
+        w2_ref = z2 - 2.0 * u * np.einsum("ni,ni->n", u, z2)[:, None]
+        sqlam = np.sqrt(lam)
+        dxs = [np.asarray(spec.drift(X, K), dtype=float) * h
+               + sqh * (np.einsum("nij,nj->ni", sl1, z1) + sqlam * z2),
+               np.asarray(spec.drift(Xt, Kt), dtype=float) * h
+               + sqh * (np.einsum("nij,nj->ni", sl2, z1) + sqlam * w2_ref)]
+        refl = (sl1, sl2, u, c1 + c2)
+
+    if eps is not None:
+        counts = rng.poisson(lam_rate * h, n)
+        for (x, k), dx in zip(sides, dxs):
+            comp = spec.jump_compensator(x, k, eps) if spec.jump_compensator is not None \
+                else _compensator_quadrature(spec, x, k, eps)
+            dx -= np.asarray(comp, dtype=float) * h
+        for j in range(int(counts.max()) if n else 0):
+            m = counts > j
+            u_marks = spec.jump_measure.large_jump_sampler(eps, int(m.sum()), rng)
+            for s, (x, k) in enumerate(sides):
+                disp = np.asarray(spec.jump_coeff(x[m], k[m], u_marks), dtype=float)
+                dxs[s][m] += disp
+                if events is not None and m[0]:
+                    events[1][s].append((events[0], u_marks[0].copy(), disp[0].copy()))
+        if gaussian:
+            # a shared draw keeps the substitute synchronous; per-side roots
+            # preserve each marginal's covariance exactly
+            zg = rng.standard_normal((n, d))
+            for (x, k), dx in zip(sides, dxs):
+                root, _ = sqrt_psd_batched(np.asarray(spec.small_jump_cov(x, k, eps), dtype=float))
+                dx += sqh * np.einsum("nij,nj->ni", root, zg)
+    return dxs, refl
 
 
 def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConfig,
@@ -158,25 +242,21 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
             record: bool = False, step_hook: Callable | None = None, hook_buf=None):
     """Advance an (n, d) batch over the full grid.  Core of every simulator.
 
-    The RNG consumption order per step is fixed (normals, Poisson counts,
-    jump marks, gaussian-policy normals, switch uniforms) and every draw is
-    sized by the full batch, so a given seed always yields the same stream
-    layout.  Rate rows are built only for the switch candidates, the paths
-    whose first switch uniform falls below 1 - exp(-Qbar_k h); the switch law
-    is the same as building every row.  Killed mode freezes the regime and
-    accumulates the trapezoid rule for int q_k(X(s)) ds instead of switching.
+    Each step takes its increment from ``_increment``; switching mode then
+    draws the two switch uniforms.  Rate rows are built only for the switch
+    candidates, the paths whose first switch uniform falls below
+    1 - exp(-Qbar_k h); the switch law is the same as building every row.  Killed mode freezes the
+    regime and accumulates the trapezoid rule for int q_k(X(s)) ds instead of
+    switching.
     """
     n, d = x0.shape
     x = x0.astype(float).copy()
     k = k0.astype(np.int64).copy()
     nsteps, h = cfg.grid()
-    sqh = np.sqrt(h)
-    eps = _resolve_eps(spec, cfg)
-    jumps = spec.has_jumps
-    if jumps:
-        lam_rate = float(spec.jump_measure.large_jump_rate(eps))
-        if not np.isfinite(lam_rate) or lam_rate < 0:
-            raise ValueError("large-jump rate must be finite and nonnegative")
+    eps, lam_rate = _jump_setup(spec, cfg)
+    gaussian = cfg.small_jump_policy == "gaussian"
+    count_dropped = (record and eps is not None and not gaussian
+                     and spec.small_jump_cov is not None)
     use_rows = switching or killed
     row_tol = cfg.regime_tol if cfg.regime_tol is not None else spec.regime_tol
     trunc = RowTruncator(spec.rates, row_tol) if use_rows else None
@@ -204,36 +284,11 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
 
     for i in range(nsteps):
         t_next = (i + 1) * h
-        z = rng.standard_normal((n, d))
-
-        b = np.asarray(spec.drift(x, k), dtype=float)
-        sig = np.asarray(spec.sigma(x, k), dtype=float)
-        dx = b * h + sqh * np.einsum("nij,nj->ni", sig, z)
-
-        if jumps:
-            counts = rng.poisson(lam_rate * h, n)
-            comp = np.asarray(spec.jump_compensator(x, k, eps), dtype=float) \
-                if spec.jump_compensator is not None else _compensator_quadrature(spec, x, k, eps)
-            dx -= comp * h
-            mmax = int(counts.max()) if n else 0
-            for j in range(mmax):
-                m = counts > j
-                u = spec.jump_measure.large_jump_sampler(eps, int(m.sum()), rng)
-                disp = np.asarray(spec.jump_coeff(x[m], k[m], u), dtype=float)
-                dx[m] += disp
-                if record and m[0]:
-                    jump_events.append((t_next, u[0].copy(), disp[0].copy()))
-            if cfg.small_jump_policy == "gaussian":
-                if spec.small_jump_cov is None:
-                    raise ValueError(
-                        "gaussian small-jump policy needs a closed-form small_jump_cov")
-                cov = np.asarray(spec.small_jump_cov(x, k, eps), dtype=float)
-                root, _ = sqrt_psd_batched(cov)
-                zg = rng.standard_normal((n, d))
-                dx += sqh * np.einsum("nij,nj->ni", root, zg)
-            elif record and spec.small_jump_cov is not None:
-                cov0 = np.asarray(spec.small_jump_cov(x[:1], k[:1], eps), dtype=float)
-                dropped_var += h * float(np.trace(cov0[0]))
+        (dx,), _ = _increment(spec, ((x, k),), h, rng, eps, lam_rate, gaussian,
+                              events=(t_next, (jump_events,)) if record else None)
+        if count_dropped:
+            cov0 = np.asarray(spec.small_jump_cov(x[:1], k[:1], eps), dtype=float)
+            dropped_var += h * float(np.trace(cov0[0]))
 
         xn = np.where(alive[:, None], x + dx, x)
 
@@ -322,19 +377,25 @@ def _compensator_quadrature(spec: ModelSpec, x: np.ndarray, k: np.ndarray,
     return out
 
 
+def _recorded_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig, seed: int,
+                   **mode):
+    """One fully recorded path: (PathRecord, raw ``_evolve`` output)."""
+    spec.check_state(start)
+    out = _evolve(spec, start.x[None, :], np.array([start.k]), cfg, derive_rng(seed, 0, 0),
+                  record=True, **mode)
+    times, xs, ks, sw, jp, dropped = out["record"]
+    exited = out["exit_time"][0]
+    rec = PathRecord(times, xs, ks, sw, jp, seed,
+                     exited=None if not np.isfinite(exited) else float(exited),
+                     small_jump_var_dropped=(dropped if cfg.small_jump_policy == "drop"
+                                             and spec.has_jumps else None))
+    return rec, out
+
+
 def simulate_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig,
                   seed: int) -> PathRecord:
     """Simulate a single trajectory with full grid and event recording."""
-    spec.check_state(start)
-    rng = derive_rng(seed, 0, 0)
-    out = _evolve(spec, start.x[None, :], np.array([start.k]), cfg, rng,
-                  switching=True, record=True)
-    times, xs, ks, sw, jp, dropped = out["record"]
-    exited = out["exit_time"][0]
-    return PathRecord(times, xs, ks, sw, jp, seed,
-                      exited=None if not np.isfinite(exited) else float(exited),
-                      small_jump_var_dropped=(dropped if cfg.small_jump_policy == "drop"
-                                              and spec.has_jumps else None))
+    return _recorded_path(spec, start, cfg, seed, switching=True)[0]
 
 
 def simulate_killed_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig,
@@ -342,16 +403,7 @@ def simulate_killed_path(spec: ModelSpec, start: HybridState, cfg: IntegratorCon
     """Simulate the frozen-regime path and its survival weight
     exp(-int_0^T q_k(X(s)) ds), the sub-probability reweighting for the
     killed process.  Returns (PathRecord, weight)."""
-    spec.check_state(start)
-    rng = derive_rng(seed, 0, 0)
-    out = _evolve(spec, start.x[None, :], np.array([start.k]), cfg, rng,
-                  switching=False, killed=True, record=True)
-    times, xs, ks, sw, jp, dropped = out["record"]
-    exited = out["exit_time"][0]
-    rec = PathRecord(times, xs, ks, sw, jp, seed,
-                     exited=None if not np.isfinite(exited) else float(exited),
-                     small_jump_var_dropped=(dropped if cfg.small_jump_policy == "drop"
-                                             and spec.has_jumps else None))
+    rec, out = _recorded_path(spec, start, cfg, seed, switching=False, killed=True)
     return rec, float(out["weight"][0])
 
 

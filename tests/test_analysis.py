@@ -20,6 +20,7 @@ from rsjd import (
     example52,
     feller_modulus,
     reflection_cross_covariance,
+    simulate_ensemble,
     strong_feller_modulus,
     trend_ok,
     verify_coupling_drift,
@@ -143,6 +144,17 @@ class TestKilledEstimator:
                                      200, cfg, 11)
         assert killed.estimate == frozen.estimate == 1.0
         assert killed.extra["mean_weight"] == 1.0
+
+    def test_censored_paths_reported(self):
+        spec = example51()
+        cfg = IntegratorConfig(step=1.0 / 64, horizon=1.0, r_max=0.5)
+        start = HybridState(np.array([0.0]), 1)
+        n = 2000
+        killed = estimate_killed_subtransition(spec, start, 1.0, np.array([0.0]), 1.0, n,
+                                               cfg, 14)
+        ens = simulate_ensemble(spec, start, cfg, n, 14, switching=False, killed=True)
+        assert 0 < killed.n_censored == ens.n_censored < n
+        assert killed.n_paths == n
 
     def test_example51_survival_inequalities(self):
         spec = example51()

@@ -11,6 +11,7 @@ from rsjd import (
     couple_ensemble,
     couple_reflection,
     example51,
+    example52,
     marginal_vs_independent,
     sqrt_psd,
 )
@@ -18,6 +19,8 @@ from rsjd.coupling import pair_one_step
 from rsjd.simulate import derive_rng
 
 from test_simulate import const_rate_matrix, diag_sigma, make_model
+
+ONE_STEP_REFLECTION = CouplingConfig(step=1e-3, horizon=1e-3, kind="reflection", lambda_R=1.0)
 
 
 class TestSqrtPsd:
@@ -74,8 +77,8 @@ class TestReflectionAlgebra:
         # must be exactly the negative of the first (modulo the zero drift)
         spec = make_model(sigma=diag_sigma(1.0), ellipticity_floor=1.0)
         rng = derive_rng(0, 0, 0)
-        dX, dXt = pair_one_step(spec, np.array([0.0]), np.array([0.5]), 1, 1e-3, 500,
-                                rng, lambda_R=1.0, kind="reflection", with_jumps=False)
+        dX, dXt = pair_one_step(spec, np.array([0.0]), np.array([0.5]), 1, 500,
+                                ONE_STEP_REFLECTION, rng, with_jumps=False)
         assert np.allclose(dXt, -dX, atol=1e-15)
 
     def test_engine_reflects_across_hyperplane_2d(self):
@@ -84,9 +87,47 @@ class TestReflectionAlgebra:
         u = (xt - x) / np.linalg.norm(xt - x)
         P = np.eye(2) - 2.0 * np.outer(u, u)
         rng = derive_rng(1, 0, 0)
-        dX, dXt = pair_one_step(spec, x, xt, 1, 1e-3, 500, rng,
-                                lambda_R=1.0, kind="reflection", with_jumps=False)
+        dX, dXt = pair_one_step(spec, x, xt, 1, 500, ONE_STEP_REFLECTION, rng,
+                                with_jumps=False)
         assert np.allclose(dXt, dX @ P.T, atol=1e-14)
+
+
+class TestPairOneStep:
+    X, XT = np.array([0.5, -0.25]), np.array([-0.75, 1.0])
+
+    def _step(self, spec, n=200, seed=5, **cfg_kw):
+        cfg = CouplingConfig(step=0.01, horizon=0.01, **cfg_kw)
+        return pair_one_step(spec, self.X, self.XT, 1, n, cfg, derive_rng(seed, 0, 0))
+
+    @pytest.mark.parametrize("kind", ["basic", "reflection"])
+    def test_fallback_compensator_matches_closed_form(self, kind):
+        closed = self._step(example52(), kind=kind)
+        fallback = self._step(replace(example52(), jump_compensator=None), kind=kind)
+        for a, b in zip(closed, fallback):
+            assert np.max(np.abs(a - b)) <= 1e-10
+
+    def test_cutoff_outside_mark_domain_rejected(self):
+        with pytest.raises(ValueError, match="jump cutoff outside the mark domain"):
+            self._step(example52(), epsilon=5.0)
+
+    def test_lambda_above_floor_rejected(self):
+        # example52 declares the floor 1/16; a - 0.1 I is still PSD at both
+        # probe states, so only the declared floor can reject 0.1
+        with pytest.raises(ValueError, match="exceeds the model's declared ellipticity floor"):
+            self._step(example52(), kind="reflection", lambda_R=0.1)
+
+    @pytest.mark.parametrize("kind", ["basic", "reflection"])
+    def test_gaussian_policy_adds_small_jump_covariance(self, kind):
+        # the same stream drives both runs, so the difference is exactly the
+        # gaussian substitute sqrt(h) root(cov) zg on each side
+        spec = example52()
+        n = 20000
+        drop = self._step(spec, n=n, kind=kind)
+        gauss = self._step(spec, n=n, kind=kind, small_jump_policy="gaussian")
+        for x, a, b in zip((self.X, self.XT), drop, gauss):
+            cov = np.asarray(spec.small_jump_cov(x[None, :], np.array([1]), 0.1))[0] * 0.01
+            emp = np.cov((b - a).T)
+            assert np.allclose(emp, cov, rtol=0.05, atol=1e-3 * np.max(np.abs(cov)))
 
 
 class TestBasicCoupling:
