@@ -16,6 +16,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from .coupling import CouplingConfig, _resolve_lambda, couple_ensemble, pair_one_step
+from . import quadrature
 from .errors import EstimationError, QuadratureError
 from .generator import as_test_function
 from .model import HybridState, ModelSpec
@@ -718,17 +719,16 @@ def modulus_probe(spec: ModelSpec, k: int, pairs, rel_tol: float = 1e-10,
     coefficient-increment quantities whose growth in the separation the
     continuity hypotheses constrain: 2<x-z, b(x,k)-b(z,k)>, the squared
     diffusion increment |sigma(x,k)-sigma(z,k)|^2, the jump increment
-    int |c(x,k,u)-c(z,k,u)|^2 nu(du) (by quadrature), and the rate-row
-    increment sum_l |q_kl(x)-q_kl(z)| plus certified tails.
+    int |c(x,k,u)-c(z,k,u)|^2 nu(du) (by the batched mark quadrature over all
+    pairs), and the rate-row increment sum_l |q_kl(x)-q_kl(z)| plus certified
+    tails.
     """
-    from .generator import _quad
     from .model import q_row_truncated
 
-    out = {"separation": [], "drift_pairing": [], "sigma_sq": [], "jump_sq": [],
-           "rate_row": []}
+    pairs = [tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in pair) for pair in pairs]
+    out = {"separation": [], "drift_pairing": [], "sigma_sq": [],
+           "jump_sq": np.zeros(len(pairs)), "rate_row": []}
     for x, z in pairs:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        z = np.atleast_1d(np.asarray(z, dtype=float))
         out["separation"].append(float(np.linalg.norm(x - z)))
         bx = np.asarray(spec.drift(x, k), dtype=float)
         bz = np.asarray(spec.drift(z, k), dtype=float)
@@ -736,38 +736,21 @@ def modulus_probe(spec: ModelSpec, k: int, pairs, rel_tol: float = 1e-10,
         sx = np.asarray(spec.sigma(x, k), dtype=float)
         sz = np.asarray(spec.sigma(z, k), dtype=float)
         out["sigma_sq"].append(float(np.sum((sx - sz) ** 2)))
-        if spec.has_jumps:
-            meas = spec.jump_measure
-
-            def c_diff_sq(u_vec):
-                cx = np.asarray(spec.jump_coeff(x, k, u_vec), dtype=float)
-                cz = np.asarray(spec.jump_coeff(z, k, u_vec), dtype=float)
-                return float((cx - cz) @ (cx - cz))
-
-            if meas.mark_dim == 1:
-                val = _quad(lambda u: c_diff_sq(np.array([u]))
-                            * float(meas.density(np.array([u]))),
-                            0.0, meas.radius_max, quad_tol)[0]
-                val += _quad(lambda u: c_diff_sq(np.array([u]))
-                             * float(meas.density(np.array([u]))),
-                             -meas.radius_max, 0.0, quad_tol)[0]
-            elif meas.mark_dim == 2 and spec.jump_radial:
-                rad = meas.radial_density if meas.radial_density is not None else (
-                    lambda r: 2.0 * np.pi * r * float(meas.density(np.array([r, 0.0]))))
-                val = _quad(lambda r: c_diff_sq(np.array([r, 0.0])) * float(rad(r)),
-                            0.0, meas.radius_max, quad_tol)[0]
-            else:
-                raise NotImplementedError(
-                    "modulus probe needs 1-d or radially symmetric 2-d marks")
-            out["jump_sq"].append(val)
-        else:
-            out["jump_sq"].append(0.0)
         px, tx = q_row_truncated(spec.rates, x, k, rel_tol)
         pz, tz = q_row_truncated(spec.rates, z, k, rel_tol)
         dx = dict(px)
         dz = dict(pz)
         row = sum(abs(dx.get(l, 0.0) - dz.get(l, 0.0)) for l in set(dx) | set(dz))
         out["rate_row"].append(row + tx + tz)
+    if spec.has_jumps and pairs:
+        def c_diff_sq(x, z, u):
+            dc = (np.asarray(spec.jump_coeff(x, k, u), dtype=float)
+                  - np.asarray(spec.jump_coeff(z, k, u), dtype=float))
+            return np.sum(dc * dc, axis=-1)
+
+        xs, zs = (np.stack(side) for side in zip(*pairs))
+        out["jump_sq"] = quadrature.integrate(spec, c_diff_sq, (xs, zs), 0.0,
+                                              spec.jump_measure.radius_max, quad_tol)[0]
     return {key: np.asarray(v) for key, v in out.items()}
 
 

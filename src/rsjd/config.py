@@ -148,7 +148,8 @@ def load_model_config(path) -> ModelSpec:
             x = np.asarray(x, dtype=float)
             k = np.asarray(k, dtype=float)
             u = np.asarray(u, dtype=float)
-            return np.broadcast_to(np.asarray(coeff_fn(x, k, u), dtype=float), x.shape).copy()
+            shape = np.broadcast_shapes(x.shape[:-1], k.shape, u.shape[:-1]) + (d,)
+            return np.broadcast_to(np.asarray(coeff_fn(x, k, u), dtype=float), shape).copy()
 
     if m.get("rates"):
         r = m["rates"]

@@ -9,10 +9,12 @@ regime-exchange sum with state-dependent rates:
                + sum_l q_kl(x) [f(x,l) - f(x,k)].
 
 The mark integral is split at a small cutoff: the outer part is computed by
-adaptive quadrature, the inner part is bounded by a second-order Taylor
-estimate and reported as an interval half-width instead of being silently
-absorbed.  The regime sum is truncated with the rate matrix's certified tail
-bound; the residual also lands in the reported bracket.
+the batched mark-quadrature rule of :mod:`rsjd.quadrature`, whose two-order
+error estimate joins the reported bracket; the inner part is bounded by a
+second-order Taylor estimate and reported as an interval half-width instead
+of being silently absorbed.  The regime sum is truncated with the rate
+matrix's certified tail bound; the residual also lands in the reported
+bracket.
 """
 
 from __future__ import annotations
@@ -21,16 +23,18 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate
 
-from .errors import QuadratureError, TruncationError
+from . import quadrature
+from .errors import TruncationError
 from .model import HybridState, ModelSpec
 
 __all__ = [
     "TestFunction",
     "as_test_function",
     "GeneratorValue",
+    "GeneratorBatch",
     "apply_generator",
+    "apply_generator_batch",
     "LyapunovCertificate",
     "DriftReport",
     "check_lyapunov",
@@ -141,156 +145,144 @@ class GeneratorValue(NamedTuple):
     bracket: float
 
 
+class GeneratorBatch(NamedTuple):
+    """Generator evaluations at a batch of points: ``value`` and ``bracket``
+    (N,), NaN where the point failed, and ``failures`` mapping the index of
+    each failed point to its error message."""
+
+    value: np.ndarray
+    bracket: np.ndarray
+    failures: dict
+
+
 # ---------------------------------------------------------------------------
-# Quadrature helpers
+# Jump terms, batched over points (x: (N, d), k: (N,))
 
 
-def _quad(f, a, b, tol):
-    out = integrate.quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-11),
-                         limit=300, full_output=1)
-    val, err = out[0], out[1]
-    if err > max(100.0 * tol, 1e-6 * (1.0 + abs(val))):
-        raise QuadratureError(
-            f"quadrature on [{a}, {b}] did not converge: value={val}, abserr={err}")
-    return val, err
+def _c_squared(spec: ModelSpec):
+    def c2(x, k, u):
+        c = np.asarray(spec.jump_coeff(x, k, u), dtype=float)
+        return np.sum(c * c, axis=-1)
+    return c2
 
 
-def _jump_outer_integral(spec: ModelSpec, f: TestFunction, x: np.ndarray, k: int,
-                         grad: np.ndarray, eps: float, quad_tol: float):
-    """int_{|u|>eps} [f(x+c) - f(x) - <Df, c>] nu(du) by adaptive quadrature."""
-    meas = spec.jump_measure
-    f0 = float(f.fn(x, k))
+def _jump_outer_integral(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
+                         f0: np.ndarray, grads: np.ndarray, eps: float, quad_tol: float):
+    """int_{|u|>eps} [f(x+c) - f(x) - <Df, c>] nu(du) and its quadrature
+    error estimate, per point; f0 and grads are f and Df at the points."""
+    def increment(x, k, f0, grad, u):
+        c = np.asarray(spec.jump_coeff(x, k, u), dtype=float)
+        return np.asarray(f.fn(x + c, k), dtype=float) - f0 - np.sum(grad * c, axis=-1)
 
-    def increment(u_vec):
-        c = np.asarray(spec.jump_coeff(x, k, u_vec), dtype=float)
-        return float(f.fn(x + c, k)) - f0 - float(grad @ c)
-
-    if meas.mark_dim == 1:
-        def phi(u):
-            uv = np.array([u])
-            return increment(uv) * float(meas.density(uv))
-
-        v1, e1 = _quad(phi, eps, meas.radius_max, quad_tol)
-        v2, e2 = _quad(phi, -meas.radius_max, -eps, quad_tol)
-        return v1 + v2, e1 + e2
-    if meas.mark_dim == 2 and spec.jump_radial:
-        if meas.radial_density is not None:
-            rad = meas.radial_density
-        else:
-            def rad(r):
-                return 2.0 * np.pi * r * float(meas.density(np.array([r, 0.0])))
-
-        def phi(r):
-            uv = np.array([r, 0.0])
-            return increment(uv) * float(rad(r))
-
-        return _quad(phi, eps, meas.radius_max, quad_tol)
-    raise NotImplementedError(
-        "jump integrals are implemented for 1-d marks and radially symmetric 2-d marks")
+    return quadrature.integrate(spec, increment, (xs, ks, f0, grads), eps,
+                                spec.jump_measure.radius_max, quad_tol)
 
 
-def _small_second_moment(spec: ModelSpec, x: np.ndarray, k: int, eps: float,
-                         quad_tol: float) -> float:
-    """int_{|u|<=eps} |c(x,k,u)|^2 nu(du), closed form when available."""
+def _small_second_moment(spec: ModelSpec, xs: np.ndarray, ks: np.ndarray, eps: float,
+                         quad_tol: float) -> np.ndarray:
+    """int_{|u|<=eps} |c(x,k,u)|^2 nu(du) per point, closed form when available."""
     if spec.small_jump_cov is not None:
-        return float(np.trace(np.asarray(spec.small_jump_cov(x, k, eps), dtype=float)))
-    meas = spec.jump_measure
-
-    def c2(u_vec):
-        c = np.asarray(spec.jump_coeff(x, k, u_vec), dtype=float)
-        return float(c @ c)
-
-    if meas.mark_dim == 1:
-        def phi(u):
-            uv = np.array([u])
-            return c2(uv) * float(meas.density(uv))
-
-        v1, _ = _quad(phi, 0.0, eps, quad_tol)
-        v2, _ = _quad(phi, -eps, 0.0, quad_tol)
-        return v1 + v2
-    if meas.mark_dim == 2 and spec.jump_radial:
-        if meas.radial_density is not None:
-            rad = meas.radial_density
-        else:
-            def rad(r):
-                return 2.0 * np.pi * r * float(meas.density(np.array([r, 0.0])))
-
-        def phi(r):
-            return c2(np.array([r, 0.0])) * float(rad(r))
-
-        v, _ = _quad(phi, 0.0, eps, quad_tol)
-        return v
-    raise NotImplementedError(
-        "jump integrals are implemented for 1-d marks and radially symmetric 2-d marks")
+        cov = np.asarray(spec.small_jump_cov(xs, ks, eps), dtype=float)
+        return np.trace(cov, axis1=-2, axis2=-1)
+    return quadrature.integrate(spec, _c_squared(spec), (xs, ks), 0.0, eps, quad_tol)[0]
 
 
-def _jump_second_moment_quadrature(spec: ModelSpec, x, k: int, quad_tol: float = 1e-10) -> float:
-    """Quadrature value of the full int |c(x,k,u)|^2 nu(du) (validation cross-check)."""
-    from dataclasses import replace
-
+def _jump_second_moment_quadrature(spec: ModelSpec, x, k: int,
+                                   quad_tol: float = 1e-10) -> float:
+    """int |c(x,k,u)|^2 nu(du) by ``scipy.integrate.quad`` over the mark
+    segments: the independent cross-check of the closed-form second moment."""
     x = np.asarray(x, dtype=float)
-    meas = spec.jump_measure
-    eps = 0.5 * meas.radius_max
-    # force the quadrature route below eps so the cross-check stays independent
-    # of any closed-form small-jump covariance the model declares
-    small_spec = replace(spec, small_jump_cov=None) if spec.small_jump_cov is not None else spec
-    below = _small_second_moment(small_spec, x, k, eps, quad_tol)
-
-    def c2(u_vec):
-        c = np.asarray(spec.jump_coeff(x, k, u_vec), dtype=float)
-        return float(c @ c)
-
-    if meas.mark_dim == 1:
-        def phi(u):
-            uv = np.array([u])
-            return c2(uv) * float(meas.density(uv))
-
-        above = _quad(phi, eps, meas.radius_max, quad_tol)[0] + \
-            _quad(phi, -meas.radius_max, -eps, quad_tol)[0]
-    else:
-        if meas.radial_density is not None:
-            rad = meas.radial_density
-        else:
-            def rad(r):
-                return 2.0 * np.pi * r * float(meas.density(np.array([r, 0.0])))
-
-        def phi(r):
-            return c2(np.array([r, 0.0])) * float(rad(r))
-
-        above = _quad(phi, eps, meas.radius_max, quad_tol)[0]
-    return below + above
+    value = quadrature.quad_reference(spec, _c_squared(spec), (x[None], np.array([int(k)])),
+                                      0.0, spec.jump_measure.radius_max, quad_tol)
+    return float(value[0])
 
 
-def _hessian_sup_estimate(spec: ModelSpec, f: TestFunction, x: np.ndarray, k: int,
-                          eps: float) -> float:
-    """Heuristic sup of ||D^2 f|| over the range reachable by small jumps.
+def _hessian_sup_estimate(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
+                          eps: float) -> np.ndarray:
+    """Heuristic sup of ||D^2 f|| over the range reachable by small jumps, per point.
 
     Probes the Hessian spectral norm at x and at axis displacements of size
     sup_{|u|=eps} |c(x,k,u)|; a bound estimate for the reported bracket, not
     a certified constant.
     """
-    meas = spec.jump_measure
-    if meas.mark_dim == 1:
-        dirs = [np.array([eps]), np.array([-eps])]
+    if spec.jump_measure.mark_dim == 1:
+        dirs = np.array([[eps], [-eps]])
     else:
         angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-        dirs = [eps * np.array([np.cos(a), np.sin(a)]) for a in angles]
-    csup = max(float(np.linalg.norm(np.asarray(spec.jump_coeff(x, k, u), dtype=float)))
-               for u in dirs)
-
-    def hnorm(pt):
-        return float(np.max(np.abs(np.linalg.eigvalsh(f.hessian(pt, k)))))
-
-    sup = hnorm(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = csup
-        sup = max(sup, hnorm(x + e), hnorm(x - e))
-    return sup
+        dirs = eps * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    c = np.asarray(spec.jump_coeff(xs[:, None, :], ks[:, None], dirs[None]), dtype=float)
+    csup = np.max(np.linalg.norm(c, axis=-1), axis=1)
+    d = xs.shape[1]
+    shifts = np.concatenate([np.zeros((1, d)), np.eye(d), -np.eye(d)])
+    probes = xs[:, None, :] + csup[:, None, None] * shifts
+    hess = np.array([[f.hessian(p, k) for p in row] for row, k in zip(probes, ks.tolist())])
+    return np.max(np.abs(np.linalg.eigvalsh(hess)), axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
 # Generator evaluation
+
+
+def _regime_level(f: TestFunction, rates, x: np.ndarray, k: int, tail_tol: float,
+                  l_cap: int):
+    """Truncation level L of the regime sum at (x, k) and its certified tail."""
+    L = 16
+    while True:
+        if f.regime_tail is not None:
+            tail = float(f.regime_tail(x, k, L))
+        elif f.bounded:
+            tail = 2.0 * float(f.bound) * float(rates.tail_bound(k, L))
+        else:
+            raise ValueError(
+                "unbounded test function needs a regime_tail bound for the regime sum")
+        if tail <= tail_tol:
+            return L, tail
+        if L >= l_cap:
+            raise TruncationError(f"regime sum tail not below {tail_tol} within L={l_cap}")
+        L *= 2
+
+
+def _generator(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
+               quad_tol: float = 1e-9, small_cutoff: float = 1e-5, tail_tol: float = 1e-10,
+               l_cap: int = 1 << 20):
+    """Generator values and brackets at every point of the batch; raises on
+    the first failure anywhere in it."""
+    klist = ks.tolist()
+    f0 = np.broadcast_to(np.asarray(f.fn(xs, ks), dtype=float), ks.shape)
+    grads = np.array([f.gradient(x, k) for x, k in zip(xs, klist)])
+    hess = np.array([f.hessian(x, k) for x, k in zip(xs, klist)])
+    sig = np.asarray(spec.sigma(xs, ks), dtype=float)
+    a = sig @ np.swapaxes(sig, -1, -2)
+    b = np.asarray(spec.drift(xs, ks), dtype=float)
+    value = 0.5 * np.trace(a @ hess, axis1=-2, axis2=-1) + np.sum(b * grads, axis=-1)
+    bracket = np.zeros(len(ks))
+
+    if spec.has_jumps:
+        eps = min(small_cutoff, 0.5 * spec.jump_measure.radius_max)
+        outer, quad_err = _jump_outer_integral(spec, f, xs, ks, f0, grads, eps, quad_tol)
+        small2 = _small_second_moment(spec, xs, ks, eps, quad_tol)
+        sup_h = _hessian_sup_estimate(spec, f, xs, ks, eps)
+        value += outer
+        bracket += quad_err + 0.5 * sup_h * small2
+
+    if not f.k_independent:
+        rates = spec.rates
+        if rates.tail_bound is None:
+            raise TruncationError("rate matrix has no tail bound; cannot certify regime sum")
+        levels, tails = np.array([_regime_level(f, rates, x, k, tail_tol, l_cap)
+                                  for x, k in zip(xs, klist)]).T
+        for L in np.unique(levels).astype(int).tolist():
+            idx = np.flatnonzero(levels == L)
+            ls = np.arange(1, L + 1)
+            x = xs[idx, None, :]
+            q = np.asarray(rates.rate(x, ks[idx, None], ls), dtype=float)
+            q = np.where(ls == ks[idx, None], 0.0, np.maximum(q, 0.0))
+            fvals = np.asarray(f.fn(np.broadcast_to(x, (len(idx), L, xs.shape[1])), ls),
+                               dtype=float)
+            value[idx] += np.einsum("ij,ij->i", q, fvals - f0[idx, None])
+        bracket += tails
+
+    return value, bracket
 
 
 def apply_generator(spec: ModelSpec, f, x, k: int, quad_tol: float = 1e-9,
@@ -299,56 +291,43 @@ def apply_generator(spec: ModelSpec, f, x, k: int, quad_tol: float = 1e-9,
     """Evaluate the generator at (x, k), returning [value +/- bracket].
 
     ``small_cutoff`` splits the mark integral (it is independent of any
-    integrator cutoff); ``tail_tol`` is the absolute tolerance at which the
-    regime sum's certified tail is accepted and folded into the bracket.
+    integrator cutoff): above it the batched mark-quadrature rule computes
+    the integral and its two-order error estimate joins the bracket
+    (``QuadratureError`` when it exceeds ``quad_tol``'s threshold); below it
+    a second-order Taylor bound joins the bracket.  ``tail_tol`` is the
+    absolute tolerance at which the regime sum's certified tail is accepted
+    and folded into the bracket.
+    """
+    value, bracket = _generator(spec, as_test_function(f), np.asarray(x, dtype=float)[None],
+                                np.array([int(k)]), quad_tol, small_cutoff, tail_tol, l_cap)
+    return GeneratorValue(float(value[0]), float(bracket[0]))
+
+
+def apply_generator_batch(spec: ModelSpec, f, xs, ks, **gen_kwargs) -> GeneratorBatch:
+    """``apply_generator`` at every point of a batch (xs: (N, d), ks: (N,)),
+    with the mark integrals of all points in one quadrature call.
+
+    A point whose evaluation fails fails alone: when the batch raises, its
+    points are evaluated one at a time and only the failing ones are
+    reported, NaN in ``value`` and ``bracket``.
     """
     f = as_test_function(f)
-    x = np.asarray(x, dtype=float)
-    k = int(k)
-
-    grad = f.gradient(x, k)
-    hess = f.hessian(x, k)
-    a = np.asarray(spec.sigma(x, k), dtype=float)
-    a = a @ a.T
-    b = np.asarray(spec.drift(x, k), dtype=float)
-    value = 0.5 * float(np.trace(a @ hess)) + float(b @ grad)
-    bracket = 0.0
-
-    if spec.has_jumps:
-        eps = min(small_cutoff, 0.5 * spec.jump_measure.radius_max)
-        outer, quad_err = _jump_outer_integral(spec, f, x, k, grad, eps, quad_tol)
-        small2 = _small_second_moment(spec, x, k, eps, quad_tol)
-        sup_h = _hessian_sup_estimate(spec, f, x, k, eps)
-        value += outer
-        bracket += quad_err + 0.5 * sup_h * small2
-
-    if not f.k_independent:
-        rates = spec.rates
-        if rates.tail_bound is None:
-            raise TruncationError("rate matrix has no tail bound; cannot certify regime sum")
-        L = 16
-        while True:
-            if f.regime_tail is not None:
-                tail = float(f.regime_tail(x, k, L))
-            elif f.bounded:
-                tail = 2.0 * float(f.bound) * float(rates.tail_bound(k, L))
-            else:
-                raise ValueError(
-                    "unbounded test function needs a regime_tail bound for the regime sum")
-            if tail <= tail_tol:
-                break
-            if L >= l_cap:
-                raise TruncationError(f"regime sum tail not below {tail_tol} within L={l_cap}")
-            L *= 2
-        ls = np.arange(1, L + 1)
-        q = np.asarray(rates.rate(x, k, ls), dtype=float)
-        q = np.where(ls == k, 0.0, np.maximum(q, 0.0))
-        fvals = np.asarray(f.fn(np.broadcast_to(x, (L,) + x.shape), ls), dtype=float)
-        f0 = float(f.fn(x, k))
-        value += float(q @ (fvals - f0))
-        bracket += tail
-
-    return GeneratorValue(value, bracket)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    ks = np.asarray(ks, dtype=np.int64)
+    try:
+        return GeneratorBatch(*_generator(spec, f, xs, ks, **gen_kwargs), {})
+    except Exception:  # isolated point by point below
+        pass
+    value = np.full(len(ks), np.nan)
+    bracket = np.full(len(ks), np.nan)
+    failures = {}
+    for i in range(len(ks)):
+        try:
+            (value[i],), (bracket[i],) = _generator(spec, f, xs[i:i + 1], ks[i:i + 1],
+                                                    **gen_kwargs)
+        except Exception as exc:  # reported per point
+            failures[i] = str(exc)
+    return GeneratorBatch(value, bracket, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +417,18 @@ class DriftReport:
             fh.write("\n".join(rows) + "\n")
 
 
+GENERATOR_BLOCK = 256   # grid points per batched generator call in check_lyapunov
+
+
 def check_lyapunov(spec: ModelSpec, cert: LyapunovCertificate, xs, ks,
                    tol: float = 1e-6, **gen_kwargs) -> DriftReport:
     """Evaluate the certificate margin A V + alpha*rate - beta*indicator on a grid.
 
     A nonpositive max margin (within tol plus the per-point generator bracket)
     means "certificate holds on grid" -- a numerical statement, never a proof.
-    Evaluation failures are collected per point instead of aborting the sweep.
+    The generator runs on blocks of ``GENERATOR_BLOCK`` points, which bounds
+    memory; evaluation failures are collected per point instead of aborting
+    the sweep.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ks = np.asarray(ks, dtype=int)
@@ -455,22 +439,34 @@ def check_lyapunov(spec: ModelSpec, cert: LyapunovCertificate, xs, ks,
     values = np.full(len(ks), np.nan)
     margins = np.full(len(ks), np.nan)
     brackets = np.zeros(len(ks))
-    failures = []
-    for i, (xr, kk) in enumerate(zip(xs, ks)):
+    rates = np.full(len(ks), np.nan)
+    errors = {}
+    for i, (xr, kk) in enumerate(zip(xs, ks.tolist())):
         try:
-            v0 = float(cert.V.fn(xr, int(kk)))
-            r0 = float(rate_fn(xr, int(kk)))
+            v0 = float(cert.V.fn(xr, kk))
+            r0 = float(rate_fn(xr, kk))
             if not (np.isfinite(v0) and np.isfinite(r0)) or v0 < 0 or r0 < 1.0 - 1e-12:
                 raise ValueError(f"certificate preconditions violated: V={v0}, rate={r0}")
-            gv = apply_generator(spec, cert.V, xr, int(kk), **gen_kwargs)
-            if not np.isfinite(gv.value):
-                raise ValueError(f"generator value is not finite: {gv.value}")
-            values[i] = gv.value
-            brackets[i] = gv.bracket
-            margins[i] = gv.value + cert.alpha * r0 - cert.beta * cert.indicator(xr, int(kk))
+            rates[i] = r0
         except Exception as exc:  # reported per point
-            failures.append(f"({xr.tolist()}, {int(kk)}): {exc}")
-    return DriftReport(xs, ks, values, margins, brackets, tol, tuple(failures))
+            errors[i] = str(exc)
+    good = np.flatnonzero(np.isfinite(rates))
+    for lo in range(0, good.size, GENERATOR_BLOCK):
+        idx = good[lo:lo + GENERATOR_BLOCK]
+        gen = apply_generator_batch(spec, cert.V, xs[idx], ks[idx], **gen_kwargs)
+        errors.update((int(idx[j]), msg) for j, msg in gen.failures.items())
+        for j, i in enumerate(idx.tolist()):
+            if i in errors:
+                continue
+            if not np.isfinite(gen.value[j]):
+                errors[i] = f"generator value is not finite: {gen.value[j]}"
+                continue
+            values[i] = gen.value[j]
+            brackets[i] = gen.bracket[j]
+            margins[i] = (gen.value[j] + cert.alpha * rates[i]
+                          - cert.beta * cert.indicator(xs[i], int(ks[i])))
+    failures = tuple(f"({xs[i].tolist()}, {int(ks[i])}): {errors[i]}" for i in sorted(errors))
+    return DriftReport(xs, ks, values, margins, brackets, tol, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +513,9 @@ def dynkin_check(spec: ModelSpec, f, x, k: int, t_small: float, n_paths: int,
     sim_bias = 0.0
     if spec.has_jumps and cfg_run.small_jump_policy == "drop":
         eps_sim = cfg_run.epsilon if cfg_run.epsilon is not None else spec.jump_measure.epsilon
-        small2 = _small_second_moment(spec, x, k, eps_sim, 1e-9)
-        sup_h = _hessian_sup_estimate(spec, f, x, k, eps_sim)
+        xs, ks = x[None], np.array([int(k)])
+        small2 = _small_second_moment(spec, xs, ks, eps_sim, 1e-9)[0]
+        sup_h = _hessian_sup_estimate(spec, f, xs, ks, eps_sim)[0]
         sim_bias = 0.5 * sup_h * small2
     h_eff = cfg_run.step
     allowance = gen.bracket + sim_bias + (1.0 + abs(gen.value)) * (t_small + h_eff)

@@ -119,8 +119,13 @@ class ModelSpec:
     ``jump_compensator(x,k,eps)`` is the drift correction
     int_{|u|>eps} c(x,k,u) nu(du), and ``small_jump_cov(x,k,eps)`` is
     int_{|u|<=eps} c c^T nu(du) (used by the gaussian small-jump policy and by
-    neglected-variance reports).  ``jump_radial`` declares that c depends on u
-    only through |u|, enabling radial quadrature for 2-d mark spaces.
+    neglected-variance reports).  Without ``jump_compensator`` every step
+    integrates c against nu at each path's own state with the batched rule of
+    :mod:`rsjd.quadrature` (composite Gauss-Legendre on geometrically graded
+    panels, two orders whose difference is the error estimate), and raises
+    ``QuadratureError`` where that estimate exceeds the tolerance.
+    ``jump_radial`` declares that c depends on u only through |u|, enabling
+    radial quadrature for 2-d mark spaces.
     """
 
     d: int

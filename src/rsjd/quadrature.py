@@ -1,0 +1,185 @@
+"""Integrals against the jump mark measure, batched over states.
+
+Every mark integral in the package -- the integrator's compensator
+fallback, the generator's outer jump integral and small-jump second moment,
+and the modulus probe -- has the form
+
+    I_i = int_{lo <= |u| < hi} g(s_i, u) nu(du)
+
+for a batch of states s_i.  ``segments`` maps the mark measure to 1-d
+integrals over the radius r = |u|: two half-lines with ``density`` for
+``mark_dim == 1``, one ray with ``radial_density`` (or 2 pi r density) for
+radially symmetric 2-d marks.  ``integrate`` evaluates them with one fixed
+rule: composite Gauss-Legendre on panels graded geometrically toward the
+origin, where nu is singular.  Each panel [a, 2a] sees a power law r^p the
+same way whatever its scale, so a fixed node count gives the same relative
+accuracy on every panel.  Two orders run on every panel; the higher one is
+the value and their difference, plus a round-off allowance, is the per-state
+error estimate.  A state whose estimate exceeds the tolerance raises
+``QuadratureError``.
+
+``quad_reference`` computes the same integrals with ``scipy.integrate.quad``
+over the same segments.  It is the independent cross-check for validation
+and tests, never a fallback.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Callable, NamedTuple
+
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+
+from .errors import QuadratureError
+from .model import ModelSpec
+
+__all__ = ["Segment", "segments", "integrate", "quad_reference"]
+
+PANEL_RATIO = 2.0     # hi/lo of every panel above the origin
+ORDERS = (8, 12)      # Gauss-Legendre nodes per panel: error-estimate order, value order
+ORIGIN_DEPTH = 120    # with lo == 0 the innermost panel is [0, hi * 2^-120]
+BLOCK = 1 << 13       # (state, node) pairs per integrand call; bounds memory
+# round-off allowance per unit of int |g| nu: summation over up to a few
+# thousand nodes and a few ulps in the integrand
+ROUNDING = 32.0 * np.finfo(float).eps
+
+
+@functools.cache
+def _gauss_legendre(m: int):
+    # on first use, not at import: the first call initialises LAPACK
+    return leggauss(m)
+
+
+class Segment(NamedTuple):
+    """One ray of the mark space: marks r * direction for r in [lo, hi), and
+    ``weight(r)`` the density of nu along it, so that the mark integral is the
+    sum over segments of int g(r * direction) weight(r) dr."""
+
+    direction: np.ndarray
+    weight: Callable[[np.ndarray], np.ndarray]
+
+
+def segments(spec: ModelSpec) -> tuple:
+    """The mark-measure dispatch: the segments of ``spec``'s jump measure."""
+    meas = spec.jump_measure
+    if meas.mark_dim == 1:
+        return tuple(Segment(np.array([s]), lambda r, s=s: meas.density(s * r[:, None]))
+                     for s in (1.0, -1.0))
+    if meas.mark_dim == 2 and spec.jump_radial:
+        e = np.array([1.0, 0.0])
+        if meas.radial_density is not None:
+            return (Segment(e, meas.radial_density),)
+        return (Segment(e, lambda r: 2.0 * np.pi * r * meas.density(r[:, None] * e)),)
+    raise NotImplementedError(
+        "mark integrals need 1-d marks or radially symmetric 2-d marks")
+
+
+def _panels(lo: float, hi: float) -> np.ndarray:
+    """Panel ends on [lo, hi], graded geometrically toward the origin."""
+    if not (0.0 <= lo < hi < np.inf):
+        raise ValueError(f"mark integral needs 0 <= lo < hi < inf, got [{lo}, {hi}]")
+    if lo > 0.0:
+        n = max(1, int(np.ceil(np.log(hi / lo) / np.log(PANEL_RATIO) - 1e-9)))
+        return lo * (hi / lo) ** (np.arange(n + 1) / n)
+    return np.concatenate(([0.0], hi * PANEL_RATIO ** -np.arange(ORIGIN_DEPTH, -1, -1.0)))
+
+
+def _rule(lo: float, hi: float):
+    """Nodes r (m,) and weight rows (3, m): the value order, the estimate
+    order, and the value order restricted to the innermost panel when it
+    reaches the origin (zero otherwise)."""
+    ends = _panels(lo, hi)
+    a, b = ends[:-1, None], ends[1:, None]
+    nodes, weights = [], []
+    for row, (t, w) in ((0, _gauss_legendre(ORDERS[1])), (1, _gauss_legendre(ORDERS[0]))):
+        nodes.append((0.5 * (b - a) * t + 0.5 * (b + a)).ravel())
+        full = np.zeros((3, nodes[-1].size))
+        full[row] = (0.5 * (b - a) * w).ravel()
+        weights.append(full)
+    if lo == 0.0:
+        m = ORDERS[1]
+        weights[0][2, :m] = weights[0][0, :m]
+    return np.concatenate(nodes), np.concatenate(weights, axis=1)
+
+
+def integrate(spec: ModelSpec, integrand: Callable, states: tuple, lo: float, hi: float,
+              tol: float):
+    """int_{lo <= |u| < hi} integrand(*states_i, u) nu(du) for every state row i.
+
+    ``states`` is a tuple of arrays with a common leading axis N, for example
+    (x, k).  The integrand receives each of them with a new axis after the
+    first ((n, 1, ...), so (n, 1, d) for x and (n, 1) for k) together with
+    marks u of shape (1, m, mark_dim), and returns (n, m) or (n, m, ...) --
+    the broadcasting convention of ``jump_coeff`` and ``TestFunction.fn``.
+    Rows are fed in blocks of at most ``BLOCK`` (state, node) pairs.
+
+    Returns ``(value, error)``, each (N,) or (N, ...): the higher-order value
+    and the per-state error estimate |higher - lower order| plus
+    ``ROUNDING`` times int |integrand| nu.  With lo == 0 the innermost panel
+    [0, hi 2^-ORIGIN_DEPTH] touches the singularity, where no polynomial rule
+    converges, so its whole contribution is added to the estimate too.
+    Raises ``QuadratureError`` when an estimate exceeds
+    max(100 tol, 1e-6 (1 + |value|)) or is not finite.
+    """
+    r, w = _rule(lo, hi)
+    n = len(states[0])
+    rows = max(1, BLOCK // r.size)
+    acc = None
+    for seg in segments(spec):
+        dens = np.broadcast_to(np.asarray(seg.weight(r), dtype=float), r.shape)
+        wd = w * dens
+        u = (r[:, None] * seg.direction)[None]
+        for start in range(0, n, rows):
+            block = [np.asarray(s)[start:start + rows, None] for s in states]
+            g = np.moveaxis(np.asarray(integrand(*block, u), dtype=float), 1, -1)
+            if acc is None:
+                acc = np.zeros((4, n) + g.shape[1:-1])
+            acc[:3, start:start + len(g)] += np.moveaxis(g @ wd.T, -1, 0)
+            acc[3, start:start + len(g)] += np.abs(g) @ np.abs(wd[0])
+    value, low, inner, mass = acc
+    error = np.abs(value - low) + np.abs(inner) + ROUNDING * mass
+    _require(value, error, tol, lo, hi)
+    return value, error
+
+
+def _require(value, error, tol, lo, hi):
+    bad = ~(error <= np.maximum(100.0 * tol, 1e-6 * (1.0 + np.abs(value))))
+    if bad.any():
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise QuadratureError(
+            f"mark quadrature on [{lo}, {hi}] did not converge at {int(bad.sum())} of "
+            f"{bad.size} values: value={value[i]}, error estimate={error[i]} (row {i[0]})")
+
+
+def quad_reference(spec: ModelSpec, integrand: Callable, states: tuple, lo: float,
+                   hi: float, tol: float = 1e-10) -> np.ndarray:
+    """The integral of ``integrate`` by ``scipy.integrate.quad`` over the same
+    segments, one state row and one output component at a time.  An
+    independent cross-check for validation and tests; raises
+    ``QuadratureError`` when quad reports an error above the same threshold.
+    """
+    from scipy import integrate as sp
+
+    out = []
+    for i in range(len(states[0])):
+        row = [np.asarray(s)[i:i + 1, None] for s in states]
+        total = 0.0
+        for seg in segments(spec):
+            def g(r, comp, seg=seg):
+                rr = np.array([r])
+                val = np.asarray(integrand(*row, (rr[:, None] * seg.direction)[None]),
+                                 dtype=float)
+                dens = np.asarray(seg.weight(rr), dtype=float).reshape(-1)[0]
+                return float(val.reshape(-1)[comp] * dens)
+
+            shape = np.asarray(integrand(*row, hi * seg.direction[None, None])).shape[2:]
+            comps = []
+            for comp in range(int(np.prod(shape))):
+                val, err = sp.quad(g, lo, hi, args=(comp,), epsabs=tol,
+                                   epsrel=max(tol, 1e-11), limit=300)
+                _require(np.array([val]), np.array([err]), tol, lo, hi)
+                comps.append(val)
+            total = total + np.reshape(comps, shape)
+        out.append(total)
+    return np.array(out)

@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import quadrature
 from ._linalg import sqrt_psd_batched
 from .model import HybridState, ModelSpec, RowTruncator
 
@@ -46,6 +47,7 @@ CHUNK_SIZE = 4096  # fixed chunk width; part of the determinism contract
 # relative slack on the whole-row bound Qbar_k, so that round-off in a row sum
 # can never drop a switch that should fire
 SCREEN_SLACK = 1.0 + 1e-12
+COMP_QUAD_TOL = 1e-10  # tolerance of the fallback compensator quadrature
 
 
 @dataclass(frozen=True)
@@ -247,8 +249,10 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     candidates, the paths whose first switch uniform falls below
     1 - exp(-Qbar_k h); the switch law is the same as building every row.  Killed mode freezes the
     regime and accumulates the trapezoid rule for int q_k(X(s)) ds instead of
-    switching.
+    switching, so it needs ``switching=False``.
     """
+    if switching and killed:
+        raise ValueError("killed mode freezes the regime; pass switching=False")
     n, d = x0.shape
     x = x0.astype(float).copy()
     k = k0.astype(np.int64).copy()
@@ -336,45 +340,16 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     return out
 
 
-_COMP_CACHE: dict = {}
-
-
 def _compensator_quadrature(spec: ModelSpec, x: np.ndarray, k: np.ndarray,
                             eps: float) -> np.ndarray:
-    """Fallback large-jump compensator int_{|u|>eps} c(x,k,u) nu(du) by adaptive
-    quadrature, cached on a coarse (x, k) cell grid (resolution 1e-3)."""
-    from scipy import integrate
-
-    meas = spec.jump_measure
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        key = (spec.name, id(spec), tuple(np.round(x[i], 3)), int(k[i]), round(eps, 9))
-        hit = _COMP_CACHE.get(key)
-        if hit is None:
-            comps = []
-            for dim in range(spec.d):
-                if meas.mark_dim == 1:
-                    def phi(u, dim=dim, i=i):
-                        c = np.asarray(spec.jump_coeff(x[i], int(k[i]), np.array([u])), dtype=float)
-                        return c[dim] * float(meas.density(np.array([u])))
-                    v = integrate.quad(phi, eps, meas.radius_max, epsrel=1e-8, limit=200)[0]
-                    v += integrate.quad(phi, -meas.radius_max, -eps, epsrel=1e-8, limit=200)[0]
-                elif meas.mark_dim == 2 and spec.jump_radial:
-                    def phi(r, dim=dim, i=i):
-                        c = np.asarray(spec.jump_coeff(x[i], int(k[i]), np.array([r, 0.0])), dtype=float)
-                        rad = meas.radial_density(r) if meas.radial_density is not None \
-                            else 2.0 * np.pi * r * float(meas.density(np.array([r, 0.0])))
-                        return c[dim] * float(rad)
-                    v = integrate.quad(phi, eps, meas.radius_max, epsrel=1e-8, limit=200)[0]
-                else:
-                    raise NotImplementedError(
-                        "compensator quadrature needs 1-d or radially symmetric 2-d marks")
-                comps.append(v)
-            hit = np.array(comps)
-            if len(_COMP_CACHE) < 1 << 16:
-                _COMP_CACHE[key] = hit
-        out[i] = hit
-    return out
+    """Fallback large-jump compensator int_{|u|>eps} c(x,k,u) nu(du) for a
+    model without a closed form, by the batched mark-quadrature rule at
+    every path's own state; raises ``QuadratureError`` when the rule's error
+    estimate exceeds the threshold ``quadrature.integrate`` sets for
+    ``COMP_QUAD_TOL``."""
+    value, _ = quadrature.integrate(spec, spec.jump_coeff, (x, k), eps,
+                                    spec.jump_measure.radius_max, COMP_QUAD_TOL)
+    return value
 
 
 def _recorded_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig, seed: int,
@@ -417,7 +392,8 @@ def simulate_ensemble(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig
 
     Paths are partitioned into fixed chunks of CHUNK_SIZE; chunk c uses the
     RNG stream derived from (seed, stream, c).  Threads only distribute the
-    chunks, so any thread count reproduces the same numbers.
+    chunks, so any thread count reproduces the same numbers.  ``killed=True``
+    needs ``switching=False``; the pair raises ``ValueError``.
     """
     spec.check_state(start)
     if n_paths < 1:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,31 @@ class TestLyapunov:
                                    rate_fn=lambda x, k: 1.0)
         rep = check_lyapunov(spec, cert, np.zeros((2, 1)), np.array([1, 2]))
         assert len(rep.failures) == 2 and not rep.ok
+
+
+    def test_failing_point_fails_alone(self):
+        # V is NaN beyond |x| = 3.5, which the jumps from (3.4, 0) reach but
+        # those from the other points do not: only that point's mark
+        # integral fails, and its block-mates keep their values
+        spec = example52(1.0)
+        V0 = spec.default_lyapunov
+
+        def fn(x, k):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.linalg.norm(x, axis=-1) > 3.5, np.nan, V0.fn(x, k))
+
+        cert = LyapunovCertificate(V=replace(V0, fn=fn), alpha=1.0 / 6.0, beta=2.5)
+        xs = np.array([[0.0, 0.0], [1.0, 1.0], [3.4, 0.0], [-1.0, 0.5]])
+        ks = np.array([1, 2, 1, 3])
+        rep = check_lyapunov(spec, cert, xs, ks)
+        assert len(rep.failures) == 1 and rep.failures[0].startswith("([3.4, 0.0], 1)")
+        assert "did not converge" in rep.failures[0]
+        assert np.isnan(rep.values[2]) and np.isnan(rep.margins[2])
+        for i in (0, 1, 3):
+            gv = apply_generator(spec, V0, xs[i], int(ks[i]))
+            assert rep.values[i] == pytest.approx(gv.value, rel=1e-12, abs=1e-12)
+            assert rep.brackets[i] == pytest.approx(gv.bracket, rel=1e-6, abs=1e-15)
+            assert np.isfinite(rep.margins[i])
 
 
 class TestDynkin:

@@ -1,0 +1,192 @@
+"""The batched mark-quadrature rule against closed forms and against
+scipy's adaptive quadrature over the same segments."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rsjd import QuadratureError, TestFunction, apply_generator, example51, example52
+from rsjd import quadrature
+from rsjd.generator import _jump_outer_integral, _small_second_moment
+
+from test_simulate import jump_config
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+EXPONENTS = (1.5, 2.0, 2.5)
+
+coords = st.floats(-5.0, 5.0).map(lambda v: round(v, 6))
+regimes = st.integers(1, 30)
+cutoffs = st.floats(1e-4, 0.9)
+
+
+def c_squared(spec):
+    def c2(x, k, u):
+        c = spec.jump_coeff(x, k, u)
+        return np.sum(c * c, axis=-1)
+    return c2
+
+
+def power_moment(a, eps):
+    """int_eps^1 r^(a-1) dr, free of cancellation: log(1/eps) at a = 0."""
+    return -np.log(eps) if a == 0.0 else -np.expm1(a * np.log(eps)) / a
+
+
+def assert_rule_matches(value, error, exact, scale):
+    """1e-10 relative agreement, and the error estimate bounds the true error."""
+    assert np.all(np.abs(value - exact) <= 1e-10 * scale)
+    assert np.all(np.abs(value - exact) <= error)
+
+
+@pytest.fixture(scope="module")
+def power_law_specs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("power-law")
+    return {p: jump_config(root / f"p{p}.yaml", p) for p in EXPONENTS}
+
+
+class TestClosedForms:
+    @PROPERTY
+    @given(x=coords, k=regimes, eps=cutoffs)
+    def test_example51_compensator(self, x, k, eps):
+        # the integrand is odd in u under the symmetric measure: exactly zero
+        spec = example51()
+        xs, ks = np.array([[x]]), np.array([k])
+        value, error = quadrature.integrate(spec, spec.jump_coeff, (xs, ks), eps, 1.0, 1e-10)
+        scale = 2.0 * np.log(1.0 / eps) * abs(x) / (np.sqrt(2.0) * k)  # int |c| nu
+        assert_rule_matches(value, error, spec.jump_compensator(x, k, eps), scale)
+
+    @PROPERTY
+    @given(x1=coords, x2=coords, k=regimes, eps=cutoffs, delta=st.floats(0.1, 1.9))
+    def test_example52_compensator(self, x1, x2, k, eps, delta):
+        spec = example52(delta)
+        xs, ks = np.array([[x1, x2], [x2, -x1]]), np.array([k, k + 1])
+        value, error = quadrature.integrate(spec, spec.jump_coeff, (xs, ks), eps, 1.0, 1e-10)
+        builtin = spec.jump_compensator(xs, ks, eps)
+        assert np.all(np.abs(value - builtin) <= 1e-10 * np.abs(builtin))
+        # the built-in's 2 pi (1 - eps^(1-delta)) / (1 - delta) loses digits to
+        # cancellation near eps = 1 or delta = 1, too many to test the error
+        # estimate against; the oracle uses expm1
+        moment = 2.0 * np.pi * power_moment(1.0 - delta, eps)
+        gamma = np.sqrt((2.0 - delta) / (2.0 * np.pi))
+        exact = (np.sqrt(ks / (ks + 1.0)) * gamma * moment)[:, None] * xs
+        assert_rule_matches(value, error, exact, np.abs(exact))
+
+    @PROPERTY
+    @given(x=coords, k=regimes, eps=cutoffs, p=st.sampled_from(EXPONENTS))
+    def test_power_law_config_compensator(self, power_law_specs, x, k, eps, p):
+        spec = power_law_specs[p]
+        xs, ks = np.array([[x]]), np.array([k])
+        value, error = quadrature.integrate(spec, spec.jump_coeff, (xs, ks), eps, 1.0, 1e-10)
+        exact = power_moment(2.0 - p, eps) * x / k
+        assert_rule_matches(value, error, exact, abs(exact))
+
+    @PROPERTY
+    @given(x=coords, k=regimes, eps=cutoffs)
+    def test_example51_small_second_moment(self, x, k, eps):
+        spec = example51()
+        xs, ks = np.array([[x]]), np.array([k])
+        value, error = quadrature.integrate(spec, c_squared(spec), (xs, ks), 0.0, eps, 1e-10)
+        exact = np.trace(spec.small_jump_cov(xs, ks, eps), axis1=-2, axis2=-1)
+        assert_rule_matches(value, error, exact, exact)
+
+    @PROPERTY
+    @given(x1=coords, x2=coords, k=regimes, eps=cutoffs, delta=st.floats(0.1, 1.5))
+    def test_example52_small_second_moment(self, x1, x2, k, eps, delta):
+        # |c|^2 nu ~ r^(1-delta) dr is singular at the origin for delta > 1
+        spec = example52(delta)
+        xs, ks = np.array([[x1, x2]]), np.array([k])
+        value, error = quadrature.integrate(spec, c_squared(spec), (xs, ks), 0.0, eps, 1e-10)
+        exact = np.trace(spec.small_jump_cov(xs, ks, eps), axis1=-2, axis2=-1)
+        assert_rule_matches(value, error, exact, exact)
+
+    def test_generator_routes_small_moment_through_the_rule(self):
+        spec = example52(1.3)
+        xs, ks = np.array([[1.5, -0.5], [0.0, 2.0]]), np.array([1, 4])
+        closed = _small_second_moment(spec, xs, ks, 0.2, 1e-9)
+        ruled = _small_second_moment(replace(spec, small_jump_cov=None), xs, ks, 0.2, 1e-9)
+        assert np.allclose(ruled, closed, rtol=1e-10, atol=0.0)
+
+
+class TestDispatch:
+    def test_radial_density_fallback(self):
+        # without radial_density the ray weight is 2 pi r density(r e)
+        spec = example52(0.7)
+        bare = replace(spec, jump_measure=replace(spec.jump_measure, radial_density=None))
+        xs, ks = np.array([[1.0, 2.0]]), np.array([3])
+        a = quadrature.integrate(spec, spec.jump_coeff, (xs, ks), 0.05, 1.0, 1e-10)[0]
+        b = quadrature.integrate(bare, spec.jump_coeff, (xs, ks), 0.05, 1.0, 1e-10)[0]
+        assert np.allclose(a, b, rtol=1e-13, atol=0.0)
+
+    def test_non_radial_2d_marks_rejected(self):
+        spec = replace(example52(), jump_radial=False)
+        with pytest.raises(NotImplementedError):
+            quadrature.segments(spec)
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        spec = example52()
+        xs = np.random.default_rng(4).normal(size=(50, 2))
+        ks = np.arange(1, 51)
+        whole = quadrature.integrate(spec, spec.jump_coeff, (xs, ks), 0.01, 1.0, 1e-10)
+        monkeypatch.setattr(quadrature, "BLOCK", 1000)   # a few rows per call
+        blocked = quadrature.integrate(spec, spec.jump_coeff, (xs, ks), 0.01, 1.0, 1e-10)
+        for a, b in zip(whole, blocked):
+            assert np.allclose(a, b, rtol=1e-14, atol=0.0)
+
+    def test_unresolved_singularity_raises(self):
+        # |c|^2 nu ~ r^-0.9 dr: the innermost panel holds too much mass
+        spec = example52(1.9)
+        with pytest.raises(QuadratureError):
+            quadrature.integrate(spec, c_squared(spec), (np.array([[1.0, 1.0]]), np.array([1])),
+                                 0.0, 0.1, 1e-10)
+
+    def test_non_finite_integrand_raises(self):
+        spec = example51()
+
+        def g(x, k, u):
+            return np.where(x[..., 0] > 1.0, np.nan, 1.0) * u[..., 0] ** 2
+
+        with pytest.raises(QuadratureError, match="1 of 2"):
+            quadrature.integrate(spec, g, (np.array([[0.0], [2.0]]), np.array([1, 1])),
+                                 0.1, 1.0, 1e-10)
+
+
+def f_gauss_fn(x, k):
+    x = np.asarray(x, dtype=float)
+    return x[..., 0] * np.exp(-np.sum(x * x, axis=-1))
+
+
+GRIDS = [
+    ("example51", example51, [np.array([v]) for v in np.linspace(-3.0, 3.0, 7)], (1, 2, 5)),
+    ("example52", example52,
+     [np.array([a, b]) for a in (-4.0, 0.0, 3.0) for b in (-2.0, 1.0)], (1, 2, 7, 20)),
+]
+
+
+class TestGeneratorAgainstQuad:
+    @pytest.mark.parametrize("name,model,points,regime_set", GRIDS)
+    def test_bracket_covers_quad_reference(self, name, model, points, regime_set):
+        spec = model()
+        if spec.default_lyapunov is not None:
+            f = spec.default_lyapunov
+        else:
+            f = TestFunction(fn=f_gauss_fn, bounded=True,
+                             bound=float(np.exp(-0.5) / np.sqrt(2.0)))
+        eps = 1e-5
+        for x in points:
+            for k in regime_set:
+                xs, ks = x[None], np.array([k])
+                grads = np.array([f.gradient(x, k)])
+                f0 = np.asarray(f.fn(xs, ks), dtype=float)
+                outer, err = _jump_outer_integral(spec, f, xs, ks, f0, grads, eps, 1e-9)
+
+                def increment(xx, kk, f0, g, u):
+                    c = spec.jump_coeff(xx, kk, u)
+                    return f.fn(xx + c, kk) - f0 - np.sum(g * c, axis=-1)
+
+                ref = quadrature.quad_reference(spec, increment, (xs, ks, f0, grads), eps, 1.0,
+                                                1e-10)
+                gen = apply_generator(spec, f, x, k)
+                assert abs(outer[0] - ref[0]) <= gen.bracket, (name, x, k)
+                assert abs(outer[0] - ref[0]) <= err[0] + 1e-9 * (1.0 + abs(ref[0]))

@@ -12,6 +12,34 @@ from rsjd import (
     simulate_killed_path,
     simulate_path,
 )
+from rsjd.config import load_model_config
+from rsjd.simulate import _compensator_quadrature
+
+# config model with the power-law family du/|u|^p on 0 < |u| < 1 and a jump
+# coefficient even in u, so its large-jump compensator is nonzero:
+# int_{|u|>eps} 0.5 |u| x / k |u|^-p du; for p = 2 it is log(1/eps) x / k
+JUMP_YAML = """
+model:
+  name: jump1d-test
+  dimension: 1
+  drift: "-x/(2*k[..., None]**2)"
+  sigma: "cbrt(x[..., 0])**2 + 1"
+  jump:
+    family: power_law
+    exponent: {exponent!r}
+    coeff: "0.5*abs(u[..., 0, None])*x/k[..., None]"
+    epsilon: 0.05
+  rates:
+    expr: "12.0*exp(-l*log(3.0))/(1+l*norm2(x))"
+    tail_coeff: "6.0"
+    tail_ratio: 0.3333333333333333
+"""
+
+
+def jump_config(path, exponent=2.0):
+    """Write the config model above to ``path`` and load it."""
+    path.write_text(JUMP_YAML.format(exponent=float(exponent)))
+    return load_model_config(path)
 
 
 def zero_rates():
@@ -156,7 +184,36 @@ class TestKilled:
         assert np.exp(-m_sup) < mean_w <= 1.0
 
 
+class TestCompensatorFallback:
+    """The quadrature fallback for models without a closed-form compensator."""
+
+    def test_matches_closed_form_at_each_state(self, tmp_path):
+        spec = jump_config(tmp_path / "jump.yaml")
+        x = np.array([[0.5], [0.5004], [-1.25]])
+        k = np.array([1, 1, 3])
+        comp = _compensator_quadrature(spec, x, k, 0.05)
+        exact = np.log(20.0) * x / k[:, None]
+        assert np.allclose(comp, exact, rtol=1e-10, atol=0.0)
+
+    def test_ensemble_independent_of_earlier_runs(self, tmp_path):
+        cold_spec = jump_config(tmp_path / "cold.yaml")
+        warm_spec = jump_config(tmp_path / "warm.yaml")
+        cfg = IntegratorConfig(step=1.0 / 128, horizon=0.25)
+        start = HybridState(np.array([0.0]), 1)
+        cold = simulate_ensemble(cold_spec, start, cfg, 64, 2)
+        simulate_ensemble(warm_spec, start, cfg, 64, 1)
+        warm = simulate_ensemble(warm_spec, start, cfg, 64, 2)
+        assert cold.x.tobytes() == warm.x.tobytes()
+        assert cold.k.tobytes() == warm.k.tobytes()
+
+
 class TestEnsemble:
+    def test_killed_mode_needs_switching_off(self):
+        with pytest.raises(ValueError, match="switching=False"):
+            simulate_ensemble(example51(), HybridState(np.array([0.0]), 1),
+                              IntegratorConfig(step=1.0 / 16, horizon=1.0), 200, 3,
+                              killed=True)
+
     def test_thread_count_invariance(self):
         spec = example51()
         cfg = IntegratorConfig(step=1.0 / 64, horizon=0.5)

@@ -19,6 +19,8 @@ from rsjd import (
 )
 from rsjd.simulate import CHUNK_SIZE
 
+from test_simulate import jump_config
+
 N = 2 * CHUNK_SIZE + 13
 THREADS = (1, 2, 3)
 START = HybridState(np.array([0.5, -0.25]), 1)
@@ -51,4 +53,18 @@ def test_killed_ensemble():
         ens = simulate_ensemble(example52(), START, cfg, N, 32, threads=threads,
                                 switching=False, killed=True)
         runs.append((ens.x, ens.k, ens.exit_time, ens.weight))
+    _assert_same_bytes(runs)
+
+
+def test_config_model_ensemble(tmp_path):
+    # no closed-form compensator: every step runs the quadrature fallback.
+    # Each thread count gets its own freshly loaded spec, all kept alive, so
+    # no run can see state another run left behind.
+    cfg = IntegratorConfig(step=1.0 / 16, horizon=0.25)
+    specs, runs = [], []
+    for threads in THREADS:
+        specs.append(jump_config(tmp_path / f"jump{threads}.yaml"))
+        ens = simulate_ensemble(specs[-1], HybridState(np.array([0.5]), 1), cfg, N, 33,
+                                threads=threads)
+        runs.append((ens.x, ens.k, ens.exit_time))
     _assert_same_bytes(runs)
