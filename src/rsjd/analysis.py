@@ -275,6 +275,22 @@ class Partition:
     bins: tuple
     k_max: int
 
+    def __post_init__(self):
+        lo = np.asarray(self.lo, dtype=float)
+        hi = np.asarray(self.hi, dtype=float)
+        bins = np.asarray(self.bins)
+        if not (lo.ndim == 1 and lo.size and lo.shape == hi.shape == bins.shape):
+            raise ValueError("partition needs lo, hi and bins of one common length")
+        if not np.all(lo < hi):
+            raise ValueError("partition needs lo < hi on every axis")
+        if not np.all(bins >= 1):
+            raise ValueError("partition needs at least one bin per axis")
+        if not self.k_max >= 1:
+            raise ValueError("partition needs k_max >= 1")
+        # row-major strides of the box cells
+        strides = np.concatenate((np.cumprod(bins[:0:-1])[::-1], [1]))
+        object.__setattr__(self, "_grid", (lo, hi, (hi - lo) / bins, bins - 1, strides))
+
     @property
     def n_space(self) -> int:
         return int(np.prod(self.bins)) + 1
@@ -284,16 +300,10 @@ class Partition:
         return self.n_space * (self.k_max + 1)
 
     def flat_index(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        bins = np.asarray(self.bins)
+        lo, hi, w, top, strides = self._grid
         inside = np.all((x >= lo) & (x < hi), axis=1)
-        w = (hi - lo) / bins
-        ij = np.clip(((x - lo) / w).astype(int), 0, bins - 1)
-        space = np.zeros(x.shape[0], dtype=np.int64)
-        for axis in range(x.shape[1]):
-            space = space * bins[axis] + ij[:, axis]
-        space = np.where(inside, space, self.n_space - 1)
+        ij = np.clip(((x - lo) / w).astype(int), 0, top)
+        space = np.where(inside, ij @ strides, self.n_space - 1)
         reg = np.minimum(k, self.k_max + 1) - 1
         return space * (self.k_max + 1) + reg
 
@@ -330,49 +340,49 @@ def estimate_invariant(spec: ModelSpec, starts: Sequence[HybridState], t_burn: f
                        seed: int, n_paths: int = 256, threads: int = 1) -> InvariantReport:
     """Time-averaged occupation over [t_burn, t_end] per start (averaged over a
     small path ensemble), with pairwise TV distances between the occupation
-    histograms and a split-window TV self-test per start."""
+    histograms and a split-window TV self-test per start.
+
+    All starts run as one ensemble of ``n_paths`` paths per start; start i
+    draws from stream i, so its histogram is the one a lone ensemble of that
+    start on stream i gives.
+    """
+    starts = tuple(starts)
+    if not starts:
+        raise ValueError("need at least one start")
+    if n_paths < 1:
+        raise ValueError("need at least one path per start")
     if not (0.0 <= t_burn < t_end):
         raise ValueError("need 0 <= t_burn < t_end")
     cfg = replace(cfg, horizon=t_end)
     mid = 0.5 * (t_burn + t_end)
+    m, n_cells = len(starts), partition.n_cells
 
     def hook_factory():
-        return {"full": np.zeros(partition.n_cells, dtype=np.int64),
-                "w1": np.zeros(partition.n_cells, dtype=np.int64),
-                "w2": np.zeros(partition.n_cells, dtype=np.int64)}
+        # occupation counts of (start, cell) in [t_burn, mid) and [mid, t_end]
+        return np.zeros((2, m * n_cells), dtype=np.int64)
 
-    def step_hook(i, t, x, k, alive, buf):
+    def step_hook(i, t, x, k, alive, block, buf):
         if t < t_burn - 1e-12:
             return
-        idx = partition.flat_index(x[alive], k[alive])
-        np.add.at(buf["full"], idx, 1)
-        np.add.at(buf["w1" if t < mid else "w2"], idx, 1)
+        cell = partition.flat_index(x[alive], k[alive])
+        buf[0 if t < mid else 1] += np.bincount(block[alive] * n_cells + cell,
+                                                minlength=m * n_cells)
 
-    hists = []
-    window_tv = []
-    for si, start in enumerate(starts):
-        ens = simulate_ensemble(spec, start, cfg, n_paths, seed, threads=threads,
-                                hook_factory=hook_factory, step_hook=step_hook,
-                                stream=si)
-        full = np.zeros(partition.n_cells, dtype=np.int64)
-        w1 = np.zeros_like(full)
-        w2 = np.zeros_like(full)
-        for buf in ens.hook_buffers:
-            full += buf["full"]
-            w1 += buf["w1"]
-            w2 += buf["w2"]
-        if full.sum() == 0:
-            raise EstimationError("no occupation mass collected; check the window")
-        hists.append(full / full.sum())
-        window_tv.append(_tv(w1 / max(w1.sum(), 1), w2 / max(w2.sum(), 1)))
+    ens = simulate_ensemble(spec, starts, cfg, m * n_paths, seed, threads=threads,
+                            hook_factory=hook_factory, step_hook=step_hook)
+    w1, w2 = np.sum(ens.hook_buffers, axis=0).reshape(2, m, n_cells)
+    full = w1 + w2
+    mass = full.sum(axis=1)
+    if np.any(mass == 0):
+        raise EstimationError("no occupation mass collected; check the window")
+    hists = full / mass[:, None]
+    window_tv = [_tv(a / max(a.sum(), 1), b / max(b.sum(), 1)) for a, b in zip(w1, w2)]
 
-    hists = np.asarray(hists)
-    m = len(starts)
     tv = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
             tv[i, j] = tv[j, i] = _tv(hists[i], hists[j])
-    return InvariantReport(hists, tv, np.asarray(window_tv), tuple(starts), t_burn, t_end)
+    return InvariantReport(hists, tv, np.asarray(window_tv), starts, t_burn, t_end)
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     for i in range(nsteps):
         t_next = (i + 1) * h
         (dX, dXt), refl = _increment(
-            spec, ((X, K), (Xt, Kt)), h, rng, eps, lam_rate, gaussian, lam=lam,
+            spec, ((X, K), (Xt, Kt)), h, ((rng, 0, n),), eps, lam_rate, gaussian, lam=lam,
             events=(t_next, (rec["jp1"], rec["jp2"])) if record else None)
 
         Xn = np.where(alive[:, None], X + dX, X)
@@ -435,6 +435,6 @@ def pair_one_step(spec: ModelSpec, x, xt, k: int, n: int, cfg: CouplingConfig,
     K = np.full(n, k, dtype=np.int64)
     sides = ((np.tile(np.asarray(x, dtype=float), (n, 1)), K),
              (np.tile(np.asarray(xt, dtype=float), (n, 1)), K))
-    (dX, dXt), _ = _increment(spec, sides, cfg.step, rng, eps, lam_rate,
+    (dX, dXt), _ = _increment(spec, sides, cfg.step, ((rng, 0, n),), eps, lam_rate,
                               cfg.small_jump_policy == "gaussian", lam=lam)
     return dX, dXt

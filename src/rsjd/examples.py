@@ -184,10 +184,11 @@ def example52(delta: float = 1.0) -> ModelSpec:
         return (k / (k + 1.0)) * np.sum(x * x, axis=-1)
 
     def _abs_moment_above(eps):
-        # int_{eps<|u|<1} |u| nu(du) = 2 pi int_eps^1 r^-delta dr
+        # int_{eps<|u|<1} |u| nu(du) = 2 pi int_eps^1 r^-delta dr; expm1 keeps
+        # the digits that 1 - eps^(1-delta) cancels near delta = 1
         if abs(delta - 1.0) < 1e-12:
             return 2.0 * np.pi * np.log(1.0 / eps)
-        return 2.0 * np.pi * (1.0 - eps ** (1.0 - delta)) / (1.0 - delta)
+        return 2.0 * np.pi * -np.expm1((1.0 - delta) * np.log(eps)) / (1.0 - delta)
 
     def jump_compensator(x, k, eps):
         x = np.asarray(x, dtype=float)

@@ -208,25 +208,35 @@ class RowTruncator:
         self.rel_tol = float(rel_tol)
         self.l_cap = int(l_cap)
         self._level = int(l_start)
-        self._row_bounds: dict = {}
+        self._tails: dict = {}
 
     def _require_tail_bound(self):
         if self.rates.tail_bound is None:
             raise TruncationError("rate matrix has no tail bound; cannot certify truncation")
 
+    def _tail_bounds(self, k: np.ndarray, L: int) -> np.ndarray:
+        """Per-path ``tail_bound(k, L)``, cached per (k, L)."""
+        uniq, inv = np.unique(np.asarray(k), return_inverse=True)
+        cache = self._tails
+        vals = []
+        for kk in uniq.tolist():
+            v = cache.get((kk, L))
+            if v is None:
+                v = cache[kk, L] = float(self.rates.tail_bound(kk, L))
+            vals.append(v)
+        return np.array(vals)[inv]
+
     def row_bound(self, k: np.ndarray) -> np.ndarray:
         """Per-path ``tail_bound(k, 0)``: the bound on the whole row q_k(x),
         uniform in x.  Cached per regime."""
         self._require_tail_bound()
-        uniq, inv = np.unique(np.asarray(k), return_inverse=True)
-        cache = self._row_bounds
-        for kk in uniq.tolist():
-            if kk not in cache:
-                v = float(self.rates.tail_bound(kk, 0))
-                if not v >= 0.0:
-                    raise TruncationError(f"tail_bound({kk}, 0) = {v!r} is not a nonnegative bound")
-                cache[kk] = v
-        return np.array([cache[kk] for kk in uniq.tolist()])[inv]
+        q = self._tail_bounds(k, 0)
+        bad = ~(q >= 0.0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise TruncationError(
+                f"tail_bound({int(np.asarray(k)[i])}, 0) = {q[i]!r} is not a nonnegative bound")
+        return q
 
     def rows(self, x: np.ndarray, k: np.ndarray, bound: np.ndarray | None = None):
         """Return ``(rows, ls)`` with rows[i, j] = q_{k_i, ls_j}(x_i), diagonal zeroed.
@@ -236,7 +246,6 @@ class RowTruncator:
         """
         self._require_tail_bound()
         k = np.asarray(k)
-        uniq = np.unique(k)
         L = self._level
         while True:
             ls = np.arange(1, L + 1)
@@ -247,8 +256,7 @@ class RowTruncator:
             q = np.where(ls[None, :] == k[..., None], 0.0, q)
             np.maximum(q, 0.0, out=q)
             s = q.sum(axis=-1)
-            tails = np.array([float(self.rates.tail_bound(int(kk), L)) for kk in uniq])
-            tail_per_path = tails[np.searchsorted(uniq, k)]
+            tail_per_path = self._tail_bounds(k, L)
             ok = tail_per_path <= self.rel_tol * (s + tail_per_path)
             if bool(np.all(ok)):
                 self._level = L

@@ -14,17 +14,25 @@ One step of size h from state (x, k):
 5. Switching: with probability 1 - exp(-q_k(x) h) a switch fires; the target
    regime is drawn by inverse CDF over the truncated rate row.
 
-Everything is deterministic given (model, start, config, seed).  Ensembles
-are vectorized across paths and split into fixed-size chunks with one RNG
-stream per chunk derived from (master seed, chunk index), so results are
-bit-identical regardless of the worker count used to run the chunks.
+Everything is deterministic given (model, starts, config, seed).  An
+ensemble holds one block of paths per start; each block is cut into
+fixed-size chunks, and chunk c of block i draws from its own RNG stream,
+derived from (master seed, stream + i, c).  Consecutive chunks are packed
+into batches of at most CHUNK_SIZE paths that step in lockstep, so narrow
+ensembles pay the fixed cost of a step once per batch instead of once per
+chunk.  Each draw of a step is made per chunk, from the chunk's own stream
+and in the order a lone chunk makes it, and every other operation of a step
+acts on each path alone, so packing leaves the numbers as they are (see
+``simulate_ensemble`` for the one shared quantity, the rate-row truncation
+level).  Results are bit-identical whatever the worker count that runs the
+batches.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -168,7 +176,14 @@ def _sigma_lambda(spec: ModelSpec, x: np.ndarray, k: np.ndarray, lam: float):
     return sqrt_psd_batched(a)
 
 
-def _increment(spec: ModelSpec, sides, h: float, rng: np.random.Generator, eps, lam_rate,
+def _draw(streams, draw):
+    """``draw(rng, m)`` for each ``(rng, lo, hi)`` segment, m = hi - lo,
+    concatenated in segment order."""
+    parts = [draw(rng, hi - lo) for rng, lo, hi in streams]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _increment(spec: ModelSpec, sides, h: float, streams, eps, lam_rate,
                gaussian: bool, lam: float | None = None, events=None):
     """Euler increments of one step for a batch, or for a coupled pair of batches.
 
@@ -179,11 +194,19 @@ def _increment(spec: ModelSpec, sides, h: float, rng: np.random.Generator, eps, 
     the second s_lam(X~) dW1 + sqrt(lam) (I - 2uu^T) dW2, with u the unit
     vector along X~ - X.  ``eps`` None means no jumps.
 
-    The RNG consumption order is fixed -- normals (two sets under
-    reflection), Poisson counts, then the marks of each round, then the
-    gaussian-policy normals -- and every draw is sized by the full batch, so
-    a given seed always yields the same stream layout.  Callers draw their
-    switch (and bridge-crossing) uniforms after this.
+    ``streams`` is a tuple of ``(rng, lo, hi)`` segments covering the batch
+    in order: paths lo..hi-1 draw from rng.  The RNG consumption order of
+    each segment is fixed -- normals (two sets under reflection), Poisson
+    counts, then the marks of each round in which the segment has a jump,
+    then the gaussian-policy normals -- and every draw is sized by the
+    segment, so a segment consumes its stream exactly as a batch of its own
+    paths would.  Callers draw their switch (and bridge-crossing) uniforms
+    after this.
+
+    The jump coefficient is evaluated once per side over the marks of all
+    rounds; ``np.add.at`` adds each path's displacements one round after
+    another, so each path's sum runs in the same order as one update per
+    round would.
 
     Returns the list of increments, one per side, and under reflection
     (sl1, sl2, u, clamps) for the bridge-crossing step, else None.
@@ -192,16 +215,20 @@ def _increment(spec: ModelSpec, sides, h: float, rng: np.random.Generator, eps, 
     """
     n, d = sides[0][0].shape
     sqh = np.sqrt(h)
+
+    def normals(rng, m):
+        return rng.standard_normal((m, d))
+
     refl = None
     if lam is None:
-        z = rng.standard_normal((n, d))
+        z = _draw(streams, normals)
         dxs = [np.asarray(spec.drift(x, k), dtype=float) * h
                + sqh * np.einsum("nij,nj->ni", np.asarray(spec.sigma(x, k), dtype=float), z)
                for x, k in sides]
     else:
         (X, K), (Xt, Kt) = sides
-        z1 = rng.standard_normal((n, d))
-        z2 = rng.standard_normal((n, d))
+        z1 = _draw(streams, normals)
+        z2 = _draw(streams, normals)
         sl1, c1 = _sigma_lambda(spec, X, K, lam)
         sl2, c2 = _sigma_lambda(spec, Xt, Kt, lam)
         diff = Xt - X
@@ -216,23 +243,35 @@ def _increment(spec: ModelSpec, sides, h: float, rng: np.random.Generator, eps, 
         refl = (sl1, sl2, u, c1 + c2)
 
     if eps is not None:
-        counts = rng.poisson(lam_rate * h, n)
+        counts = _draw(streams, lambda rng, m: rng.poisson(lam_rate * h, m))
         for (x, k), dx in zip(sides, dxs):
             comp = spec.jump_compensator(x, k, eps) if spec.jump_compensator is not None \
                 else _compensator_quadrature(spec, x, k, eps)
             dx -= np.asarray(comp, dtype=float) * h
-        for j in range(int(counts.max()) if n else 0):
-            m = counts > j
-            u_marks = spec.jump_measure.large_jump_sampler(eps, int(m.sum()), rng)
+        rounds = int(counts.max()) if n else 0
+        if rounds:
+            sampler = spec.jump_measure.large_jump_sampler
+            hit, marks = [], []
+            for j in range(rounds):
+                m = counts > j
+                hit.append(np.flatnonzero(m))
+                for rng, lo, hi in streams:
+                    c = int(np.count_nonzero(m[lo:hi]))
+                    if c:
+                        marks.append(sampler(eps, c, rng))
+            hit = np.concatenate(hit)
+            marks = np.concatenate(marks)
+            # path 0's marks, in round order
+            first = np.flatnonzero(hit == 0) if events is not None else ()
             for s, (x, k) in enumerate(sides):
-                disp = np.asarray(spec.jump_coeff(x[m], k[m], u_marks), dtype=float)
-                dxs[s][m] += disp
-                if events is not None and m[0]:
-                    events[1][s].append((events[0], u_marks[0].copy(), disp[0].copy()))
+                disp = np.asarray(spec.jump_coeff(x[hit], k[hit], marks), dtype=float)
+                np.add.at(dxs[s], hit, disp)
+                for i in first:
+                    events[1][s].append((events[0], marks[i].copy(), disp[i].copy()))
         if gaussian:
             # a shared draw keeps the substitute synchronous; per-side roots
             # preserve each marginal's covariance exactly
-            zg = rng.standard_normal((n, d))
+            zg = _draw(streams, normals)
             for (x, k), dx in zip(sides, dxs):
                 root, _ = sqrt_psd_batched(np.asarray(spec.small_jump_cov(x, k, eps), dtype=float))
                 dx += sqh * np.einsum("nij,nj->ni", root, zg)
@@ -240,16 +279,19 @@ def _increment(spec: ModelSpec, sides, h: float, rng: np.random.Generator, eps, 
 
 
 def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConfig,
-            rng: np.random.Generator, *, switching: bool = True, killed: bool = False,
-            record: bool = False, step_hook: Callable | None = None, hook_buf=None):
+            streams, *, switching: bool = True, killed: bool = False,
+            record: bool = False, step_hook: Callable | None = None):
     """Advance an (n, d) batch over the full grid.  Core of every simulator.
 
-    Each step takes its increment from ``_increment``; switching mode then
-    draws the two switch uniforms.  Rate rows are built only for the switch
-    candidates, the paths whose first switch uniform falls below
-    1 - exp(-Qbar_k h); the switch law is the same as building every row.  Killed mode freezes the
-    regime and accumulates the trapezoid rule for int q_k(X(s)) ds instead of
-    switching, so it needs ``switching=False``.
+    ``streams`` holds the batch's ``(rng, lo, hi)`` segments (see
+    ``_increment``).  Each step takes its increment from ``_increment``;
+    switching mode then draws the two switch uniforms, per segment.  Rate
+    rows are built only for the switch candidates, the paths whose first
+    switch uniform falls below 1 - exp(-Qbar_k h); the switch law is the same
+    as building every row.  Killed mode freezes the regime and accumulates
+    the trapezoid rule for int q_k(X(s)) ds instead of switching, so it needs
+    ``switching=False``.  ``step_hook(i, t, x, k, alive)`` sees the batch
+    after step i.
     """
     if switching and killed:
         raise ValueError("killed mode freezes the regime; pass switching=False")
@@ -284,11 +326,11 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
         rec_xs[0] = x[0]
         rec_ks[0] = k[0]
     if step_hook is not None:
-        step_hook(0, 0.0, x, k, alive, hook_buf)
+        step_hook(0, 0.0, x, k, alive)
 
     for i in range(nsteps):
         t_next = (i + 1) * h
-        (dx,), _ = _increment(spec, ((x, k),), h, rng, eps, lam_rate, gaussian,
+        (dx,), _ = _increment(spec, ((x, k),), h, streams, eps, lam_rate, gaussian,
                               events=(t_next, (jump_events,)) if record else None)
         if count_dropped:
             cov0 = np.asarray(spec.small_jump_cov(x[:1], k[:1], eps), dtype=float)
@@ -298,8 +340,8 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
 
         kn = k
         if switching:
-            u1 = rng.random(n)
-            u2 = rng.random(n)
+            u1 = _draw(streams, np.random.Generator.random)
+            u2 = _draw(streams, np.random.Generator.random)
             cand = np.flatnonzero(alive & (u1 < -np.expm1(-qbar * h)))
             if cand.size:
                 rows, ls = trunc.rows(x[cand], k[cand], bound=qbar[cand])
@@ -330,7 +372,7 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
             rec_xs[i + 1] = x[0]
             rec_ks[i + 1] = k[0]
         if step_hook is not None:
-            step_hook(i + 1, t_next, x, k, alive, hook_buf)
+            step_hook(i + 1, t_next, x, k, alive)
 
     out = {"x": x, "k": k, "exit_time": exit_time}
     if killed:
@@ -356,8 +398,8 @@ def _recorded_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig, s
                    **mode):
     """One fully recorded path: (PathRecord, raw ``_evolve`` output)."""
     spec.check_state(start)
-    out = _evolve(spec, start.x[None, :], np.array([start.k]), cfg, derive_rng(seed, 0, 0),
-                  record=True, **mode)
+    out = _evolve(spec, start.x[None, :], np.array([start.k]), cfg,
+                  ((derive_rng(seed, 0, 0), 0, 1),), record=True, **mode)
     times, xs, ks, sw, jp, dropped = out["record"]
     exited = out["exit_time"][0]
     rec = PathRecord(times, xs, ks, sw, jp, seed,
@@ -382,7 +424,8 @@ def simulate_killed_path(spec: ModelSpec, start: HybridState, cfg: IntegratorCon
     return rec, float(out["weight"][0])
 
 
-def simulate_ensemble(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig,
+def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState],
+                      cfg: IntegratorConfig,
                       n_paths: int, seed: int, threads: int = 1, *,
                       switching: bool = True, killed: bool = False,
                       hook_factory: Callable | None = None,
@@ -390,42 +433,86 @@ def simulate_ensemble(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig
                       stream: int = 0) -> EnsembleResult:
     """Run n_paths trajectories and return terminal data.
 
-    Paths are partitioned into fixed chunks of CHUNK_SIZE; chunk c uses the
-    RNG stream derived from (seed, stream, c).  Threads only distribute the
-    chunks, so any thread count reproduces the same numbers.  ``killed=True``
-    needs ``switching=False``; the pair raises ``ValueError``.
+    ``start`` is one ``HybridState`` or a sequence of m of them.  ``n_paths``
+    is the total and must be a multiple of m; block i, the paths
+    [i n_paths/m, (i+1) n_paths/m), starts from ``start[i]``.  Each block is
+    cut into chunks of CHUNK_SIZE paths, and chunk c of block i uses the RNG
+    stream derived from (seed, stream + i, c).  So block i holds the same
+    numbers as a one-start ensemble on stream ``stream + i``.
+
+    Consecutive chunks are packed, never split, into batches of at most
+    CHUNK_SIZE paths, and each batch runs as one lockstep ``_evolve`` call,
+    so a narrow ensemble pays the fixed cost of a step (the Python loop,
+    the coefficient calls, the rate-row call, the hook) once per batch.
+    Packing keeps the numbers: every draw is made per chunk, from the
+    chunk's own stream and in a lone chunk's order, and every other step
+    operation acts path by path.  The one thing a batch's chunks share is
+    the adaptive truncation level L of the rate rows, which only grows.  It
+    is the same either way when the level a row needs does not depend on the
+    state (``example52`` needs L = 32 at its default tolerance from any
+    state).  Otherwise switching could differ only where a uniform falls
+    within round-off of a switch threshold, and killed-mode weights, which
+    sum the rows, in their last bits.  A one-start ensemble of CHUNK_SIZE
+    paths or more packs nothing.  Threads only distribute the batches, so
+    any thread count reproduces the same numbers.
+
+    ``hook_factory()`` makes one buffer per batch, collected in batch order
+    in ``hook_buffers``; ``step_hook(i, t, x, k, alive, block, buf)`` sees
+    the batch after step i, with ``block`` each path's start index.
+    ``killed=True`` needs ``switching=False``; the pair raises ``ValueError``.
     """
-    spec.check_state(start)
+    starts = [start] if isinstance(start, HybridState) else list(start)
+    if not starts:
+        raise ValueError("need at least one start")
+    for s in starts:
+        spec.check_state(s)
     if n_paths < 1:
         raise ValueError("need at least one path")
-    bounds = [(lo, min(lo + CHUNK_SIZE, n_paths)) for lo in range(0, n_paths, CHUNK_SIZE)]
+    if n_paths % len(starts):
+        raise ValueError("n_paths must be a multiple of the number of starts")
+    per = n_paths // len(starts)
+    block = np.repeat(np.arange(len(starts)), per)
+    x_start = np.array([s.x for s in starts], dtype=float)
+    k_start = np.array([s.k for s in starts], dtype=np.int64)
+    batches = []  # each a list of (block, chunk, lo, hi) in path order
+    for bi in range(len(starts)):
+        for c, lo in enumerate(range(bi * per, (bi + 1) * per, CHUNK_SIZE)):
+            hi = min(lo + CHUNK_SIZE, (bi + 1) * per)
+            if not batches or hi - batches[-1][0][2] > CHUNK_SIZE:
+                batches.append([])
+            batches[-1].append((bi, c, lo, hi))
     x_out = np.empty((n_paths, spec.d))
     k_out = np.empty(n_paths, dtype=np.int64)
     e_out = np.empty(n_paths)
     w_out = np.empty(n_paths) if killed else None
-    bufs = [None] * len(bounds)
+    bufs = [None] * len(batches)
 
-    def work(ci: int):
-        lo, hi = bounds[ci]
-        m = hi - lo
-        rng = derive_rng(seed, stream, ci)
+    def work(b: int):
+        chunks = batches[b]
+        lo, hi = chunks[0][2], chunks[-1][3]
+        streams = tuple((derive_rng(seed, stream + bi, c), c_lo - lo, c_hi - lo)
+                        for bi, c, c_lo, c_hi in chunks)
+        blk = block[lo:hi]
         buf = hook_factory() if hook_factory is not None else None
-        out = _evolve(spec, np.tile(start.x, (m, 1)), np.full(m, start.k, dtype=np.int64),
-                      cfg, rng, switching=switching, killed=killed,
-                      step_hook=step_hook, hook_buf=buf)
+        hook = None
+        if step_hook is not None:
+            def hook(i, t, x, k, alive):
+                step_hook(i, t, x, k, alive, blk, buf)
+        out = _evolve(spec, x_start[blk], k_start[blk], cfg, streams,
+                      switching=switching, killed=killed, step_hook=hook)
         x_out[lo:hi] = out["x"]
         k_out[lo:hi] = out["k"]
         e_out[lo:hi] = out["exit_time"]
         if killed:
             w_out[lo:hi] = out["weight"]
-        bufs[ci] = buf
+        bufs[b] = buf
 
-    if threads > 1 and len(bounds) > 1:
+    if threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(bounds))))
+            list(pool.map(work, range(len(batches))))
     else:
-        for ci in range(len(bounds)):
-            work(ci)
+        for b in range(len(batches)):
+            work(b)
 
     return EnsembleResult(x_out, k_out, e_out, weight=w_out,
                           hook_buffers=[b for b in bufs if b is not None])

@@ -197,6 +197,28 @@ class TestInvariantOccupation:
         assert rep.pairwise_tv[0, 1] == 1.0
         assert np.all(rep.window_tv == 0.0)
 
+    @pytest.mark.parametrize("kw", [
+        dict(lo=(-1.0, -1.0), hi=(1.0,), bins=(2, 2)),      # mismatched lengths
+        dict(lo=(-1.0,), hi=(1.0,), bins=(2, 2)),
+        dict(lo=(1.0,), hi=(-1.0,), bins=(2,)),             # hi < lo
+        dict(lo=(1.0,), hi=(1.0,), bins=(2,)),              # empty box
+        dict(lo=(-1.0,), hi=(1.0,), bins=(0,)),
+        dict(lo=(-1.0,), hi=(1.0,), bins=(2,), k_max=0),
+    ])
+    def test_partition_rejects_degenerate_boxes(self, kw):
+        with pytest.raises(ValueError):
+            Partition(**{"k_max": 2, **kw})
+
+    def test_invariant_rejects_empty_input(self):
+        spec = make_model(d=1)
+        part = Partition(lo=(-2.0,), hi=(2.0,), bins=(4,), k_max=2)
+        cfg = IntegratorConfig(step=0.25, horizon=4.0)
+        with pytest.raises(ValueError, match="start"):
+            estimate_invariant(spec, [], 1.0, 4.0, cfg, part, 15, n_paths=8)
+        with pytest.raises(ValueError, match="path"):
+            estimate_invariant(spec, [HybridState(np.array([0.0]), 1)], 1.0, 4.0, cfg,
+                               part, 15, n_paths=0)
+
     def test_example52_short_self_consistency(self):
         spec = example52(1.0)
         part = Partition(lo=(-5.0, -5.0), hi=(5.0, 5.0), bins=(6, 6), k_max=6)

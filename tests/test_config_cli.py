@@ -99,6 +99,15 @@ class TestCli:
     def test_bad_argv_exit_2(self):
         assert run(["no-such-command"]) == 2
 
+    @pytest.mark.parametrize("bad", [["--bins", "0"], ["--box=1:-1"], ["--kmax", "0"],
+                                     ["--paths", "0"]])
+    def test_invariant_degenerate_input_exit_2(self, tmp_path, bad):
+        # argparse keeps the last value of a repeated option
+        argv = ["invariant", "--model", "example51", "--starts", "0,1;1,1", "--h", "0.25",
+                "--t-burn", "0.5", "--t-end", "1.0", "--paths", "4", "--box=-2:2",
+                "--bins", "4", "--kmax", "3", "--outdir", str(tmp_path), *bad]
+        assert run(argv) == 2
+
     def test_couple_outputs(self, tmp_path):
         code = run(["couple", "--model", "example51", "--kind", "reflection",
                     "--start", "0,1", "--start2", "0.1,1", "--t", "0.5",

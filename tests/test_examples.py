@@ -148,6 +148,18 @@ class TestExample52:
         comp = self.spec.jump_compensator(x, k, eps)
         assert np.allclose(comp, oracle, rtol=1e-12)
 
+    def test_compensator_near_delta_one(self):
+        # 2 pi (1 - eps^(1-delta)) / (1 - delta) cancels as delta -> 1; the
+        # expm1 form keeps the digits
+        delta, eps, k = 0.99999, 0.5, 3
+        x = np.array([1.0, 2.0])
+        a = 1.0 - delta
+        gamma = np.sqrt((2.0 - delta) / (2.0 * np.pi))
+        moment = 2.0 * np.pi * -np.expm1(a * np.log(eps)) / a
+        oracle = np.sqrt(k / (k + 1.0)) * gamma * moment * x
+        comp = example52(delta).jump_compensator(x, k, eps)
+        assert np.all(np.abs(comp - oracle) <= 1e-14 * np.abs(oracle))
+
     def test_row_sum_closed_form_matches_truncation(self):
         from rsjd import q_row_truncated
         x = np.array([0.7, -0.3])
