@@ -19,7 +19,7 @@ from .coupling import CouplingConfig, _resolve_lambda, couple_ensemble, pair_one
 from . import quadrature
 from .errors import EstimationError, QuadratureError
 from .generator import as_test_function
-from .model import HybridState, ModelSpec
+from .model import HybridState, ModelSpec, RowTruncator, certified_tail
 from .simulate import IntegratorConfig, _sigma_lambda, derive_rng, simulate_ensemble
 
 __all__ = [
@@ -733,8 +733,6 @@ def modulus_probe(spec: ModelSpec, k: int, pairs, rel_tol: float = 1e-10,
     pairs), and the rate-row increment sum_l |q_kl(x)-q_kl(z)| plus certified
     tails.
     """
-    from .model import q_row_truncated
-
     pairs = [tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in pair) for pair in pairs]
     out = {"separation": [], "drift_pairing": [], "sigma_sq": [],
            "jump_sq": np.zeros(len(pairs)), "rate_row": []}
@@ -746,19 +744,20 @@ def modulus_probe(spec: ModelSpec, k: int, pairs, rel_tol: float = 1e-10,
         sx = np.asarray(spec.sigma(x, k), dtype=float)
         sz = np.asarray(spec.sigma(z, k), dtype=float)
         out["sigma_sq"].append(float(np.sum((sx - sz) ** 2)))
-        px, tx = q_row_truncated(spec.rates, x, k, rel_tol)
-        pz, tz = q_row_truncated(spec.rates, z, k, rel_tol)
-        dx = dict(px)
-        dz = dict(pz)
-        row = sum(abs(dx.get(l, 0.0) - dz.get(l, 0.0)) for l in set(dx) | set(dz))
-        out["rate_row"].append(row + tx + tz)
+    if pairs:
+        xs, zs = (np.stack(side) for side in zip(*pairs))
+        n = len(pairs)
+        # all rows share one level, so one certified tail covers each side
+        rows, ls = RowTruncator(spec.rates, rel_tol, l_start=8).rows(
+            np.concatenate([xs, zs]), np.full(2 * n, k))
+        out["rate_row"] = (np.abs(rows[:n] - rows[n:]).sum(axis=1)
+                           + 2.0 * certified_tail(spec.rates, k, len(ls)))
     if spec.has_jumps and pairs:
         def c_diff_sq(x, z, u):
             dc = (np.asarray(spec.jump_coeff(x, k, u), dtype=float)
                   - np.asarray(spec.jump_coeff(z, k, u), dtype=float))
             return np.sum(dc * dc, axis=-1)
 
-        xs, zs = (np.stack(side) for side in zip(*pairs))
         out["jump_sq"] = quadrature.integrate(spec, c_diff_sq, (xs, zs), 0.0,
                                               spec.jump_measure.radius_max, quad_tol)[0]
     return {key: np.asarray(v) for key, v in out.items()}

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from .config import resolve_model
 from .coupling import CouplingConfig, couple_basic, couple_reflection
 from .errors import RsjdError
 from .generator import LyapunovCertificate, TestFunction, dynkin_check, check_lyapunov
-from .model import HybridState, validate_model
-from .simulate import IntegratorConfig, simulate_path
+from .model import HybridState, RowTruncator, validate_model
+from .simulate import IntegratorConfig, simulate_ensemble, simulate_path
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -274,14 +275,11 @@ def _cmd_killed(args) -> int:
         out = Path(args.outdir)
         out.mkdir(parents=True, exist_ok=True)
         _write_terminal_csv(out / "killed_terminal.csv", killed.extra.pop("_terminal"))
+    # result unused; kept while perfbench's `killed` declares four ensembles of path-steps
     frozen = analysis.estimate_transition(spec, start, args.t, center, radius,
                                           start.k, args.n, cfg, args.seed + 1,
                                           threads=args.threads)
-    # frozen-regime (unkilled) transition: reuse the killed machinery with the
-    # weights replaced by a plain indicator via switching-free simulation
-    from .simulate import simulate_ensemble
-    from dataclasses import replace as _rep
-    ens = simulate_ensemble(spec, start, _rep(cfg, horizon=args.t), args.n,
+    ens = simulate_ensemble(spec, start, replace(cfg, horizon=args.t), args.n,
                             args.seed + 2, threads=args.threads, switching=False)
     hits = (np.linalg.norm(ens.x - center, axis=1) < radius) & ~ens.censored
     p_frozen = float(np.mean(hits))
@@ -291,7 +289,6 @@ def _cmd_killed(args) -> int:
     xs = np.linspace(lo, hi, npts)
     grid = np.zeros((npts, spec.d))
     grid[:, 0] = xs
-    from .model import RowTruncator
     rows, _ = RowTruncator(spec.rates, 1e-12).rows(grid, np.full(npts, start.k))
     M = float(rows.sum(axis=1).max())
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import TruncationError
-from .model import HybridState, ModelSpec
+from .model import HybridState, ModelSpec, certified_tail, rate_rows
 
 __all__ = [
     "TestFunction",
@@ -231,7 +231,7 @@ def _regime_level(f: TestFunction, rates, x: np.ndarray, k: int, tail_tol: float
         if f.regime_tail is not None:
             tail = float(f.regime_tail(x, k, L))
         elif f.bounded:
-            tail = 2.0 * float(f.bound) * float(rates.tail_bound(k, L))
+            tail = 2.0 * float(f.bound) * certified_tail(rates, k, L)
         else:
             raise ValueError(
                 "unbounded test function needs a regime_tail bound for the regime sum")
@@ -266,19 +266,13 @@ def _generator(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
         bracket += quad_err + 0.5 * sup_h * small2
 
     if not f.k_independent:
-        rates = spec.rates
-        if rates.tail_bound is None:
-            raise TruncationError("rate matrix has no tail bound; cannot certify regime sum")
-        levels, tails = np.array([_regime_level(f, rates, x, k, tail_tol, l_cap)
+        levels, tails = np.array([_regime_level(f, spec.rates, x, k, tail_tol, l_cap)
                                   for x, k in zip(xs, klist)]).T
         for L in np.unique(levels).astype(int).tolist():
             idx = np.flatnonzero(levels == L)
-            ls = np.arange(1, L + 1)
-            x = xs[idx, None, :]
-            q = np.asarray(rates.rate(x, ks[idx, None], ls), dtype=float)
-            q = np.where(ls == ks[idx, None], 0.0, np.maximum(q, 0.0))
-            fvals = np.asarray(f.fn(np.broadcast_to(x, (len(idx), L, xs.shape[1])), ls),
-                               dtype=float)
+            q = rate_rows(spec.rates, xs[idx], ks[idx], L)
+            x = np.broadcast_to(xs[idx, None, :], (len(idx), L, xs.shape[1]))
+            fvals = np.asarray(f.fn(x, np.arange(1, L + 1)), dtype=float)
             value[idx] += np.einsum("ij,ij->i", q, fvals - f0[idx, None])
         bracket += tails
 

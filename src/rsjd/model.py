@@ -14,7 +14,9 @@ vectorized path ensembles:
 
 The regime index set is infinite; every row of the rate matrix is handled
 through truncation with a caller-certified tail bound, so truncation error
-stays auditable.
+stays auditable.  Only ``rate_rows`` (rows at a fixed level) and
+``certified_tail`` (the validated tail lookup) touch the rate matrix; all
+other row code, ``RowTruncator`` first, is built on them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ __all__ = [
     "ValidationCheck",
     "ValidationReport",
     "validate_model",
+    "rate_rows",
+    "certified_tail",
     "q_row_truncated",
     "RowTruncator",
 ]
@@ -101,8 +105,10 @@ class RateMatrixSpec:
     certificate that makes row truncation sound.  The integrators also use
     ``tail_bound(k, 0)`` as the uniform bound on the whole row q_k(x) when they
     screen for switches, so it must be valid at L = 0; a built row whose sum
-    exceeds it raises ``TruncationError``.  ``row_sum`` is optional and, when
-    absent, rows are summed through the truncation machinery.
+    exceeds it raises ``TruncationError``, and so does a NaN, infinite or
+    negative tail.  The optional closed form ``row_sum(x, k)`` of q_k(x) is an
+    oracle for tests only: killed mode sums its truncated rows instead, as the
+    closed form differs at round-off and would move the killed weights.
     """
 
     rate: Callable[..., np.ndarray]
@@ -148,6 +154,8 @@ class ModelSpec:
             raise ValueError("dimension must be >= 1")
         if (self.jump_coeff is None) != (self.jump_measure is None):
             raise ValueError("jump coefficient and jump measure must be supplied together")
+        if not 0.0 < self.regime_tol < np.inf:
+            raise ValueError(f"regime_tol must be positive and finite, got {self.regime_tol!r}")
 
     @property
     def has_jumps(self) -> bool:
@@ -163,6 +171,31 @@ class ModelSpec:
 # Rate-row truncation
 
 
+def rate_rows(rates: RateMatrixSpec, x: np.ndarray, k, L: int) -> np.ndarray:
+    """Rows q_{k_i, l}(x_i) for l = 1..L as an (n, L) array (x: (n, d),
+    k: (n,)), with the diagonal l == k_i zeroed and negative values clipped."""
+    k = np.asarray(k)
+    ls = np.arange(1, L + 1)
+    # x gains a broadcast axis so (n, 1, d) states pair with (n, 1) regimes
+    # and the (1, L) target grid to produce (n, L) rows
+    q = np.asarray(rates.rate(x[..., None, :], k[..., None], ls[None, :]), dtype=float)
+    q = np.where(ls[None, :] == k[..., None], 0.0, q)
+    np.maximum(q, 0.0, out=q)
+    return q
+
+
+def certified_tail(rates: RateMatrixSpec, k: int, L: int) -> float:
+    """``tail_bound(k, L)``, validated: ``TruncationError`` when the model has
+    no tail bound or the value is NaN, infinite or negative."""
+    if rates.tail_bound is None:
+        raise TruncationError("rate matrix has no tail bound; cannot certify truncation")
+    tail = float(rates.tail_bound(k, L))
+    if not 0.0 <= tail < np.inf:
+        raise TruncationError(
+            f"tail_bound({k}, {L}) = {tail!r} is not a nonnegative bound (finite, >= 0)")
+    return tail
+
+
 def q_row_truncated(rates: RateMatrixSpec, x, k: int, rel_tol: float,
                     l_start: int = 8, l_cap: int = 1 << 20):
     """Truncate the rate row q_k.(x) with a certified tail.
@@ -171,27 +204,11 @@ def q_row_truncated(rates: RateMatrixSpec, x, k: int, rel_tol: float,
     ``(l, q_kl(x))`` for l <= L (l != k) and ``tail`` bounds the mass above L,
     certified to satisfy tail <= rel_tol * (sum(partial) + tail).
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    if rates.tail_bound is None:
-        raise TruncationError("rate matrix has no tail bound; cannot certify truncation")
-    x = np.asarray(x, dtype=float)
-    L = l_start
-    while True:
-        ls = np.arange(1, L + 1)
-        q = np.asarray(rates.rate(x, k, ls), dtype=float)
-        q = np.where(ls == k, 0.0, q)
-        s = float(q.sum())
-        tail = float(rates.tail_bound(k, L))
-        if tail < 0:
-            raise TruncationError("tail bound returned a negative value")
-        if tail <= rel_tol * (s + tail):
-            partial = [(int(l), float(v)) for l, v in zip(ls, q) if v > 0.0]
-            return partial, tail
-        if L >= l_cap:
-            raise TruncationError(
-                f"row (k={k}) not summable to rel_tol={rel_tol} within L={l_cap}")
-        L *= 2
+    k = int(k)
+    q, ls = RowTruncator(rates, rel_tol, l_start, l_cap).rows(
+        np.asarray(x, dtype=float)[None], np.array([k]))
+    partial = [(int(l), float(v)) for l, v in zip(ls, q[0]) if v > 0.0]
+    return partial, certified_tail(rates, k, len(ls))
 
 
 class RowTruncator:
@@ -204,39 +221,30 @@ class RowTruncator:
 
     def __init__(self, rates: RateMatrixSpec, rel_tol: float,
                  l_start: int = 16, l_cap: int = 1 << 20):
+        if not 0.0 < rel_tol < np.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
         self.rates = rates
         self.rel_tol = float(rel_tol)
         self.l_cap = int(l_cap)
         self._level = int(l_start)
         self._tails: dict = {}
 
-    def _require_tail_bound(self):
-        if self.rates.tail_bound is None:
-            raise TruncationError("rate matrix has no tail bound; cannot certify truncation")
-
     def _tail_bounds(self, k: np.ndarray, L: int) -> np.ndarray:
-        """Per-path ``tail_bound(k, L)``, cached per (k, L)."""
+        """Per-path certified tails at level L."""
         uniq, inv = np.unique(np.asarray(k), return_inverse=True)
         cache = self._tails
         vals = []
         for kk in uniq.tolist():
             v = cache.get((kk, L))
             if v is None:
-                v = cache[kk, L] = float(self.rates.tail_bound(kk, L))
+                v = cache[kk, L] = certified_tail(self.rates, kk, L)
             vals.append(v)
         return np.array(vals)[inv]
 
     def row_bound(self, k: np.ndarray) -> np.ndarray:
         """Per-path ``tail_bound(k, 0)``: the bound on the whole row q_k(x),
-        uniform in x.  Cached per regime."""
-        self._require_tail_bound()
-        q = self._tail_bounds(k, 0)
-        bad = ~(q >= 0.0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise TruncationError(
-                f"tail_bound({int(np.asarray(k)[i])}, 0) = {q[i]!r} is not a nonnegative bound")
-        return q
+        uniform in x."""
+        return self._tail_bounds(k, 0)
 
     def rows(self, x: np.ndarray, k: np.ndarray, bound: np.ndarray | None = None):
         """Return ``(rows, ls)`` with rows[i, j] = q_{k_i, ls_j}(x_i), diagonal zeroed.
@@ -244,17 +252,10 @@ class RowTruncator:
         With ``bound`` (per path), a row whose sum exceeds it raises
         ``TruncationError``: the model broke its declared row bound.
         """
-        self._require_tail_bound()
         k = np.asarray(k)
         L = self._level
         while True:
-            ls = np.arange(1, L + 1)
-            # x gains a broadcast axis so (n, 1, d) states pair with (n, 1) regimes
-            # and the (1, L) target grid to produce (n, L) rows
-            q = np.asarray(self.rates.rate(x[..., None, :], k[..., None], ls[None, :]),
-                           dtype=float)
-            q = np.where(ls[None, :] == k[..., None], 0.0, q)
-            np.maximum(q, 0.0, out=q)
+            q = rate_rows(self.rates, x, k, L)
             s = q.sum(axis=-1)
             tail_per_path = self._tail_bounds(k, L)
             ok = tail_per_path <= self.rel_tol * (s + tail_per_path)
@@ -265,7 +266,7 @@ class RowTruncator:
                     raise TruncationError(
                         f"rate row sum {s[i]!r} (k={int(k[i])}) exceeds the declared "
                         f"whole-row bound tail_bound(k, 0)")
-                return q, ls
+                return q, np.arange(1, L + 1)
             if L >= self.l_cap:
                 raise TruncationError(
                     f"rate rows not summable to rel_tol={self.rel_tol} within L={self.l_cap}")
@@ -399,13 +400,9 @@ def validate_model(spec: ModelSpec, probe_points, directions=None,
         k0 = spec.rates.kappa0
         ls = np.arange(1, 65)
         cap = k0 * ls * 3.0 ** -ls
-        vals, pts = [], []
-        for p in points:
-            q = np.asarray(spec.rates.rate(p.x, p.k, ls), dtype=float)
-            q = np.where(ls == p.k, 0.0, q)
-            vals.append(float(np.max(q - cap)))
-            pts.append(p)
-        run_check("rate-uniform-bound", vals, pts, tol=1e-12,
+        q = rate_rows(spec.rates, np.stack([p.x for p in points]),
+                      np.array([p.k for p in points]), len(ls))
+        run_check("rate-uniform-bound", np.max(q - cap, axis=1), points, tol=1e-12,
                   note=f"q_kl(x) - kappa0 l 3^-l with kappa0={k0}, l <= 64")
 
     if quad_crosscheck > 0 and c2 is not None:

@@ -76,8 +76,8 @@ class IntegratorConfig:
             raise ValueError("small_jump_policy must be 'drop' or 'gaussian'")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("jump cutoff must be positive")
-        if self.regime_tol is not None and self.regime_tol <= 0:
-            raise ValueError("regime truncation tolerance must be positive")
+        if self.regime_tol is not None and not 0.0 < self.regime_tol < np.inf:
+            raise ValueError("regime truncation tolerance must be positive and finite")
 
     def grid(self):
         n = max(1, int(round(self.horizon / self.step)))
