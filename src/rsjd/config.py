@@ -86,12 +86,12 @@ def _power_law_measure(exponent: float, epsilon: float) -> JumpMeasureSpec:
             return 2.0 * math.log(1.0 / eps)
         return 2.0 * (eps ** (1.0 - p) - 1.0) / (p - 1.0)
 
-    def sampler(eps, n, rng):
-        f = rng.random(n)
-        # inverse CDF of the normalized |u|^-p tail on (eps, 1)
+    def quantile(eps, U):
+        # inverse CDF of the normalized |u|^-p tail on (eps, 1); row 1 picks
+        # the sign
         a = eps ** (1.0 - p)
-        mag = (a - f * (a - 1.0)) ** (1.0 / (1.0 - p))
-        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        mag = (a - U[0] * (a - 1.0)) ** (1.0 / (1.0 - p))
+        sign = np.where(U[1] < 0.5, -1.0, 1.0)
         return (sign * mag)[:, None]
 
     return JumpMeasureSpec(
@@ -100,7 +100,7 @@ def _power_law_measure(exponent: float, epsilon: float) -> JumpMeasureSpec:
         density=density,
         epsilon=float(epsilon),
         large_jump_rate=rate,
-        large_jump_sampler=sampler,
+        large_jump_quantile=quantile,
     )
 
 

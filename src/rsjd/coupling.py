@@ -185,8 +185,9 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
 
         # regimes via the basic coupling of the two rate rows, one event per step;
         # its total rate sum_l max(q1_l, q2_l) <= Qbar_K + Qbar_Kt screens the rows
-        u1 = rng.random(n)
-        u2 = rng.random(n)
+        # the switch uniforms and, under reflection, the bridge-crossing one
+        unif = rng.random((3 if reflect else 2, n))
+        u1, u2 = unif[0], unif[1]
         Kn, Ktn = K, Kt
         cand = np.flatnonzero(alive & (u1 < -np.expm1(-(qbar1 + qbar2) * h)))
         if cand.size:
@@ -226,7 +227,7 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
             # within-step meeting via the Brownian-bridge crossing probability
             sl1, sl2, u, clamps = refl
             n_clamped += clamps
-            uco = rng.random(n)
+            uco = unif[2]
             r0 = np.linalg.norm(Xt - X, axis=1)
             r1 = np.linalg.norm(Xtn - Xn, axis=1)
             if d == 1:

@@ -59,11 +59,11 @@ def example51() -> ModelSpec:
     def large_jump_rate(eps):
         return 2.0 * (1.0 / eps - 1.0)
 
-    def large_jump_sampler(eps, n, rng):
-        # inverse CDF of the normalized |u| density u^-2 on (eps, 1), random sign
-        f = rng.random(n)
-        mag = 1.0 / (1.0 / eps - f * (1.0 / eps - 1.0))
-        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    def large_jump_quantile(eps, U):
+        # inverse CDF of the normalized |u| density u^-2 on (eps, 1); row 1
+        # picks the sign
+        mag = 1.0 / (1.0 / eps - U[0] * (1.0 / eps - 1.0))
+        sign = np.where(U[1] < 0.5, -1.0, 1.0)
         return (sign * mag)[:, None]
 
     def c_second_moment(x, k):
@@ -99,7 +99,7 @@ def example51() -> ModelSpec:
         density=density,
         epsilon=0.05,
         large_jump_rate=large_jump_rate,
-        large_jump_sampler=large_jump_sampler,
+        large_jump_quantile=large_jump_quantile,
         c_second_moment=c_second_moment,
         radius_max=1.0,
     )
@@ -172,10 +172,10 @@ def example52(delta: float = 1.0) -> ModelSpec:
     def large_jump_rate(eps):
         return 2.0 * np.pi * (eps ** -delta - 1.0) / delta
 
-    def large_jump_sampler(eps, n, rng):
-        f = rng.random(n)
-        r = (eps ** -delta - f * (eps ** -delta - 1.0)) ** (-1.0 / delta)
-        theta = rng.random(n) * 2.0 * np.pi
+    def large_jump_quantile(eps, U):
+        # radius by the inverse CDF of r^-(1+delta) on (eps, 1), uniform angle
+        r = (eps ** -delta - U[0] * (eps ** -delta - 1.0)) ** (-1.0 / delta)
+        theta = U[1] * 2.0 * np.pi
         return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
     def c_second_moment(x, k):
@@ -241,7 +241,7 @@ def example52(delta: float = 1.0) -> ModelSpec:
         density=density,
         epsilon=0.1,
         large_jump_rate=large_jump_rate,
-        large_jump_sampler=large_jump_sampler,
+        large_jump_quantile=large_jump_quantile,
         c_second_moment=c_second_moment,
         radial_density=radial_density,
         radius_max=1.0,

@@ -72,8 +72,19 @@ class JumpMeasureSpec:
 
     nu may have infinite total mass (it usually does); only the restriction to
     {|u| > eps} is sampled directly.  ``large_jump_rate`` and
-    ``large_jump_sampler`` therefore take the cutoff as an argument, and the
+    ``large_jump_quantile`` therefore take the cutoff as an argument, and the
     part below the cutoff is handled by the integrator's small-jump policy.
+
+    ``large_jump_quantile(eps, U)`` is the inverse-CDF map of the normalized
+    restriction of nu to {|u| > eps}: U is a (2, n) block of uniforms on
+    [0, 1), and column j of U gives mark j of the (n, mark_dim) result.  Row 0
+    drives the magnitude and row 1 the direction (the sign in 1-d, the angle
+    in 2-d).  The map must act column by column, with no other state, so that
+    one call over a whole step's marks gives bit for bit the marks that one
+    call per jump round would.  The integrators draw one uniform block per
+    RNG stream and step and call the map once on it.
+
+    n marks from a generator are ``large_jump_quantile(eps, rng.random((2, n)))``.
 
     ``c_second_moment(x, k)`` returns the full integral of |c(x,k,u)|^2 nu(du);
     built-in models supply it in closed form so that growth checks and
@@ -85,10 +96,14 @@ class JumpMeasureSpec:
     density: Callable[[np.ndarray], np.ndarray]
     epsilon: float
     large_jump_rate: Callable[[float], float]
-    large_jump_sampler: Callable[[float, int, np.random.Generator], np.ndarray]
+    large_jump_quantile: Callable[[float, np.ndarray], np.ndarray]
     c_second_moment: Callable[..., np.ndarray] | None = None
     radial_density: Callable[[np.ndarray], np.ndarray] | None = None
     radius_max: float = 1.0
+
+    # not a field: perfbench's tracer reads this name among the callables it
+    # wraps and skips it while it is None
+    large_jump_sampler = None
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < self.radius_max):
@@ -227,19 +242,36 @@ class RowTruncator:
         self.rel_tol = float(rel_tol)
         self.l_cap = int(l_cap)
         self._level = int(l_start)
-        self._tails: dict = {}
+        self._tails: dict = {}   # (k, L) -> certified tail
+        self._table: dict = {}   # L -> tails of regimes 0..max(L, level), NaN = not yet asked
 
     def _tail_bounds(self, k: np.ndarray, L: int) -> np.ndarray:
-        """Per-path certified tails at level L."""
-        uniq, inv = np.unique(np.asarray(k), return_inverse=True)
-        cache = self._tails
-        vals = []
-        for kk in uniq.tolist():
-            v = cache.get((kk, L))
-            if v is None:
-                v = cache[kk, L] = certified_tail(self.rates, kk, L)
-            vals.append(v)
-        return np.array(vals)[inv]
+        """Per-path certified tails at level L, one ``certified_tail`` call per
+        (k, L).  Switch targets lie in 1..level, so a dense table per L over
+        regimes 0..max(L, level) serves them without a dict lookup; NaN marks
+        an entry not yet asked for, as ``certified_tail`` never returns NaN.
+        A regime above the table, which only a start can be, takes the dict
+        path."""
+        k = np.asarray(k)
+        top = max(L, self._level) + 1
+        table = self._table.get(L)
+        if table is None or table.size <= top:
+            old = np.empty(0) if table is None else table
+            table = self._table[L] = np.concatenate([old, np.full(top + 1 - old.size, np.nan)])
+        # slot ``top`` is never filled, so clipping sends a regime above the
+        # table down the missing path
+        vals = table.take(k, mode="clip")
+        missing = np.isnan(vals)
+        if missing.any():
+            for kk in np.unique(k[missing]).tolist():
+                v = self._tails.get((kk, L))
+                if v is None:
+                    v = self._tails[kk, L] = certified_tail(self.rates, kk, L)
+                if kk < top:
+                    table[kk] = v
+            vals = (np.array([self._tails[kk, L] for kk in k.tolist()]) if np.any(k >= top)
+                    else table[k])
+        return vals
 
     def row_bound(self, k: np.ndarray) -> np.ndarray:
         """Per-path ``tail_bound(k, 0)``: the bound on the whole row q_k(x),

@@ -176,11 +176,40 @@ def _sigma_lambda(spec: ModelSpec, x: np.ndarray, k: np.ndarray, lam: float):
     return sqrt_psd_batched(a)
 
 
-def _draw(streams, draw):
+def _draw(streams, draw, axis: int = 0):
     """``draw(rng, m)`` for each ``(rng, lo, hi)`` segment, m = hi - lo,
-    concatenated in segment order."""
+    concatenated in segment order along ``axis``."""
     parts = [draw(rng, hi - lo) for rng, lo, hi in streams]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
+def _draw_marks(quantile, eps: float, counts: np.ndarray, streams):
+    """The marks of one step's large jumps, from one uniform block per segment.
+
+    Returns ``(hit, marks)``: jump j moves path ``hit[j]`` by ``marks[j]``.
+    The jumps are listed round by round, round r holding the paths with more
+    than r jumps, in path order.  A segment with m jumps makes one
+    ``rng.random(2 m)`` call and reads it as consecutive rounds: round r's
+    c_r marks take c_r uniforms for row 0 of the quantile's U, then c_r for
+    row 1.  ``rng.random(a + b)`` is ``rng.random(a)`` followed by
+    ``rng.random(b)`` bit for bit, so these are the numbers that one
+    ``rng.random((2, c_r))`` per round and segment would draw.  ``quantile``
+    then maps all the marks in one call.  Needs ``counts.any()``.
+    """
+    n = counts.size
+    mask = counts > np.arange(int(counts.max()))[:, None]        # (rounds, n)
+    hit = mask.ravel().nonzero()[0] % n                            # round-major
+    per = np.add.reduceat(mask, [lo for _, lo, _ in streams], axis=1, dtype=np.intp)
+    # the jumps of one (round, segment) group are consecutive both in hit
+    # order and in the segment's block, so each group shifts by one offset
+    sizes = per.ravel()                  # groups in hit order: (round, segment)
+    seg_major = per.T.ravel()            # groups in block order: (segment, round)
+    block_start = 2 * (np.cumsum(seg_major) - seg_major)
+    off = block_start.reshape(per.T.shape).T.ravel() - (np.cumsum(sizes) - sizes)
+    idx = np.repeat(np.array([off, off + sizes]), sizes, axis=1) + np.arange(hit.size)
+    block = _draw([(rng, 0, m) for (rng, _, _), m in zip(streams, per.sum(axis=0)) if m],
+                  lambda rng, m: rng.random(2 * m))
+    return hit, quantile(eps, block[idx])
 
 
 def _increment(spec: ModelSpec, sides, h: float, streams, eps, lam_rate,
@@ -197,16 +226,16 @@ def _increment(spec: ModelSpec, sides, h: float, streams, eps, lam_rate,
     ``streams`` is a tuple of ``(rng, lo, hi)`` segments covering the batch
     in order: paths lo..hi-1 draw from rng.  The RNG consumption order of
     each segment is fixed -- normals (two sets under reflection), Poisson
-    counts, then the marks of each round in which the segment has a jump,
-    then the gaussian-policy normals -- and every draw is sized by the
-    segment, so a segment consumes its stream exactly as a batch of its own
-    paths would.  Callers draw their switch (and bridge-crossing) uniforms
-    after this.
+    counts, then one uniform block for the marks of all its jumps (see
+    ``_draw_marks``), then the gaussian-policy normals -- and every draw is
+    sized by the segment, so a segment consumes its stream exactly as a batch
+    of its own paths would.  Callers draw their switch (and bridge-crossing)
+    uniforms after this.
 
-    The jump coefficient is evaluated once per side over the marks of all
-    rounds; ``np.add.at`` adds each path's displacements one round after
-    another, so each path's sum runs in the same order as one update per
-    round would.
+    The quantile map and the jump coefficient are evaluated once per step
+    (the coefficient once per side) over the marks of all rounds;
+    ``np.add.at`` adds each path's displacements one round after another, so
+    each path's sum runs in the same order as one update per round would.
 
     Returns the list of increments, one per side, and under reflection
     (sl1, sl2, u, clamps) for the bridge-crossing step, else None.
@@ -248,19 +277,9 @@ def _increment(spec: ModelSpec, sides, h: float, streams, eps, lam_rate,
             comp = spec.jump_compensator(x, k, eps) if spec.jump_compensator is not None \
                 else _compensator_quadrature(spec, x, k, eps)
             dx -= np.asarray(comp, dtype=float) * h
-        rounds = int(counts.max()) if n else 0
-        if rounds:
-            sampler = spec.jump_measure.large_jump_sampler
-            hit, marks = [], []
-            for j in range(rounds):
-                m = counts > j
-                hit.append(np.flatnonzero(m))
-                for rng, lo, hi in streams:
-                    c = int(np.count_nonzero(m[lo:hi]))
-                    if c:
-                        marks.append(sampler(eps, c, rng))
-            hit = np.concatenate(hit)
-            marks = np.concatenate(marks)
+        if counts.any():
+            hit, marks = _draw_marks(spec.jump_measure.large_jump_quantile, eps,
+                                     counts, streams)
             # path 0's marks, in round order
             first = np.flatnonzero(hit == 0) if events is not None else ()
             for s, (x, k) in enumerate(sides):
@@ -340,8 +359,7 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
 
         kn = k
         if switching:
-            u1 = _draw(streams, np.random.Generator.random)
-            u2 = _draw(streams, np.random.Generator.random)
+            u1, u2 = _draw(streams, lambda rng, m: rng.random((2, m)), axis=1)
             cand = np.flatnonzero(alive & (u1 < -np.expm1(-qbar * h)))
             if cand.size:
                 rows, ls = trunc.rows(x[cand], k[cand], bound=qbar[cand])

@@ -219,6 +219,16 @@ class TestInvariantOccupation:
             estimate_invariant(spec, [HybridState(np.array([0.0]), 1)], 1.0, 4.0, cfg,
                                part, 15, n_paths=0)
 
+    def test_partition_dimension_must_match_state(self):
+        # a 1-d partition on 2-d states would bin only the first coordinate
+        part = Partition(lo=(-2.0,), hi=(2.0,), bins=(4,), k_max=2)
+        with pytest.raises(ValueError):
+            part.flat_index(np.zeros((3, 2)), np.ones(3, dtype=int))
+        cfg = IntegratorConfig(step=0.25, horizon=4.0)
+        with pytest.raises(ValueError, match="axes"):
+            estimate_invariant(make_model(d=2), [HybridState(np.zeros(2), 1)], 1.0, 4.0,
+                               cfg, part, 15, n_paths=8)
+
     def test_example52_short_self_consistency(self):
         spec = example52(1.0)
         part = Partition(lo=(-5.0, -5.0), hi=(5.0, 5.0), bins=(6, 6), k_max=6)

@@ -35,7 +35,7 @@ class TestExample51:
     def test_sampler_in_domain_and_mean_magnitude(self):
         eps = 0.1
         rng = np.random.default_rng(5)
-        u = self.spec.jump_measure.large_jump_sampler(eps, 20000, rng)
+        u = self.spec.jump_measure.large_jump_quantile(eps, rng.random((2, 20000)))
         mags = np.abs(u[:, 0])
         assert mags.min() >= eps and mags.max() <= 1.0
         # E|u| under the normalized restriction: log(1/eps)/(1/eps - 1)
@@ -116,7 +116,7 @@ class TestExample52:
     def test_sampler_radial_law(self):
         eps = 0.2
         rng = np.random.default_rng(9)
-        u = self.spec.jump_measure.large_jump_sampler(eps, 20000, rng)
+        u = self.spec.jump_measure.large_jump_quantile(eps, rng.random((2, 20000)))
         r = np.linalg.norm(u, axis=1)
         assert r.min() >= eps and r.max() <= 1.0
         # E r for density prop to r^{-2} on (eps, 1): log(1/eps)/(1/eps - 1)

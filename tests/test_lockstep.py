@@ -131,16 +131,16 @@ def test_rows_call_tail_bound_once_per_level():
 
 
 def test_jump_events_in_round_order():
-    # n = 1, so every sampler call draws path 0's mark of the next round
+    # n = 1, so each quantile call maps path 0's marks of one step, in round order
     base = example51()
     drawn = []
 
-    def sampler(eps, n, rng):
-        u = base.jump_measure.large_jump_sampler(eps, n, rng)
-        drawn.append(u[0].copy())
+    def quantile(eps, U):
+        u = base.jump_measure.large_jump_quantile(eps, U)
+        drawn.extend(u.copy())
         return u
 
-    spec = replace(base, jump_measure=replace(base.jump_measure, large_jump_sampler=sampler))
+    spec = replace(base, jump_measure=replace(base.jump_measure, large_jump_quantile=quantile))
     cfg = IntegratorConfig(step=0.05, horizon=0.5, epsilon=0.05)
     rec = simulate_path(spec, HybridState(np.array([0.8]), 1), cfg, 7)
     times = [t for t, _, _ in rec.jump_events]

@@ -91,19 +91,18 @@ class TestRowTruncation:
             q_row_truncated(bad, np.array([0.0]), 1, 1e-6)
 
     def test_batched_rows_match_pointwise(self):
+        # reference built entry by entry from the model's own rate function
         rates = example51().rates
         trunc = RowTruncator(rates, 1e-10)
         xs = np.array([[0.0], [1.0], [-2.0]])
         ks = np.array([1, 2, 5])
         rows, ls = trunc.rows(xs, ks)
         for i in range(3):
-            partial, _ = q_row_truncated(rates, xs[i], int(ks[i]), 1e-10,
-                                         l_start=len(ls))
-            dense = np.zeros(len(ls))
-            for l, v in partial:
-                if l <= len(ls):
-                    dense[l - 1] = v
+            dense = np.array([0.0 if l == ks[i] else float(rates.rate(xs[i], int(ks[i]), int(l)))
+                              for l in ls])
             assert np.allclose(rows[i], dense, rtol=1e-12, atol=1e-300)
+            tail = rates.tail_bound(int(ks[i]), len(ls))
+            assert tail <= 1e-10 * (dense.sum() + tail)
 
 
 class TestValidateModel:

@@ -9,6 +9,8 @@ changes no number.
 """
 
 import hashlib
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -16,13 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsjd import (IntegratorConfig, RateMatrixSpec, TruncationError, example51, example52,
-                  q_row_truncated)
+from rsjd import (HybridState, IntegratorConfig, RateMatrixSpec, TruncationError, example51,
+                  example52, q_row_truncated)
 from rsjd.analysis import modulus_probe
 from rsjd.cli import run
 from rsjd.config import load_model_config
 from rsjd.generator import TestFunction, apply_generator, apply_generator_batch
 from rsjd.model import RowTruncator, certified_tail, rate_rows
+from rsjd.simulate import simulate_ensemble
 
 from test_config_cli import FULL_YAML
 
@@ -148,6 +151,69 @@ class TestTailCheck:
         # rel_tol = inf made tail <= inf * 0 false for a zero row, which grew to 2^20
         with pytest.raises(ValueError, match="rel_tol"):
             RowTruncator(example51().rates, rel_tol)
+
+
+class TestTailTable:
+    @staticmethod
+    def _counted(rates, bad_k=None, bad=None):
+        calls = Counter()
+
+        def tail_bound(k, L):
+            calls[k, L] += 1
+            return bad if k == bad_k else rates.tail_bound(k, L)
+
+        return RateMatrixSpec(rate=rates.rate, tail_bound=tail_bound), calls
+
+    @pytest.mark.parametrize("make", [example51, example52])
+    def test_growing_regimes_match_certified_tail(self, make):
+        # at level 16, 17..40 and 100 lie above the tables (regimes 0..16 at
+        # L = 0 and 16), and at level 64 the tables cover all of 1..40
+        base = make().rates
+        rates, calls = self._counted(base)
+        trunc = RowTruncator(rates, 1e-9)
+        for level in (16, 64):
+            trunc._level = level   # as ``rows`` sets it when it widens the rows
+            for k in (np.arange(1, 41), np.array([3]), np.array([100, 3, 40, 100]),
+                      np.array([7, 7, 1])):
+                for L in (0, 16, 32):
+                    tails = trunc._tail_bounds(k, L)
+                    assert tails.tolist() == [certified_tail(base, int(kk), L) for kk in k]
+                assert trunc.row_bound(k).tolist() == trunc._tail_bounds(k, 0).tolist()
+        assert set(calls.values()) == {1}
+        assert {k for k, _ in calls} == set(range(1, 41)) | {100}
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1e-3])
+    def test_bad_tail_at_new_regime_raises(self, bad):
+        rates, calls = self._counted(example51().rates, bad_k=7, bad=bad)
+        trunc = RowTruncator(rates, 1e-9)
+        trunc.row_bound(np.array([1, 2, 3]))
+        for _ in range(2):
+            # the failed entry stays empty, so asking again raises again
+            with pytest.raises(TruncationError, match=r"tail_bound\(7, 0\)"):
+                trunc.row_bound(np.array([2, 7, 1]))
+        assert calls[7, 0] == 2
+        x = np.zeros((2, 1))
+        with pytest.raises(TruncationError, match=r"tail_bound\(7, 16\)"):
+            trunc.rows(x, np.array([1, 7]))
+
+
+    def test_far_start_regime(self):
+        # a start far above the tables takes the dict path, so memory does
+        # not grow with k; the digest was recorded before the tables existed
+        starts = (HybridState(np.array([0.5, 0.0]), 10**9),
+                  HybridState(np.array([1.0, -1.0]), 3))
+        cfg = IntegratorConfig(step=0.05, horizon=2.0, epsilon=0.2)
+        tracemalloc.start()
+        try:
+            ens = simulate_ensemble(example52(), starts, cfg, 2 * 64, 20282)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        # some paths leave the far regime and some stay in it
+        assert 0 < np.count_nonzero(ens.k[:64] == 10**9) < 64
+        assert _digest(ens.x, ens.k, ens.exit_time) == \
+            "78bb7cac54e068976920c6a56848e96c5c5c2c643b98cf327d1538a531f0a261"
 
 
 class TestRegimeTol:
