@@ -25,9 +25,8 @@ from .analysis import (
 from .coupling import (
     CoupledPathRecord,
     CouplingConfig,
-    couple_basic,
+    couple,
     couple_ensemble,
-    couple_reflection,
     sqrt_psd,
 )
 from .errors import (

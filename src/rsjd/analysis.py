@@ -10,12 +10,14 @@ each entry of the sequence reuses the same stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate, stats
 
-from .coupling import CouplingConfig, _resolve_lambda, couple_ensemble, pair_one_step
+from .coupling import (CouplingConfig, _bridge_crossing_prob, _resolve_lambda,
+                       couple_ensemble, pair_one_step)
 from . import quadrature
 from .errors import EstimationError, QuadratureError
 from .generator import as_test_function
@@ -251,7 +253,7 @@ def estimate_killed_subtransition(spec: ModelSpec, start: HybridState, t: float,
     its start value and each path carries exp(-int_0^t q_k(X(s)) ds)."""
     a = np.asarray(target_center, dtype=float)
     ens = simulate_ensemble(spec, start, replace(cfg, horizon=t), n_paths, seed,
-                            threads=threads, switching=False, killed=True)
+                            threads=threads, regime="killed")
     vals = np.where(np.linalg.norm(ens.x - a, axis=1) < target_radius, ens.weight, 0.0)
     vals = np.where(ens.censored, 0.0, vals)  # censored contribute the worst case
     extra = {"mean_weight": float(np.mean(ens.weight))}
@@ -313,28 +315,36 @@ class Partition:
 
 
 class _Occupation:
-    """One batch's occupation counts of (start, cell) in the two half windows
-    [t_burn, mid) and [mid, t_end].  Each step's (x, k, start, alive) waits
-    in a buffer, and one selection of the alive paths, one ``flat_index`` and
-    one ``bincount`` bin ``BLOCK`` steps at a time; the buffer is flushed when
-    the window changes and by the caller after the ensemble.  The counts are
-    integers, so binning steps together gives the counts that binning them
-    one by one would."""
+    """Ensemble observer: one batch's occupation counts of (start, cell) in
+    the two half windows [t_burn, mid) and [mid, t_end].  ``block`` holds
+    the start index of each of the batch's paths.  Each step's (x, k,
+    alive) at t >= t_burn waits in a buffer, and one selection of the alive
+    paths, one ``flat_index`` and one ``bincount`` bin ``BLOCK`` steps at a
+    time; the buffer is flushed when the window changes and by the caller
+    after the ensemble.  The counts are integers, so binning steps together
+    gives the counts that binning them one by one would."""
 
     BLOCK = 16
 
-    def __init__(self, partition: Partition, n_starts: int):
+    def __init__(self, partition: Partition, n_starts: int, t_burn: float, mid: float,
+                 block: np.ndarray):
         self.partition = partition
+        self.t_burn = t_burn
+        self.mid = mid
+        self.block = block
         self.counts = np.zeros((2, n_starts * partition.n_cells), dtype=np.int64)
         self.window = 0
         self.pending: list = []
 
-    def add(self, window: int, x: np.ndarray, k: np.ndarray, start: np.ndarray,
-            alive: np.ndarray):
+    def __call__(self, i: int, t: float, x: np.ndarray, k: np.ndarray, alive: np.ndarray):
+        if t < self.t_burn - 1e-12:
+            return
+        window = 0 if t < self.mid else 1
         if window != self.window:
             self.flush()
             self.window = window
-        self.pending.append((x, k, start, alive))
+        # copies, as the integrator owns x, k and alive
+        self.pending.append((x.copy(), k.copy(), self.block, alive.copy()))
         if len(self.pending) == self.BLOCK:
             self.flush()
 
@@ -386,7 +396,9 @@ def estimate_invariant(spec: ModelSpec, starts: Sequence[HybridState], t_burn: f
 
     All starts run as one ensemble of ``n_paths`` paths per start; start i
     draws from stream i, so its histogram is the one a lone ensemble of that
-    start on stream i gives.
+    start on stream i gives.  Each batch of the ensemble bins its own steps
+    through an ``_Occupation`` observer, and the counts add up in batch
+    order.
     """
     starts = tuple(starts)
     if not starts:
@@ -400,21 +412,11 @@ def estimate_invariant(spec: ModelSpec, starts: Sequence[HybridState], t_burn: f
     cfg = replace(cfg, horizon=t_end)
     mid = 0.5 * (t_burn + t_end)
     m, n_cells = len(starts), partition.n_cells
-
-    def hook_factory():
-        return _Occupation(partition, m)
-
-    def step_hook(i, t, x, k, alive, block, buf):
-        if t < t_burn - 1e-12:
-            return
-        # copies, as the integrator owns x, k and alive
-        buf.add(0 if t < mid else 1, x.copy(), k.copy(), block, alive.copy())
-
     ens = simulate_ensemble(spec, starts, cfg, m * n_paths, seed, threads=threads,
-                            hook_factory=hook_factory, step_hook=step_hook)
-    for buf in ens.hook_buffers:
-        buf.flush()
-    w1, w2 = np.sum([buf.counts for buf in ens.hook_buffers], axis=0).reshape(2, m, n_cells)
+                            observer=partial(_Occupation, partition, m, t_burn, mid))
+    for occ in ens.observers:
+        occ.flush()
+    w1, w2 = np.sum([occ.counts for occ in ens.observers], axis=0).reshape(2, m, n_cells)
     full = w1 + w2
     mass = full.sum(axis=1)
     if np.any(mass == 0):
@@ -685,18 +687,11 @@ def verify_coupling_drift(spec: ModelSpec, Gf: GFunction, pairs, h_small: float,
         delta_h = np.linalg.norm(end, axis=1)
         # bridge-crossing sample, as in the coupled engine (frozen-state Abar)
         K1 = np.full(1, k, dtype=np.int64)
-        sl1 = _sigma_lambda(spec, x[None, :], K1, lam)[0][0]
-        sl2 = _sigma_lambda(spec, xt[None, :], K1, lam)[0][0]
-        u = (xt - x) / r0
-        abar = float(np.sum(((sl1 - sl2) @ u) ** 2)) + 4.0 * lam
-        if spec.d == 1:
-            cross_num = (xt - x)[0] * end[:, 0]
-        else:
-            cross_num = r0 * delta_h
-        with np.errstate(over="ignore"):
-            p_cross = np.where(cross_num < 0.0, 1.0,
-                               np.exp(-2.0 * np.maximum(cross_num, 0.0)
-                                      / (abar * h_small)))
+        sl1 = _sigma_lambda(spec, x[None, :], K1, lam)[0]
+        sl2 = _sigma_lambda(spec, xt[None, :], K1, lam)[0]
+        sep0 = (xt - x)[None, :]
+        p_cross = _bridge_crossing_prob(sep0, end, r0, delta_h, sl1, sl2, sep0 / r0, lam,
+                                        h_small)
         met = rng.random(n_paths) < p_cross
         clipped += int(np.count_nonzero(delta_h > Gf.rs[-1]))
         vals = np.where(met, 0.0, Gf(delta_h))
@@ -747,13 +742,9 @@ def marginal_vs_independent(spec: ModelSpec, start: HybridState, start2: HybridS
     cfg_run = replace(cfg, horizon=t)
     ens = couple_ensemble(spec, start, start2, cfg_run, n_paths, seed,
                           threads=threads, stream=0)
-    icfg = IntegratorConfig(step=cfg.step, horizon=t,
-                            small_jump_policy=cfg.small_jump_policy,
-                            epsilon=cfg.epsilon, regime_tol=cfg.regime_tol,
-                            r_max=cfg.r_max)
-    ind1 = simulate_ensemble(spec, start, icfg, n_paths, seed + 1, threads=threads,
+    ind1 = simulate_ensemble(spec, start, cfg_run, n_paths, seed + 1, threads=threads,
                              stream=1)
-    ind2 = simulate_ensemble(spec, start2, icfg, n_paths, seed + 2, threads=threads,
+    ind2 = simulate_ensemble(spec, start2, cfg_run, n_paths, seed + 2, threads=threads,
                              stream=2)
     out = {}
     out["ks_first"] = float(stats.ks_2samp(ens.x[:, 0], ind1.x[:, 0]).pvalue)

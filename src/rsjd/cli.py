@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis
 from .config import resolve_model
-from .coupling import CouplingConfig, couple_basic, couple_reflection
+from .coupling import CouplingConfig, couple
 from .errors import RsjdError
 from .generator import LyapunovCertificate, TestFunction, dynkin_check, check_lyapunov
 from .model import HybridState, RowTruncator, validate_model
@@ -119,6 +119,13 @@ def _integrator_args(p: argparse.ArgumentParser, default_h: float = 1.0 / 128):
     p.add_argument("--r-max", type=float, default=1e6)
 
 
+def _coupling_args(p: argparse.ArgumentParser):
+    p.add_argument("--lambda-r", dest="lambda_r", type=float, default=None)
+    p.add_argument("--ball-radius", type=float, default=1e6)
+    p.add_argument("--delta0", type=float, default=1.0)
+    p.add_argument("--eta", type=float, default=None)
+
+
 def _common_args(p: argparse.ArgumentParser):
     p.add_argument("--model", required=True, help="example51, example52[:delta], or config path")
     p.add_argument("--seed", type=int, default=0)
@@ -137,10 +144,8 @@ def _ccfg(args, horizon: float, kind: str) -> CouplingConfig:
     return CouplingConfig(step=args.h, horizon=horizon,
                           small_jump_policy=args.policy, epsilon=args.epsilon,
                           regime_tol=args.regime_tol, r_max=args.r_max,
-                          kind=kind, lambda_R=getattr(args, "lambda_r", None),
-                          ball_radius=getattr(args, "ball_radius", 1e6),
-                          delta0=getattr(args, "delta0", 1.0),
-                          eta=getattr(args, "eta", None))
+                          kind=kind, lambda_R=args.lambda_r, ball_radius=args.ball_radius,
+                          delta0=args.delta0, eta=args.eta)
 
 
 def _cfg_dict(args, extra: dict | None = None) -> dict:
@@ -180,9 +185,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_couple(args) -> int:
     spec = resolve_model(args.model)
     s1, s2 = _parse_state(args.start), _parse_state(args.start2)
-    cfg = _ccfg(args, args.t, args.kind)
-    fn = couple_reflection if args.kind == "reflection" else couple_basic
-    rec = fn(spec, s1, s2, cfg, args.seed)
+    rec = couple(spec, s1, s2, _ccfg(args, args.t, args.kind), args.seed)
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     rec.to_csv(out / "couple.csv")
@@ -280,7 +283,7 @@ def _cmd_killed(args) -> int:
                                           start.k, args.n, cfg, args.seed + 1,
                                           threads=args.threads)
     ens = simulate_ensemble(spec, start, replace(cfg, horizon=args.t), args.n,
-                            args.seed + 2, threads=args.threads, switching=False)
+                            args.seed + 2, threads=args.threads, regime="frozen")
     hits = (np.linalg.norm(ens.x - center, axis=1) < radius) & ~ens.censored
     p_frozen = float(np.mean(hits))
     se_frozen = float(np.sqrt(max(p_frozen * (1 - p_frozen), 1e-300) / args.n))
@@ -466,10 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True)
     p.add_argument("--start2", required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--lambda-r", dest="lambda_r", type=float, default=None)
-    p.add_argument("--ball-radius", type=float, default=1e6)
-    p.add_argument("--delta0", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=None)
+    _coupling_args(p)
     p.set_defaults(func=_cmd_couple)
 
     for name, fdefault in (("feller", "tanh-over-1pk"),
@@ -484,10 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=50000)
         p.add_argument("--f", default=fdefault)
         p.add_argument("--threshold", type=float, default=0.05)
-        p.add_argument("--lambda-r", dest="lambda_r", type=float, default=None)
-        p.add_argument("--ball-radius", type=float, default=1e6)
-        p.add_argument("--delta0", type=float, default=1.0)
-        p.add_argument("--eta", type=float, default=None)
+        _coupling_args(p)
         p.set_defaults(func=_cmd_feller if name == "feller" else _cmd_strong_feller)
 
     p = sub.add_parser("irreducible", help="reachability with a positive lower bound")

@@ -41,7 +41,7 @@ first |X~ - X| above delta0, first regime disagreement, and the meeting time.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +54,7 @@ __all__ = [
     "CouplingConfig",
     "CoupledPathRecord",
     "CoupledEnsemble",
-    "couple_basic",
-    "couple_reflection",
+    "couple",
     "couple_ensemble",
     "sqrt_psd",
     "pair_one_step",
@@ -111,6 +110,21 @@ def _resolve_lambda(spec: ModelSpec, cfg: CouplingConfig) -> float:
             f"lambda_R={lam} exceeds the model's declared ellipticity floor "
             f"{spec.ellipticity_floor}")
     return float(lam)
+
+
+def _bridge_crossing_prob(sep0, sep1, r0, r1, sl1, sl2, u, lam: float, h: float):
+    """Brownian-bridge probability that the separation crossed zero within a
+    step: exp(-2 r0 r1 / (Abar h)), with Abar = |(s_lam(x) - s_lam(x~)) u|^2
+    + 4 lam the separation's variance rate, and 1 on a sign flip in one
+    dimension.  ``sep0``/``sep1`` are the (n, d) separations at the step's
+    start and end, ``r0``/``r1`` their norms, ``sl1``/``sl2`` the (n, d, d)
+    roots s_lam and ``u`` the (n, d) unit vectors of the step."""
+    cross_num = sep0[:, 0] * sep1[:, 0] if sep0.shape[1] == 1 else r0 * r1
+    slu = np.einsum("nij,nj->ni", sl1 - sl2, u)
+    abar = np.einsum("ni,ni->n", slu, slu) + 4.0 * lam
+    with np.errstate(over="ignore"):
+        return np.where(cross_num < 0.0, 1.0,
+                        np.exp(-2.0 * np.maximum(cross_num, 0.0) / (abar * h)))
 
 
 def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
@@ -227,19 +241,11 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
             # within-step meeting via the Brownian-bridge crossing probability
             sl1, sl2, u, clamps = refl
             n_clamped += clamps
-            uco = unif[2]
-            r0 = np.linalg.norm(Xt - X, axis=1)
-            r1 = np.linalg.norm(Xtn - Xn, axis=1)
-            if d == 1:
-                cross_num = (Xt - X)[:, 0] * (Xtn - Xn)[:, 0]
-            else:
-                cross_num = r0 * r1
-            slu = np.einsum("nij,nj->ni", sl1 - sl2, u)
-            abar = np.einsum("ni,ni->n", slu, slu) + 4.0 * lam
-            with np.errstate(over="ignore"):
-                p_cross = np.where(cross_num < 0.0, 1.0,
-                                   np.exp(-2.0 * np.maximum(cross_num, 0.0) / (abar * h)))
-            meet = alive & ~merged & (r0 > 0.0) & (Kn == Ktn) & (uco < p_cross)
+            sep0, sep1 = Xt - X, Xtn - Xn
+            r0 = np.linalg.norm(sep0, axis=1)
+            p_cross = _bridge_crossing_prob(sep0, sep1, r0, np.linalg.norm(sep1, axis=1),
+                                            sl1, sl2, u, lam, h)
+            meet = alive & ~merged & (r0 > 0.0) & (Kn == Ktn) & (unif[2] < p_cross)
             if meet.any():
                 merged[meet] = True
                 t_meet[meet] = np.minimum(t_meet[meet], t_next)
@@ -331,7 +337,10 @@ class CoupledEnsemble:
         return int(np.count_nonzero(np.isfinite(self.exit_time)))
 
 
-def _couple_single(spec, start, start2, cfg, seed) -> CoupledPathRecord:
+def couple(spec: ModelSpec, start: HybridState, start2: HybridState,
+           cfg: CouplingConfig, seed: int) -> CoupledPathRecord:
+    """One coupled pair under ``cfg.kind`` ("basic" or "reflection"), with
+    full recording."""
     spec.check_state(start)
     spec.check_state(start2)
     if start.k != start2.k:
@@ -357,22 +366,6 @@ def _couple_single(spec, start, start2, cfg, seed) -> CoupledPathRecord:
     return CoupledPathRecord(rec["times"], p1, p2, delta, marks,
                              bool(out["coalesced"][0]), seed,
                              n_eig_clamped=int(out["n_clamped"]))
-
-
-def couple_basic(spec: ModelSpec, start: HybridState, start2: HybridState,
-                 cfg: CouplingConfig, seed: int) -> CoupledPathRecord:
-    """Synchronous coupling of a single pair, with full recording."""
-    if cfg.kind != "basic":
-        cfg = replace(cfg, kind="basic")
-    return _couple_single(spec, start, start2, cfg, seed)
-
-
-def couple_reflection(spec: ModelSpec, start: HybridState, start2: HybridState,
-                      cfg: CouplingConfig, seed: int) -> CoupledPathRecord:
-    """Reflection coupling of a single pair, with full recording."""
-    if cfg.kind != "reflection":
-        cfg = replace(cfg, kind="reflection")
-    return _couple_single(spec, start, start2, cfg, seed)
 
 
 def couple_ensemble(spec: ModelSpec, start: HybridState, start2: HybridState,

@@ -76,9 +76,6 @@ class TestFunction:
         if self.bounded and self.bound is None:
             raise ValueError("bounded test functions must declare their sup-norm bound")
 
-    def value(self, x, k):
-        return self.fn(x, k)
-
     def _fd_step(self, x: np.ndarray) -> float:
         return self.fd_scale * (1.0 + float(np.linalg.norm(x)))
 

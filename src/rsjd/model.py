@@ -346,8 +346,9 @@ class ValidationReport:
         }
 
 
-def _hs_norm_sq(m: np.ndarray) -> float:
-    return float(np.sum(m * m))
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, d) arrays, each summed as ``x[i] @ y[i]``."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def validate_model(spec: ModelSpec, probe_points, directions=None,
@@ -385,8 +386,12 @@ def validate_model(spec: ModelSpec, probe_points, directions=None,
         checks.append(ValidationCheck(name, worst, (points_used[i].x, points_used[i].k),
                                       passed, note))
 
-    bs = np.stack([spec.drift(p.x, p.k) for p in points])
-    sigs = np.stack([spec.sigma(p.x, p.k) for p in points])
+    # one batched call per coefficient; dot products go through matmul, which
+    # sums in the order a per-point x @ b does
+    xs = np.stack([p.x for p in points])
+    ks = np.array([p.k for p in points])
+    bs = np.asarray(spec.drift(xs, ks), dtype=float)
+    sigs = np.asarray(spec.sigma(xs, ks), dtype=float)
     if not (np.all(np.isfinite(bs)) and np.all(np.isfinite(sigs))):
         checks.append(ValidationCheck("finite-coefficients", float("nan"),
                                       (points[0].x, points[0].k), False,
@@ -394,46 +399,44 @@ def validate_model(spec: ModelSpec, probe_points, directions=None,
         return ValidationReport(tuple(checks), len(points))
     a = np.einsum("nij,nkj->nik", sigs, sigs)
 
-    run_check("a-symmetric", [np.abs(ai - ai.T).max() for ai in a], points,
+    run_check("a-symmetric", np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)), points,
               tol=1e-12, note="max |a - a^T|")
-    run_check("a-psd", [-float(np.linalg.eigvalsh(ai)[0]) for ai in a], points,
+    run_check("a-psd", -np.linalg.eigvalsh(a)[:, 0], points,
               tol=1e-10, note="-(min eigenvalue of a)")
 
     if spec.ellipticity_floor is not None:
         lam = spec.ellipticity_floor
-        vals, pts = [], []
-        for p, ai in zip(points, a):
-            for v in dirs:
-                vals.append(lam - float(v @ ai @ v))
-                pts.append(p)
-        run_check("ellipticity-floor", vals, pts, tol=1e-10,
+        vals = []
+        for v in dirs:
+            vb = np.broadcast_to(v, xs.shape)
+            vals.append(_dot((vb[:, None, :] @ a)[:, 0], vb))
+        # (point, direction) pairs in point-major order
+        run_check("ellipticity-floor", lam - np.stack(vals, axis=1).ravel(),
+                  [p for p in points for _ in dirs], tol=1e-10,
                   note=f"lambda - <xi, a xi> with lambda={lam}")
 
     c2 = None
     if spec.has_jumps and spec.jump_measure.c_second_moment is not None:
-        c2 = np.array([float(spec.jump_measure.c_second_moment(p.x, p.k)) for p in points])
+        c2 = np.asarray(spec.jump_measure.c_second_moment(xs, ks), dtype=float)
         run_check("jump-second-moment-finite", np.where(np.isfinite(c2), -1.0, np.inf),
                   points, tol=0.0, note="int |c|^2 nu finite at probes")
 
     if spec.growth_constant is not None:
         kap = spec.growth_constant
-        vals = [2.0 * float(p.x @ b) - kap * (float(p.x @ p.x) + 1.0)
-                for p, b in zip(points, bs)]
-        run_check("growth-drift", vals, points, tol=1e-10,
+        cap = kap * (_dot(xs, xs) + 1.0)
+        run_check("growth-drift", 2.0 * _dot(xs, bs) - cap, points, tol=1e-10,
                   note=f"2<x,b> - kappa(|x|^2+1), kappa={kap}")
-        vals = []
-        for i, p in enumerate(points):
-            total = _hs_norm_sq(sigs[i]) + (float(c2[i]) if c2 is not None else 0.0)
-            vals.append(total - kap * (float(p.x @ p.x) + 1.0))
-        run_check("growth-diffusion-jump", vals, points, tol=1e-10,
+        total = (sigs * sigs).reshape(len(points), -1).sum(axis=1)
+        if c2 is not None:
+            total = total + c2
+        run_check("growth-diffusion-jump", total - cap, points, tol=1e-10,
                   note=f"|sigma|^2 + int|c|^2 nu - kappa(|x|^2+1), kappa={kap}")
 
     if spec.rates.kappa0 is not None:
         k0 = spec.rates.kappa0
         ls = np.arange(1, 65)
         cap = k0 * ls * 3.0 ** -ls
-        q = rate_rows(spec.rates, np.stack([p.x for p in points]),
-                      np.array([p.k for p in points]), len(ls))
+        q = rate_rows(spec.rates, xs, ks, len(ls))
         run_check("rate-uniform-bound", np.max(q - cap, axis=1), points, tol=1e-12,
                   note=f"q_kl(x) - kappa0 l 3^-l with kappa0={k0}, l <= 64")
 

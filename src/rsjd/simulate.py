@@ -1,6 +1,11 @@
 """Time stepping for the hybrid system: Euler-Maruyama with compensated jumps
 plus per-step regime switching.
 
+Every simulator takes a ``regime`` mode: "switching" (the full process,
+steps 1-5 below), "frozen" (the regime never moves: the process X^(k) of
+one fixed regime, steps 1-4) or "killed" (the frozen process plus the
+survival weight exp(-int q_k(X(s)) ds) of the killed sub-transition).
+
 One step of size h from state (x, k):
 
 1. Brownian increment through sigma(x,k).
@@ -143,7 +148,7 @@ class EnsembleResult:
     k: np.ndarray          # (n,)
     exit_time: np.ndarray  # (n,), inf where never censored
     weight: np.ndarray | None = None  # killed-run survival weights
-    hook_buffers: list = field(default_factory=list)
+    observers: list = field(default_factory=list)  # per batch, in batch order
 
     @property
     def censored(self) -> np.ndarray:
@@ -298,22 +303,23 @@ def _increment(spec: ModelSpec, sides, h: float, streams, eps, lam_rate,
 
 
 def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConfig,
-            streams, *, switching: bool = True, killed: bool = False,
-            record: bool = False, step_hook: Callable | None = None):
+            streams, *, regime: str = "switching", record: bool = False,
+            observe: Callable | None = None):
     """Advance an (n, d) batch over the full grid.  Core of every simulator.
 
     ``streams`` holds the batch's ``(rng, lo, hi)`` segments (see
     ``_increment``).  Each step takes its increment from ``_increment``;
-    switching mode then draws the two switch uniforms, per segment.  Rate
-    rows are built only for the switch candidates, the paths whose first
+    the "switching" regime then draws the two switch uniforms, per segment.
+    Rate rows are built only for the switch candidates, the paths whose first
     switch uniform falls below 1 - exp(-Qbar_k h); the switch law is the same
-    as building every row.  Killed mode freezes the regime and accumulates
-    the trapezoid rule for int q_k(X(s)) ds instead of switching, so it needs
-    ``switching=False``.  ``step_hook(i, t, x, k, alive)`` sees the batch
-    after step i.
+    as building every row.  "frozen" keeps the regime, and "killed" keeps it
+    too and accumulates the trapezoid rule for int q_k(X(s)) ds.
+    ``observe(i, t, x, k, alive)`` sees the batch after step i.
     """
-    if switching and killed:
-        raise ValueError("killed mode freezes the regime; pass switching=False")
+    if regime not in ("switching", "frozen", "killed"):
+        raise ValueError(f"regime must be 'switching', 'frozen' or 'killed', not {regime!r}")
+    switching = regime == "switching"
+    killed = regime == "killed"
     n, d = x0.shape
     x = x0.astype(float).copy()
     k = k0.astype(np.int64).copy()
@@ -322,9 +328,8 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     gaussian = cfg.small_jump_policy == "gaussian"
     count_dropped = (record and eps is not None and not gaussian
                      and spec.small_jump_cov is not None)
-    use_rows = switching or killed
     row_tol = cfg.regime_tol if cfg.regime_tol is not None else spec.regime_tol
-    trunc = RowTruncator(spec.rates, row_tol) if use_rows else None
+    trunc = RowTruncator(spec.rates, row_tol) if switching or killed else None
 
     # Exact switch pre-screen: q_k(x) <= Qbar_k = tail_bound(k, 0), so only a
     # path with u1 < 1 - exp(-Qbar_k h) can switch and needs its rate row.
@@ -344,8 +349,8 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
         rec_ks = np.empty(nsteps + 1, dtype=np.int64)
         rec_xs[0] = x[0]
         rec_ks[0] = k[0]
-    if step_hook is not None:
-        step_hook(0, 0.0, x, k, alive)
+    if observe is not None:
+        observe(0, 0.0, x, k, alive)
 
     for i in range(nsteps):
         t_next = (i + 1) * h
@@ -389,8 +394,8 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
         if record:
             rec_xs[i + 1] = x[0]
             rec_ks[i + 1] = k[0]
-        if step_hook is not None:
-            step_hook(i + 1, t_next, x, k, alive)
+        if observe is not None:
+            observe(i + 1, t_next, x, k, alive)
 
     out = {"x": x, "k": k, "exit_time": exit_time}
     if killed:
@@ -413,11 +418,11 @@ def _compensator_quadrature(spec: ModelSpec, x: np.ndarray, k: np.ndarray,
 
 
 def _recorded_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig, seed: int,
-                   **mode):
+                   regime: str = "switching"):
     """One fully recorded path: (PathRecord, raw ``_evolve`` output)."""
     spec.check_state(start)
     out = _evolve(spec, start.x[None, :], np.array([start.k]), cfg,
-                  ((derive_rng(seed, 0, 0), 0, 1),), record=True, **mode)
+                  ((derive_rng(seed, 0, 0), 0, 1),), regime=regime, record=True)
     times, xs, ks, sw, jp, dropped = out["record"]
     exited = out["exit_time"][0]
     rec = PathRecord(times, xs, ks, sw, jp, seed,
@@ -430,7 +435,7 @@ def _recorded_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig, s
 def simulate_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig,
                   seed: int) -> PathRecord:
     """Simulate a single trajectory with full grid and event recording."""
-    return _recorded_path(spec, start, cfg, seed, switching=True)[0]
+    return _recorded_path(spec, start, cfg, seed)[0]
 
 
 def simulate_killed_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig,
@@ -438,16 +443,14 @@ def simulate_killed_path(spec: ModelSpec, start: HybridState, cfg: IntegratorCon
     """Simulate the frozen-regime path and its survival weight
     exp(-int_0^T q_k(X(s)) ds), the sub-probability reweighting for the
     killed process.  Returns (PathRecord, weight)."""
-    rec, out = _recorded_path(spec, start, cfg, seed, switching=False, killed=True)
+    rec, out = _recorded_path(spec, start, cfg, seed, regime="killed")
     return rec, float(out["weight"][0])
 
 
 def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState],
                       cfg: IntegratorConfig,
                       n_paths: int, seed: int, threads: int = 1, *,
-                      switching: bool = True, killed: bool = False,
-                      hook_factory: Callable | None = None,
-                      step_hook: Callable | None = None,
+                      regime: str = "switching", observer: Callable | None = None,
                       stream: int = 0) -> EnsembleResult:
     """Run n_paths trajectories and return terminal data.
 
@@ -461,7 +464,7 @@ def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState
     Consecutive chunks are packed, never split, into batches of at most
     CHUNK_SIZE paths, and each batch runs as one lockstep ``_evolve`` call,
     so a narrow ensemble pays the fixed cost of a step (the Python loop,
-    the coefficient calls, the rate-row call, the hook) once per batch.
+    the coefficient calls, the rate-row call, the observer) once per batch.
     Packing keeps the numbers: every draw is made per chunk, from the
     chunk's own stream and in a lone chunk's order, and every other step
     operation acts path by path.  The one thing a batch's chunks share is
@@ -474,10 +477,12 @@ def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState
     paths or more packs nothing.  Threads only distribute the batches, so
     any thread count reproduces the same numbers.
 
-    ``hook_factory()`` makes one buffer per batch, collected in batch order
-    in ``hook_buffers``; ``step_hook(i, t, x, k, alive, block, buf)`` sees
-    the batch after step i, with ``block`` each path's start index.
-    ``killed=True`` needs ``switching=False``; the pair raises ``ValueError``.
+    ``regime`` is "switching", "frozen" or "killed" (see the module
+    docstring); only "killed" fills ``weight``.  ``observer(block)`` is
+    called once per batch, with ``block`` the start index of each of the
+    batch's paths, and returns a callable ``(i, t, x, k, alive)`` that sees
+    the batch after every step i; the callables, in batch order, come back
+    in ``observers``.
     """
     starts = [start] if isinstance(start, HybridState) else list(start)
     if not starts:
@@ -502,8 +507,8 @@ def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState
     x_out = np.empty((n_paths, spec.d))
     k_out = np.empty(n_paths, dtype=np.int64)
     e_out = np.empty(n_paths)
-    w_out = np.empty(n_paths) if killed else None
-    bufs = [None] * len(batches)
+    w_out = np.empty(n_paths) if regime == "killed" else None
+    observers = [None] * len(batches)
 
     def work(b: int):
         chunks = batches[b]
@@ -511,19 +516,15 @@ def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState
         streams = tuple((derive_rng(seed, stream + bi, c), c_lo - lo, c_hi - lo)
                         for bi, c, c_lo, c_hi in chunks)
         blk = block[lo:hi]
-        buf = hook_factory() if hook_factory is not None else None
-        hook = None
-        if step_hook is not None:
-            def hook(i, t, x, k, alive):
-                step_hook(i, t, x, k, alive, blk, buf)
+        if observer is not None:
+            observers[b] = observer(blk)
         out = _evolve(spec, x_start[blk], k_start[blk], cfg, streams,
-                      switching=switching, killed=killed, step_hook=hook)
+                      regime=regime, observe=observers[b])
         x_out[lo:hi] = out["x"]
         k_out[lo:hi] = out["k"]
         e_out[lo:hi] = out["exit_time"]
-        if killed:
+        if w_out is not None:
             w_out[lo:hi] = out["weight"]
-        bufs[b] = buf
 
     if threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -533,4 +534,4 @@ def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState
             work(b)
 
     return EnsembleResult(x_out, k_out, e_out, weight=w_out,
-                          hook_buffers=[b for b in bufs if b is not None])
+                          observers=observers if observer is not None else [])

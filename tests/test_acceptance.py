@@ -283,7 +283,7 @@ def crit_10_killed_inequalities(threads):
     killed = estimate_killed_subtransition(spec, start, t, center, radius, n, cfg,
                                            SEED + 10, threads=threads)
     ens = simulate_ensemble(spec, start, cfg, n, SEED + 11, threads=threads,
-                            switching=False)
+                            regime="frozen")
     p_frozen = float(np.mean((np.abs(ens.x[:, 0]) < radius) & ~ens.censored))
     se_frozen = float(np.sqrt(p_frozen * (1.0 - p_frozen) / n))
     # independent oracle: every row entry (1/3^{1+l})/(1+l x^2) peaks at x=0,

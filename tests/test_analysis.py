@@ -152,7 +152,7 @@ class TestKilledEstimator:
         n = 2000
         killed = estimate_killed_subtransition(spec, start, 1.0, np.array([0.0]), 1.0, n,
                                                cfg, 14)
-        ens = simulate_ensemble(spec, start, cfg, n, 14, switching=False, killed=True)
+        ens = simulate_ensemble(spec, start, cfg, n, 14, regime="killed")
         assert 0 < killed.n_censored == ens.n_censored < n
         assert killed.n_paths == n
 
@@ -167,7 +167,7 @@ class TestKilledEstimator:
         from rsjd.simulate import simulate_ensemble
         from dataclasses import replace
         ens = simulate_ensemble(spec, start, replace(cfg, horizon=t), 8000, 13,
-                                switching=False)
+                                regime="frozen")
         p_frozen = float(np.mean(np.abs(ens.x[:, 0]) < radius))
         se = np.sqrt(p_frozen * (1 - p_frozen) / 8000)
         m_sup = 1.0 / 18.0  # independent series oracle for sup_x q_1(x)

@@ -7,9 +7,8 @@ from rsjd import (
     CouplingConfig,
     EllipticityError,
     HybridState,
-    couple_basic,
+    couple,
     couple_ensemble,
-    couple_reflection,
     example51,
     example52,
     marginal_vs_independent,
@@ -134,8 +133,8 @@ class TestBasicCoupling:
     def test_identical_starts_stay_glued(self):
         spec = example51()
         cfg = CouplingConfig(step=1.0 / 64, horizon=1.0, kind="basic")
-        rec = couple_basic(spec, HybridState(np.array([0.4]), 1),
-                           HybridState(np.array([0.4]), 1), cfg, 3)
+        rec = couple(spec, HybridState(np.array([0.4]), 1),
+                     HybridState(np.array([0.4]), 1), cfg, 3)
         assert np.all(rec.delta == 0.0)
         assert rec.marks["zeta"] == np.inf
         assert rec.marks["T"] == 0.0
@@ -153,8 +152,8 @@ class TestBasicCoupling:
         spec = example51()
         cfg = CouplingConfig(step=0.25, horizon=0.5)
         with pytest.raises(ValueError):
-            couple_basic(spec, HybridState(np.array([0.0]), 1),
-                         HybridState(np.array([0.1]), 2), cfg, 0)
+            couple(spec, HybridState(np.array([0.0]), 1),
+                   HybridState(np.array([0.1]), 2), cfg, 0)
 
     def test_zeta_localized_probability_shrinks(self):
         spec = example51()
@@ -172,8 +171,8 @@ class TestBasicCoupling:
     def test_record_invariants(self):
         spec = example51()
         cfg = CouplingConfig(step=1.0 / 32, horizon=2.0, kind="basic")
-        rec = couple_basic(spec, HybridState(np.array([0.0]), 1),
-                           HybridState(np.array([0.5]), 1), cfg, 11)
+        rec = couple(spec, HybridState(np.array([0.0]), 1),
+                     HybridState(np.array([0.5]), 1), cfg, 11)
         k1, k2 = rec.first.ks, rec.second.ks
         disagree = np.nonzero(k1 != k2)[0]
         if disagree.size:
@@ -187,8 +186,8 @@ class TestReflectionCoupling:
     def test_same_start_coalesces_at_zero(self):
         spec = example51()
         cfg = CouplingConfig(step=1.0 / 64, horizon=0.5, kind="reflection", lambda_R=1.0)
-        rec = couple_reflection(spec, HybridState(np.array([0.2]), 1),
-                                HybridState(np.array([0.2]), 1), cfg, 1)
+        rec = couple(spec, HybridState(np.array([0.2]), 1),
+                     HybridState(np.array([0.2]), 1), cfg, 1)
         assert rec.marks["T"] == 0.0 and rec.coalesced
 
     def test_identical_after_coalescence(self):
@@ -216,14 +215,14 @@ class TestReflectionCoupling:
         spec = example51()
         cfg = CouplingConfig(step=0.25, horizon=0.5, kind="reflection", lambda_R=2.0)
         with pytest.raises(ValueError):
-            couple_reflection(spec, HybridState(np.array([0.0]), 1),
-                              HybridState(np.array([0.1]), 1), cfg, 0)
+            couple(spec, HybridState(np.array([0.0]), 1),
+                   HybridState(np.array([0.1]), 1), cfg, 0)
 
     def test_csv_and_marks_sidecar(self, tmp_path):
         spec = example51()
         cfg = CouplingConfig(step=1.0 / 32, horizon=0.25, kind="reflection", lambda_R=1.0)
-        rec = couple_reflection(spec, HybridState(np.array([0.0]), 1),
-                                HybridState(np.array([0.1]), 1), cfg, 2)
+        rec = couple(spec, HybridState(np.array([0.0]), 1),
+                     HybridState(np.array([0.1]), 1), cfg, 2)
         rec.to_csv(tmp_path / "c.csv")
         header = (tmp_path / "c.csv").read_text().split("\n")[0]
         assert header == "t,x1,xt1,k,kt,abs_delta"

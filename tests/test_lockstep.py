@@ -86,7 +86,7 @@ class TestBlocksMatchLoneRuns:
 
     def test_killed(self):
         _blocks_match_lone_runs(example52(), STARTS, self.CFG, 300, 43, 0,
-                                switching=False, killed=True)
+                                regime="killed")
 
     def test_config_model(self, tmp_path):
         # no closed-form compensator: the quadrature fallback sees packed batches

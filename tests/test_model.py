@@ -169,6 +169,52 @@ class TestValidateModel:
         b = validate_model(spec, probes).to_dict()
         assert a == b
 
+    def test_batched_checks_match_pointwise(self):
+        # each coefficient is evaluated once over all probes; the margins and
+        # worst points must be those of a per-point loop, bit for bit (the
+        # coefficients are elementwise, so a batched call returns the numbers
+        # that per-point calls do)
+        d = 3
+        m = np.random.default_rng(3).normal(size=(d, d))
+
+        def drift(x, k):
+            x = np.asarray(x, dtype=float)
+            return 3.0 * np.sin(x[..., ::-1]) - x / (1.0 + np.asarray(k, dtype=float)[..., None])
+
+        def sigma(x, k):
+            x = np.asarray(x, dtype=float)
+            return np.eye(d) * 2.0 + np.cos(x)[..., :, None] * m
+
+        spec = ModelSpec(d=d, drift=drift, sigma=sigma, rates=zero_rates(),
+                         ellipticity_floor=0.01, growth_constant=9.0)
+        rng = np.random.default_rng(4)
+        probes = [HybridState(rng.normal(size=d) * 3.0, int(rng.integers(1, 5)))
+                  for _ in range(160)]
+        raw_dirs = list(rng.normal(size=(2, d)))
+        dirs = [v / np.linalg.norm(v) for v in raw_dirs]  # as validate_model scales them
+        sigs = np.stack([sigma(p.x, p.k) for p in probes])
+        a = np.einsum("nij,nkj->nik", sigs, sigs)
+        cap = [9.0 * (float(p.x @ p.x) + 1.0) for p in probes]
+        # per-probe reference values; the ellipticity check has one per direction
+        ref = {
+            "a-psd": [[-float(np.linalg.eigvalsh(ai)[0])] for ai in a],
+            "ellipticity-floor": [[0.01 - float(v @ ai @ v) for v in dirs] for ai in a],
+            "growth-drift": [[2.0 * float(p.x @ drift(p.x, p.k)) - c]
+                             for p, c in zip(probes, cap)],
+            "growth-diffusion-jump": [[float(np.sum(si * si)) - c]
+                                      for si, c in zip(sigs, cap)],
+        }
+        # a report shows only the worst value, so small groups expose most values
+        for lo in range(0, len(probes), 4):
+            group = probes[lo:lo + 4]
+            checks = {c.name: c for c in validate_model(spec, group, directions=raw_dirs).checks}
+            for name, per_probe in ref.items():
+                vals = [v for vs in per_probe[lo:lo + 4] for v in vs]
+                i = int(np.argmax(vals))
+                worst = group[i // len(per_probe[lo])]
+                assert checks[name].margin == vals[i], name
+                assert checks[name].worst_point[0] is worst.x, name
+
     def test_rate_uniform_bound_checked(self):
         spec = example51()
         rep = validate_model(spec, self.probes(spec, n=5, kmax=4))

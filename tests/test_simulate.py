@@ -208,11 +208,11 @@ class TestCompensatorFallback:
 
 
 class TestEnsemble:
-    def test_killed_mode_needs_switching_off(self):
-        with pytest.raises(ValueError, match="switching=False"):
+    def test_unknown_regime_rejected(self):
+        with pytest.raises(ValueError, match="'switching', 'frozen' or 'killed'"):
             simulate_ensemble(example51(), HybridState(np.array([0.0]), 1),
                               IntegratorConfig(step=1.0 / 16, horizon=1.0), 200, 3,
-                              killed=True)
+                              regime="kiled")
 
     def test_thread_count_invariance(self):
         spec = example51()

@@ -7,6 +7,7 @@ for every path, so they also show that screening leaves the output unchanged.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from rsjd import (
     IntegratorConfig,
     RateMatrixSpec,
     TruncationError,
+    couple,
     couple_ensemble,
-    couple_reflection,
     example51,
     example52,
     reflection_cross_covariance,
@@ -30,6 +31,13 @@ from rsjd.coupling import pair_one_step
 from rsjd.simulate import CHUNK_SIZE, derive_rng
 
 from test_simulate import const_rate_matrix, make_model, zero_rates
+
+
+# recorded reflection-coupled pair records, one per built-in model
+REFLECTION_RECORDS = [
+    (example51, "8fa496969e9cecb960e89507d574b17e8c832e3df5de6fa821cc01ee80ad485e"),
+    (example52, "ab0b3f7e472a67b60f158544e8b3dd1c005a9bb8fb78973413e02acf2ef6d7b7"),
+]
 
 
 def _digest(*arrays) -> str:
@@ -112,7 +120,7 @@ class TestGoldenDigests:
         policy = "gaussian" if mode == "gaussian" else "drop"
         cfg = IntegratorConfig(step=1.0 / 32, horizon=1.0, small_jump_policy=policy)
         ens = simulate_ensemble(example52(), self.START, cfg, self.N, 20262,
-                                switching=mode == "gaussian", killed=mode == "killed")
+                                regime="switching" if mode == "gaussian" else mode)
         arrays = (ens.x, ens.k, ens.exit_time)
         if mode == "killed":
             assert np.all(ens.weight < 1.0)
@@ -139,20 +147,27 @@ class TestGoldenDigests:
         assert _digest(*_record_arrays(rec), *_record_arrays(killed), np.float64(weight)) == \
             "2be34cece21780e53329049f9cc4263c084c0fc80d0814a87b07dec95a9aba1e"
 
-    @pytest.mark.parametrize("model, expected", [
-        (example51, "8fa496969e9cecb960e89507d574b17e8c832e3df5de6fa821cc01ee80ad485e"),
-        (example52, "ab0b3f7e472a67b60f158544e8b3dd1c005a9bb8fb78973413e02acf2ef6d7b7"),
-    ])
-    def test_reflection_record(self, model, expected):
-        spec = model()
+    def _coupled_record_digest(self, spec, cfg):
         start = HybridState(self.START.x[:spec.d], 1)
         start2 = HybridState(self.START2.x[:spec.d], 1)
-        cfg = CouplingConfig(step=1.0 / 64, horizon=4.0, kind="reflection")
-        rec = couple_reflection(spec, start, start2, cfg, 20265)
+        rec = couple(spec, start, start2, cfg, 20265)
         assert rec.first.jump_events
-        assert _digest(*_record_arrays(rec.first), *_record_arrays(rec.second), rec.delta,
+        return _digest(*_record_arrays(rec.first), *_record_arrays(rec.second), rec.delta,
                        np.array(list(rec.marks.values())),
-                       np.array([rec.coalesced, rec.n_eig_clamped])) == expected
+                       np.array([rec.coalesced, rec.n_eig_clamped]))
+
+    @pytest.mark.parametrize("model, expected", REFLECTION_RECORDS)
+    def test_reflection_record(self, model, expected):
+        cfg = CouplingConfig(step=1.0 / 64, horizon=4.0, kind="reflection")
+        assert self._coupled_record_digest(model(), cfg) == expected
+
+    @pytest.mark.parametrize("model, expected", REFLECTION_RECORDS)
+    def test_couple_reads_kind_from_config(self, model, expected):
+        # one entry point: the kind on the config alone picks the coupling
+        basic = CouplingConfig(step=1.0 / 64, horizon=4.0)
+        assert basic.kind == "basic"
+        assert self._coupled_record_digest(model(), basic) != expected
+        assert self._coupled_record_digest(model(), replace(basic, kind="reflection")) == expected
 
     @pytest.mark.parametrize("kind, with_jumps, expected", [
         ("basic", False, "5624fe91cc02de170870ce7062de568926bbf4744b69664768b82ff1f142cf7e"),

@@ -51,7 +51,7 @@ def test_killed_ensemble():
     runs = []
     for threads in THREADS:
         ens = simulate_ensemble(example52(), START, cfg, N, 32, threads=threads,
-                                switching=False, killed=True)
+                                regime="killed")
         runs.append((ens.x, ens.k, ens.exit_time, ens.weight))
     _assert_same_bytes(runs)
 
