@@ -14,7 +14,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, stats
 
 from .coupling import (CouplingConfig, _bridge_crossing_prob, _resolve_lambda,
                        couple_ensemble, pair_one_step)
@@ -199,6 +198,22 @@ def strong_feller_modulus(spec: ModelSpec, f, x, xt_sequence, k: int, t: float,
     return out
 
 
+def _check_target(t: float, target_radius: float) -> None:
+    if not (target_radius > 0 and t > 0):
+        raise ValueError("need a positive target radius and time")
+
+
+def _clopper_pearson_lower95(s: int, n: int) -> float:
+    """One-sided 95% Clopper-Pearson lower bound on a success probability
+    from s successes in n trials: the 5% quantile of Beta(s, n - s + 1), or 0
+    when s = 0."""
+    if s <= 0:
+        return 0.0
+    from scipy.special import betaincinv
+
+    return float(betaincinv(s, n - s + 1, 0.05))
+
+
 def estimate_transition(spec: ModelSpec, start: HybridState, t: float, target_center,
                         target_radius: float, target_regime: int, n_paths: int,
                         cfg: IntegratorConfig, seed: int, threads: int = 1,
@@ -214,8 +229,9 @@ def estimate_transition(spec: ModelSpec, start: HybridState, t: float, target_ce
     ``keep_terminal`` stashes the last batch's terminal states under
     extra["_terminal"] for CSV export.
     """
-    if target_radius <= 0 or t <= 0:
-        raise ValueError("need a positive target radius and time")
+    _check_target(t, target_radius)
+    if target_regime < 1:
+        raise ValueError(f"target_regime must be >= 1 (regimes are 1-based), got {target_regime}")
     a = np.asarray(target_center, dtype=float)
     cfg = replace(cfg, horizon=t)
     total_n = 0
@@ -231,7 +247,7 @@ def estimate_transition(spec: ModelSpec, start: HybridState, t: float, target_ce
         total_hits += int(hits.sum())
         total_n += n_paths
         s, n = total_hits, total_n
-        lower = float(stats.beta.ppf(0.05, s, n - s + 1)) if s > 0 else 0.0
+        lower = _clopper_pearson_lower95(s, n)
         if not adapt_until_positive or lower > 0.0 or total_n >= max_paths:
             break
         batch += 1
@@ -251,6 +267,7 @@ def estimate_killed_subtransition(spec: ModelSpec, start: HybridState, t: float,
                                   keep_terminal: bool = False) -> EstimatorResult:
     """Weighted estimate of the killed sub-transition: the regime is frozen at
     its start value and each path carries exp(-int_0^t q_k(X(s)) ds)."""
+    _check_target(t, target_radius)
     a = np.asarray(target_center, dtype=float)
     ens = simulate_ensemble(spec, start, replace(cfg, horizon=t), n_paths, seed,
                             threads=threads, regime="killed")
@@ -441,6 +458,8 @@ def _cumulative_integral(g: Callable, grid: np.ndarray) -> np.ndarray:
     g may blow up at 0 as long as it stays integrable there; divergence shows
     up as a non-finite first cell and raises.
     """
+    from scipy import integrate
+
     vals = np.zeros(grid.size)
     for i in range(grid.size - 1):
         out = integrate.quad(g, grid[i], grid[i + 1], epsabs=1e-13, epsrel=1e-11,
@@ -739,6 +758,8 @@ def marginal_vs_independent(spec: ModelSpec, start: HybridState, start2: HybridS
     """Compare both marginals of a coupled run against independent simulations
     from the same starts: two-sample KS on the first state coordinate and a
     chi-square on the regime distribution, for each component (4 p-values)."""
+    from scipy import stats
+
     cfg_run = replace(cfg, horizon=t)
     ens = couple_ensemble(spec, start, start2, cfg_run, n_paths, seed,
                           threads=threads, stream=0)

@@ -39,7 +39,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .examples import example51, example52
 from .model import JumpMeasureSpec, ModelSpec, RateMatrixSpec
@@ -107,7 +106,12 @@ def _power_law_measure(exponent: float, epsilon: float) -> JumpMeasureSpec:
 def load_model_config(path) -> ModelSpec:
     """Build a ModelSpec from a YAML/JSON config file."""
     text = Path(path).read_text()
-    raw = yaml.safe_load(text) if not str(path).endswith(".json") else json.loads(text)
+    if str(path).endswith(".json"):
+        raw = json.loads(text)
+    else:
+        import yaml
+
+        raw = yaml.safe_load(text)
     if not isinstance(raw, dict) or "model" not in raw:
         raise ValueError("config must contain a top-level 'model' mapping")
     m = raw["model"]

@@ -105,6 +105,8 @@ def _resolve_lambda(spec: ModelSpec, cfg: CouplingConfig) -> float:
     lam = cfg.lambda_R if cfg.lambda_R is not None else spec.ellipticity_floor
     if lam is None:
         raise ValueError("reflection coupling needs lambda_R (or a declared model floor)")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda_R must be positive and finite, got {lam}")
     if spec.ellipticity_floor is not None and lam > spec.ellipticity_floor + 1e-12:
         raise ValueError(
             f"lambda_R={lam} exceeds the model's declared ellipticity floor "

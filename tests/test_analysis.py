@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rsjd import (
@@ -25,6 +27,7 @@ from rsjd import (
     trend_ok,
     verify_coupling_drift,
 )
+from rsjd.analysis import _clopper_pearson_lower95
 
 from test_simulate import diag_sigma, make_model
 
@@ -119,9 +122,24 @@ class TestTransition:
         assert res.estimate == 0.0 and res.extra["lower95"] == 0.0
 
     def test_clopper_pearson_monotone_in_n(self):
-        lowers = [float(stats.beta.ppf(0.05, int(0.05 * n), n - int(0.05 * n) + 1))
-                  for n in (100, 400, 1600, 6400)]
+        lowers = [_clopper_pearson_lower95(int(0.05 * n), n) for n in (100, 400, 1600, 6400)]
         assert all(b >= a for a, b in zip(lowers, lowers[1:]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @example((1, 1))
+    @example((1, 1 << 20))
+    @example((1 << 20, 1 << 20))
+    @given(st.integers(1, 1 << 20).flatmap(
+        lambda n: st.tuples(st.sampled_from([1, n]) | st.integers(1, n), st.just(n))))
+    def test_clopper_pearson_matches_beta_ppf(self, sn):
+        s, n = sn
+        assert _clopper_pearson_lower95(s, n) == float(stats.beta.ppf(0.05, s, n - s + 1))
+
+    def test_regime_below_one_rejected(self):
+        cfg = IntegratorConfig(step=1.0 / 32, horizon=1.0)
+        with pytest.raises(ValueError, match="target_regime must be >= 1"):
+            estimate_transition(example51(), HybridState(np.array([0.0]), 1), 0.25,
+                                np.array([0.0]), 0.5, 0, 16, cfg, 1)
 
     def test_adaptive_growth(self):
         spec = example51()
@@ -144,6 +162,14 @@ class TestKilledEstimator:
                                      200, cfg, 11)
         assert killed.estimate == frozen.estimate == 1.0
         assert killed.extra["mean_weight"] == 1.0
+
+    @pytest.mark.parametrize("t, radius", [(1.0, -1.0), (1.0, 0.0), (1.0, float("nan")),
+                                           (0.0, 1.0), (-1.0, 1.0)])
+    def test_degenerate_target_rejected(self, t, radius):
+        cfg = IntegratorConfig(step=1.0 / 32, horizon=1.0)
+        with pytest.raises(ValueError, match="positive target radius and time"):
+            estimate_killed_subtransition(example51(), HybridState(np.array([0.0]), 1), t,
+                                          np.array([0.0]), radius, 16, cfg, 1)
 
     def test_censored_paths_reported(self):
         spec = example51()

@@ -118,6 +118,17 @@ class TestCli:
         assert "T" in marks and "zeta" in marks
         assert (tmp_path / "couple.csv").exists()
 
+    @pytest.mark.parametrize("lam", ["-1", "0", "nan"])
+    def test_strong_feller_bad_lambda_exit_2(self, tmp_path, lam):
+        assert run(["strong-feller", "--model", "example51", "--n", "10", "--t", "0.1",
+                    "--h", "0.01", "--lambda-r", lam, "--outdir", str(tmp_path)]) == 2
+        assert not (tmp_path / "strong-feller.json").exists()
+
+    def test_irreducible_regime_zero_exit_2(self, tmp_path):
+        assert run(["irreducible", "--model", "example51", "--start", "0,1",
+                    "--target", "0,0.5", "--regime", "0", "--t", "0.1", "--n", "16",
+                    "--outdir", str(tmp_path)]) == 2
+
     def test_g_function_invariants(self, tmp_path):
         assert run(["g-function", "--kappa", "8.0", "--lam", "1.0",
                     "--outdir", str(tmp_path)]) == 0

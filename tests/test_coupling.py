@@ -115,6 +115,18 @@ class TestPairOneStep:
         with pytest.raises(ValueError, match="exceeds the model's declared ellipticity floor"):
             self._step(example52(), kind="reflection", lambda_R=0.1)
 
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_lambda_not_positive_finite_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda_R must be positive and finite"):
+            self._step(example51(), kind="reflection", lambda_R=lam)
+
+    @pytest.mark.parametrize("floor", [0.0, float("nan")])
+    def test_model_floor_not_positive_finite_rejected(self, floor):
+        # with no lambda_R the declared floor is used, and it is checked the same way
+        spec = make_model(sigma=diag_sigma(1.0), ellipticity_floor=floor)
+        with pytest.raises(ValueError, match="lambda_R must be positive and finite"):
+            self._step(spec, kind="reflection")
+
     @pytest.mark.parametrize("kind", ["basic", "reflection"])
     def test_gaussian_policy_adds_small_jump_covariance(self, kind):
         # the same stream drives both runs, so the difference is exactly the
