@@ -3,8 +3,10 @@
 Every estimator is deterministic given (inputs, master seed): path ensembles
 are chunked with per-chunk RNG streams and aggregated in fixed path order, so
 neither the thread count nor scheduling affects a single bit of output.
-Common random numbers across a sequence of perturbed starts come for free:
-each entry of the sequence reuses the same stream.
+A sequence of perturbed starts (the Feller and strong Feller moduli) runs as
+one coupled sweep: each chunk draws its numbers once and every separation
+sees those draws, so the entries share common random numbers, and each
+entry is what a run with that separation alone would give.
 """
 
 from __future__ import annotations
@@ -151,6 +153,20 @@ def _coupled_diff_result(spec, f, ens, t, bound) -> EstimatorResult:
     return _mean_result(diff, n_censored=int(cen.sum()), extra=extra, absolute=True)
 
 
+def _modulus_sweep(spec: ModelSpec, f, x, xt_sequence, k: int, t: float, n_paths: int,
+                   cfg: CouplingConfig, seed: int, threads: int) -> list:
+    """The coupled difference result of every separation of ``xt_sequence``,
+    in order, from one ``couple_ensemble`` sweep under ``cfg.kind``."""
+    seconds = [HybridState(np.asarray(xt, dtype=float), k) for xt in xt_sequence]
+    if not seconds:
+        return []
+    ens = couple_ensemble(spec, HybridState(np.asarray(x, dtype=float), k), seconds,
+                          replace(cfg, horizon=t), len(seconds) * n_paths, seed,
+                          threads=threads, stream=0)
+    return [_coupled_diff_result(spec, f, block, t, f.bound)
+            for block in ens.blocks(len(seconds))]
+
+
 def feller_modulus(spec: ModelSpec, f, x, xt_sequence, k: int, t: float, n_paths: int,
                    cfg: CouplingConfig, seed: int, threads: int = 1) -> list:
     """Semigroup modulus |P_t f(x~,k) - P_t f(x,k)| along a sequence x~ -> x,
@@ -160,15 +176,8 @@ def feller_modulus(spec: ModelSpec, f, x, xt_sequence, k: int, t: float, n_paths
     probability term 2*sup|f|*P{zeta<=t} and the same-regime difference
     E|f(X~,K) - f(X,K)|.
     """
-    f = as_test_function(f)
-    cfg = replace(cfg, kind="basic", horizon=t)
-    x = np.asarray(x, dtype=float)
-    out = []
-    for xt in xt_sequence:
-        ens = couple_ensemble(spec, HybridState(x, k), HybridState(np.asarray(xt, dtype=float), k),
-                              cfg, n_paths, seed, threads=threads, stream=0)
-        out.append(_coupled_diff_result(spec, f, ens, t, f.bound))
-    return out
+    return _modulus_sweep(spec, as_test_function(f), x, xt_sequence, k, t, n_paths,
+                          replace(cfg, kind="basic"), seed, threads)
 
 
 def strong_feller_modulus(spec: ModelSpec, f, x, xt_sequence, k: int, t: float,
@@ -184,17 +193,11 @@ def strong_feller_modulus(spec: ModelSpec, f, x, xt_sequence, k: int, t: float,
     f = as_test_function(f)
     if f.bound is None:
         raise ValueError("strong Feller modulus needs a declared sup-norm bound")
-    cfg = replace(cfg, kind="reflection", horizon=t)
-    x = np.asarray(x, dtype=float)
-    out = []
-    for xt in xt_sequence:
-        ens = couple_ensemble(spec, HybridState(x, k), HybridState(np.asarray(xt, dtype=float), k),
-                              cfg, n_paths, seed, threads=threads, stream=0)
-        res = _coupled_diff_result(spec, f, ens, t, f.bound)
-        bound = res.extra["coupling_bound"]
-        ok = res.estimate <= bound + 3.0 * res.stderr
-        res.extra["bound_ok"] = bool(ok)
-        out.append(res)
+    out = _modulus_sweep(spec, f, x, xt_sequence, k, t, n_paths,
+                         replace(cfg, kind="reflection"), seed, threads)
+    for res in out:
+        res.extra["bound_ok"] = bool(res.estimate <= res.extra["coupling_bound"]
+                                     + 3.0 * res.stderr)
     return out
 
 

@@ -36,19 +36,26 @@ still catches pairs that start identical.
 Four stopping times are recorded as grid-time marks (inf when never hit):
 exit of the ball of radius R (by either the states or the regime indices),
 first |X~ - X| above delta0, first regime disagreement, and the meeting time.
+
+Ensembles are deterministic given (model, starts, config, seed): chunk c
+draws from the stream derived from (seed, stream, c), whatever the thread
+count.  A sweep over several second starts draws once per chunk, and every
+separation sees those draws; block j of the sweep holds the bytes of a
+one-start ensemble with the j-th second start.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
 from ._linalg import sqrt_psd_batched
 from .model import HybridState, ModelSpec, RowTruncator
-from .simulate import (CHUNK_SIZE, SCREEN_SLACK, IntegratorConfig, PathRecord, _increment,
-                       _jump_setup, derive_rng)
+from .simulate import (CHUNK_SIZE, SCREEN_SLACK, IntegratorConfig, PathRecord, _apply_step,
+                       _check_positive, _draw_step, _jump_setup, derive_rng)
 
 __all__ = [
     "CouplingConfig",
@@ -67,7 +74,10 @@ class CouplingConfig(IntegratorConfig):
 
     ``lambda_R`` (reflection only) defaults to the model's declared
     ellipticity floor and must not exceed it; ``eta`` is the coalescence
-    threshold, defaulting to 1e-6 * (1 + |x|) at run time.
+    threshold, defaulting to 1e-6 * (1 + |x|) at run time, and must be
+    positive and finite.  ``ball_radius`` (the ball of tau_R) and ``delta0``
+    (the separation of S_delta0) must be positive; +inf means the mark is
+    never hit.
     """
 
     kind: str = "basic"
@@ -80,10 +90,10 @@ class CouplingConfig(IntegratorConfig):
         super().__post_init__()
         if self.kind not in ("basic", "reflection"):
             raise ValueError("kind must be 'basic' or 'reflection'")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("coalescence threshold must be positive")
-        if self.delta0 <= 0:
-            raise ValueError("delta0 must be positive")
+        if self.eta is not None:
+            _check_positive("coalescence threshold eta", self.eta, finite=True)
+        _check_positive("ball_radius", self.ball_radius, finite=False)
+        _check_positive("delta0", self.delta0, finite=False)
 
 
 def sqrt_psd(a_minus: np.ndarray, clamp_tol: float = 1e-6) -> np.ndarray:
@@ -129,10 +139,46 @@ def _bridge_crossing_prob(sep0, sep1, r0, r1, sl1, sl2, u, lam: float, h: float)
                         np.exp(-2.0 * np.maximum(cross_num, 0.0) / (abar * h)))
 
 
+def _coupled_switch(trunc: RowTruncator, X, Xt, K, Kt, qbar1, qbar2, cand, u1, u2,
+                    h: float):
+    """One step of the basic coupling of the two rate rows for the candidate
+    pairs ``cand``, one event per step: its total rate sum_l max(q1_l, q2_l)
+    <= Qbar_K + Qbar_Kt screened the candidates.  Returns ``(first, l1,
+    second, l2)``: the pairs whose first side switches and their new regimes,
+    then the same for the second side."""
+    m = cand.size
+    rows_all, ls = trunc.rows(np.concatenate([X[cand], Xt[cand]], axis=0),
+                              np.concatenate([K[cand], Kt[cand]]),
+                              bound=np.concatenate([qbar1[cand], qbar2[cand]]))
+    rows1, rows2 = rows_all[:m], rows_all[m:]
+    ml = np.minimum(rows1, rows2)
+    al = rows1 - ml
+    bl = rows2 - ml
+    stot = ml.sum(axis=1) + al.sum(axis=1) + bl.sum(axis=1)
+    do = (u1[cand] < -np.expm1(-stot * h)) & (stot > 0.0)
+    fire = cand[do]
+    L = rows1.shape[1]
+    allr = np.concatenate([ml[do], al[do], bl[do]], axis=1)
+    cum = np.cumsum(allr, axis=1)
+    tgt = u2[fire] * stot[do]
+    idx = np.minimum((cum < tgt[:, None]).sum(axis=1), 3 * L - 1)
+    which = idx // L
+    l_new = ls[idx % L]
+    return fire[which != 2], l_new[which != 2], fire[which != 1], l_new[which != 1]
+
+
 def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
-                 rng: np.random.Generator, *, record: bool = False):
-    """Advance an (n, d) batch of coupled pairs over the full grid."""
+                 rng: np.random.Generator, *, blocks: int = 1, record: bool = False):
+    """Advance an (n, d) batch of coupled pairs over the full grid.
+
+    The batch is ``blocks`` equal blocks of m = n / blocks pairs that all see
+    the same numbers: each step draws once for m pairs from ``rng`` and
+    repeats the draws for every block.  Each block keeps its own rate-row
+    truncation level, so block j holds exactly what a batch of its m pairs
+    alone would.
+    """
     n, d = x0.shape
+    m = n // blocks
     reflect = cfg.kind == "reflection"
     lam = _resolve_lambda(spec, cfg) if reflect else None
     nsteps, h = cfg.grid()
@@ -155,9 +201,11 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     eps, lam_rate = _jump_setup(spec, cfg)
     gaussian = cfg.small_jump_policy == "gaussian"
     row_tol = cfg.regime_tol if cfg.regime_tol is not None else spec.regime_tol
-    trunc = RowTruncator(spec.rates, row_tol)
-    qbar1 = trunc.row_bound(K) * SCREEN_SLACK
-    qbar2 = trunc.row_bound(Kt) * SCREEN_SLACK
+    truncs = [RowTruncator(spec.rates, row_tol) for _ in range(blocks)]
+    block_edges = m * np.arange(1, blocks)
+    # the whole-row bounds do not depend on the truncation level
+    qbar1 = truncs[0].row_bound(K) * SCREEN_SLACK
+    qbar2 = truncs[0].row_bound(Kt) * SCREEN_SLACK
 
     rec = None
     if record:
@@ -192,48 +240,33 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
 
     for i in range(nsteps):
         t_next = (i + 1) * h
-        (dX, dXt), refl = _increment(
-            spec, ((X, K), (Xt, Kt)), h, ((rng, 0, n),), eps, lam_rate, gaussian, lam=lam,
+        # one set of draws for m pairs, repeated for every block
+        draws = _draw_step(((rng, 0, m),), spec, h, eps, lam_rate, reflect=reflect,
+                           gaussian=gaussian, n_unif=3 if reflect else 2).repeat(blocks)
+        (dX, dXt), refl = _apply_step(
+            spec, ((X, K), (Xt, Kt)), h, draws, eps, lam=lam,
             events=(t_next, (rec["jp1"], rec["jp2"])) if record else None)
 
         Xn = np.where(alive[:, None], X + dX, X)
         Xtn = np.where(alive[:, None], Xt + dXt, Xt)
 
-        # regimes via the basic coupling of the two rate rows, one event per step;
-        # its total rate sum_l max(q1_l, q2_l) <= Qbar_K + Qbar_Kt screens the rows
-        # the switch uniforms and, under reflection, the bridge-crossing one
-        unif = rng.random((3 if reflect else 2, n))
+        # regimes via the basic coupling of the two rate rows, one rows call
+        # per block
+        unif = draws.unif
         u1, u2 = unif[0], unif[1]
         Kn, Ktn = K, Kt
         cand = np.flatnonzero(alive & (u1 < -np.expm1(-(qbar1 + qbar2) * h)))
         if cand.size:
-            m = cand.size
-            rows_all, ls = trunc.rows(np.concatenate([X[cand], Xt[cand]], axis=0),
-                                      np.concatenate([K[cand], Kt[cand]]),
-                                      bound=np.concatenate([qbar1[cand], qbar2[cand]]))
-            rows1, rows2 = rows_all[:m], rows_all[m:]
-            ml = np.minimum(rows1, rows2)
-            al = rows1 - ml
-            bl = rows2 - ml
-            stot = ml.sum(axis=1) + al.sum(axis=1) + bl.sum(axis=1)
-            do = (u1[cand] < -np.expm1(-stot * h)) & (stot > 0.0)
-            if do.any():
-                fire = cand[do]
-                L = rows1.shape[1]
-                allr = np.concatenate([ml[do], al[do], bl[do]], axis=1)
-                cum = np.cumsum(allr, axis=1)
-                tgt = u2[fire] * stot[do]
-                idx = np.minimum((cum < tgt[:, None]).sum(axis=1), 3 * L - 1)
-                which = idx // L
-                l_new = ls[idx % L]
-                first = fire[which != 2]
-                second = fire[which != 1]
-                Kn = K.copy()
-                Ktn = Kt.copy()
-                Kn[first] = l_new[which != 2]
-                Ktn[second] = l_new[which != 1]
-                qbar1[first] = trunc.row_bound(Kn[first]) * SCREEN_SLACK
-                qbar2[second] = trunc.row_bound(Ktn[second]) * SCREEN_SLACK
+            Kn, Ktn = K.copy(), Kt.copy()
+            for trunc, c in zip(truncs, np.split(cand, np.searchsorted(cand, block_edges))):
+                if not c.size:
+                    continue
+                first, l1, second, l2 = _coupled_switch(trunc, X, Xt, K, Kt, qbar1, qbar2,
+                                                        c, u1, u2, h)
+                Kn[first] = l1
+                Ktn[second] = l2
+                qbar1[first] = trunc.row_bound(l1) * SCREEN_SLACK
+                qbar2[second] = trunc.row_bound(l2) * SCREEN_SLACK
                 if record and first.size and first[0] == 0:
                     rec["sw1"].append((t_next, int(K[0]), int(Kn[0])))
                 if record and second.size and second[0] == 0:
@@ -338,6 +371,14 @@ class CoupledEnsemble:
     def n_censored(self) -> int:
         return int(np.count_nonzero(np.isfinite(self.exit_time)))
 
+    def blocks(self, count: int) -> list:
+        """The ensemble cut into ``count`` equal blocks of pairs, in order; for
+        a sweep, block j holds separation j (see ``couple_ensemble``)."""
+        size = self.x.shape[0] // count
+        return [CoupledEnsemble(*(getattr(self, f.name)[j * size:(j + 1) * size]
+                                  for f in fields(self)))
+                for j in range(count)]
+
 
 def couple(spec: ModelSpec, start: HybridState, start2: HybridState,
            cfg: CouplingConfig, seed: int) -> CoupledPathRecord:
@@ -370,18 +411,44 @@ def couple(spec: ModelSpec, start: HybridState, start2: HybridState,
                              n_eig_clamped=int(out["n_clamped"]))
 
 
-def couple_ensemble(spec: ModelSpec, start: HybridState, start2: HybridState,
-                    cfg: CouplingConfig, n_pairs: int, seed: int, threads: int = 1,
+def couple_ensemble(spec: ModelSpec, start: HybridState,
+                    start2: HybridState | Sequence[HybridState], cfg: CouplingConfig,
+                    n_pairs: int, seed: int, threads: int = 1,
                     stream: int = 0) -> CoupledEnsemble:
-    """Run n_pairs coupled pairs; chunked like  simulate_ensemble, so results
-    are independent of the thread count."""
+    """Run n_pairs coupled pairs from ``start`` and the second starts.
+
+    ``start2`` is one ``HybridState`` or a sequence of S of them, a
+    separation sweep; each must share the regime of ``start``.  ``n_pairs``
+    is the total and must be a multiple of S.  The result holds S blocks of
+    m = n_pairs / S pairs: block j, the pairs [j m, (j+1) m), couples
+    ``start`` with ``start2[j]`` (``blocks(S)`` cuts them apart).  The pairs
+    of a block are cut into chunks of CHUNK_SIZE, and chunk c draws from the
+    stream derived from (seed, stream, c) whatever the block.  So a sweep
+    uses common random numbers across its separations, and block j holds the
+    same bytes as a one-start call with ``start2[j]`` and m pairs.
+
+    A sweep draws once per chunk: chunk c of all S blocks steps as one
+    ``_evolve_pair`` batch, which makes each step's draws and maps its marks
+    once for all S blocks and evaluates everything else pair by pair.
+    Threads only distribute the chunks, so results are independent of the
+    thread count.
+    """
+    seconds = [start2] if isinstance(start2, HybridState) else list(start2)
+    if not seconds:
+        raise ValueError("need at least one second start")
     spec.check_state(start)
-    spec.check_state(start2)
-    if start.k != start2.k:
-        raise ValueError("coupled starts must share the initial regime")
+    for s in seconds:
+        spec.check_state(s)
+        if s.k != start.k:
+            raise ValueError("coupled starts must share the initial regime")
     if n_pairs < 1:
         raise ValueError("need at least one pair")
-    bounds = [(lo, min(lo + CHUNK_SIZE, n_pairs)) for lo in range(0, n_pairs, CHUNK_SIZE)]
+    S = len(seconds)
+    if n_pairs % S:
+        raise ValueError("n_pairs must be a multiple of the number of second starts")
+    per = n_pairs // S
+    xt_start = np.array([s.x for s in seconds], dtype=float)
+    bounds = [(lo, min(lo + CHUNK_SIZE, per)) for lo in range(0, per, CHUNK_SIZE)]
     d = spec.d
     arrays = {name: np.empty(n_pairs) for name in
               ("zeta", "s_delta0", "tau_r", "t_meet", "exit_time")}
@@ -395,14 +462,15 @@ def couple_ensemble(spec: ModelSpec, start: HybridState, start2: HybridState,
         lo, hi = bounds[ci]
         m = hi - lo
         rng = derive_rng(seed, stream, ci)
-        out = _evolve_pair(spec, np.tile(start.x, (m, 1)), np.tile(start2.x, (m, 1)),
-                           np.full(m, start.k, dtype=np.int64),
-                           np.full(m, start2.k, dtype=np.int64), cfg, rng)
-        x_out[lo:hi], xt_out[lo:hi] = out["x"], out["xt"]
-        k_out[lo:hi], kt_out[lo:hi] = out["k"], out["kt"]
-        co_out[lo:hi] = out["coalesced"]
+        out = _evolve_pair(spec, np.tile(start.x, (S * m, 1)), np.repeat(xt_start, m, axis=0),
+                           np.full(S * m, start.k, dtype=np.int64),
+                           np.full(S * m, start.k, dtype=np.int64), cfg, rng, blocks=S)
+        dest = (per * np.arange(S)[:, None] + np.arange(lo, hi)).ravel()
+        x_out[dest], xt_out[dest] = out["x"], out["xt"]
+        k_out[dest], kt_out[dest] = out["k"], out["kt"]
+        co_out[dest] = out["coalesced"]
         for name in arrays:
-            arrays[name][lo:hi] = out[name]
+            arrays[name][dest] = out[name]
 
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -431,6 +499,7 @@ def pair_one_step(spec: ModelSpec, x, xt, k: int, n: int, cfg: CouplingConfig,
     K = np.full(n, k, dtype=np.int64)
     sides = ((np.tile(np.asarray(x, dtype=float), (n, 1)), K),
              (np.tile(np.asarray(xt, dtype=float), (n, 1)), K))
-    (dX, dXt), _ = _increment(spec, sides, cfg.step, ((rng, 0, n),), eps, lam_rate,
-                              cfg.small_jump_policy == "gaussian", lam=lam)
+    draws = _draw_step(((rng, 0, n),), spec, cfg.step, eps, lam_rate, reflect=lam is not None,
+                       gaussian=cfg.small_jump_policy == "gaussian")
+    (dX, dXt), _ = _apply_step(spec, sides, cfg.step, draws, eps, lam=lam)
     return dX, dXt

@@ -63,9 +63,22 @@ SCREEN_SLACK = 1.0 + 1e-12
 COMP_QUAD_TOL = 1e-10  # tolerance of the fallback compensator quadrature
 
 
+def _check_positive(name: str, value, *, finite: bool) -> None:
+    """Raise ``ValueError`` unless ``value`` > 0, which NaN fails; with
+    ``finite``, +inf fails too."""
+    if not (value > 0 and (not finite or value < np.inf)):
+        need = "positive and finite" if finite else "positive (inf for no limit)"
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step size, horizon and jump/switching policies for the integrator."""
+    """Step size, horizon and jump/switching policies for the integrator.
+
+    ``epsilon`` and ``regime_tol`` must be positive and finite.  ``r_max``
+    must be positive; paths whose |x| exceeds it are censored, and +inf
+    turns the guard off.
+    """
 
     step: float
     horizon: float
@@ -79,10 +92,11 @@ class IntegratorConfig:
             raise ValueError("need 0 < step <= horizon")
         if self.small_jump_policy not in ("drop", "gaussian"):
             raise ValueError("small_jump_policy must be 'drop' or 'gaussian'")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("jump cutoff must be positive")
-        if self.regime_tol is not None and not 0.0 < self.regime_tol < np.inf:
-            raise ValueError("regime truncation tolerance must be positive and finite")
+        if self.epsilon is not None:
+            _check_positive("jump cutoff epsilon", self.epsilon, finite=True)
+        if self.regime_tol is not None:
+            _check_positive("regime truncation tolerance", self.regime_tol, finite=True)
+        _check_positive("r_max", self.r_max, finite=False)
 
     def grid(self):
         n = max(1, int(round(self.horizon / self.step)))
@@ -217,52 +231,111 @@ def _draw_marks(quantile, eps: float, counts: np.ndarray, streams):
     return hit, quantile(eps, block[idx])
 
 
-def _increment(spec: ModelSpec, sides, h: float, streams, eps, lam_rate,
-               gaussian: bool, lam: float | None = None, events=None):
+@dataclass(slots=True)
+class StepDraws:
+    """Every random number of one step of a batch, as ``_draw_step`` made them.
+
+    ``z`` holds the (n, d) Brownian normals and ``z2`` the second set under
+    reflection.  With jumps, ``counts`` holds the (n,) Poisson counts, and
+    when some path jumps, jump j moves path ``hit[j]`` by the mark
+    ``marks[j]`` (see ``_draw_marks``).  ``zg`` holds the gaussian-policy
+    normals and ``unif`` the (rows, n) switch uniforms, with the
+    bridge-crossing uniform as row 2 under reflection.  A field that the step
+    does not draw is None.
+    """
+
+    z: np.ndarray
+    z2: np.ndarray | None = None
+    counts: np.ndarray | None = None
+    hit: np.ndarray | None = None
+    marks: np.ndarray | None = None
+    zg: np.ndarray | None = None
+    unif: np.ndarray | None = None
+
+    def repeat(self, reps: int) -> "StepDraws":
+        """The draws of ``reps`` copies of the batch laid end to end: copy j's
+        paths are j n..(j+1) n-1 and see this batch's numbers.  Copy j's
+        jumps follow copy j-1's, so each path keeps its jumps in round order."""
+        if reps == 1:
+            return self
+
+        def rows(a):
+            return None if a is None else np.concatenate([a] * reps)
+
+        n = self.z.shape[0]
+        hit = None if self.hit is None else (self.hit + n * np.arange(reps)[:, None]).ravel()
+        return StepDraws(rows(self.z), rows(self.z2), rows(self.counts), hit,
+                         rows(self.marks), rows(self.zg),
+                         None if self.unif is None else np.tile(self.unif, reps))
+
+
+def _draw_step(streams, spec: ModelSpec, h: float, eps, lam_rate, *,
+               reflect: bool = False, gaussian: bool = False,
+               n_unif: int = 0) -> StepDraws:
+    """Make every draw of one step for a batch; the RNG-order contract.
+
+    ``streams`` is a tuple of ``(rng, lo, hi)`` segments covering the batch
+    in order: paths lo..hi-1 draw from rng.  Each segment consumes its stream
+    in this fixed order: the normals (two sets under ``reflect``); with jumps
+    (``eps`` not None), the Poisson counts, then one uniform block for the
+    marks of all its jumps (see ``_draw_marks``), then under ``gaussian`` the
+    small-jump normals; last, ``n_unif`` rows of uniforms -- the two switch
+    uniforms, and the bridge-crossing one as a third row.  Every draw is
+    sized by the segment, so a segment consumes its stream exactly as a batch
+    of its own paths would.  The quantile map turns the mark uniforms into
+    marks here, once per step.
+    """
+    d = spec.d
+
+    def normals(rng, m):
+        return rng.standard_normal((m, d))
+
+    draws = StepDraws(_draw(streams, normals))
+    if reflect:
+        draws.z2 = _draw(streams, normals)
+    if eps is not None:
+        draws.counts = _draw(streams, lambda rng, m: rng.poisson(lam_rate * h, m))
+        if draws.counts.any():
+            draws.hit, draws.marks = _draw_marks(spec.jump_measure.large_jump_quantile, eps,
+                                                 draws.counts, streams)
+        if gaussian:
+            draws.zg = _draw(streams, normals)
+    if n_unif:
+        draws.unif = _draw(streams, lambda rng, m: rng.random((n_unif, m)), axis=1)
+    return draws
+
+
+def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
+                lam: float | None = None, events=None):
     """Euler increments of one step for a batch, or for a coupled pair of batches.
 
     ``sides`` is ``((x, k),)`` or ``((X, K), (Xt, Kt))``, each x an (n, d)
-    batch; every side is driven by the same noise.  With ``lam`` (reflection,
-    two sides only) the Brownian part goes through the two-noise split of
-    Lindvall & Rogers (1986): the first side gets s_lam(X) dW1 + sqrt(lam) dW2,
-    the second s_lam(X~) dW1 + sqrt(lam) (I - 2uu^T) dW2, with u the unit
-    vector along X~ - X.  ``eps`` None means no jumps.
+    batch; every side is driven by the same ``draws``.  With ``lam``
+    (reflection, two sides only) the Brownian part goes through the two-noise
+    split of Lindvall & Rogers (1986): the first side gets s_lam(X) dW1 +
+    sqrt(lam) dW2, the second s_lam(X~) dW1 + sqrt(lam) (I - 2uu^T) dW2, with
+    u the unit vector along X~ - X.  ``eps`` None means no jumps.
 
-    ``streams`` is a tuple of ``(rng, lo, hi)`` segments covering the batch
-    in order: paths lo..hi-1 draw from rng.  The RNG consumption order of
-    each segment is fixed -- normals (two sets under reflection), Poisson
-    counts, then one uniform block for the marks of all its jumps (see
-    ``_draw_marks``), then the gaussian-policy normals -- and every draw is
-    sized by the segment, so a segment consumes its stream exactly as a batch
-    of its own paths would.  Callers draw their switch (and bridge-crossing)
-    uniforms after this.
-
-    The quantile map and the jump coefficient are evaluated once per step
-    (the coefficient once per side) over the marks of all rounds;
-    ``np.add.at`` adds each path's displacements one round after another, so
-    each path's sum runs in the same order as one update per round would.
+    The jump coefficient is evaluated once per side over the marks of all
+    rounds; ``np.add.at`` adds each path's displacements one round after
+    another, so each path's sum runs in the same order as one update per
+    round would.
 
     Returns the list of increments, one per side, and under reflection
     (sl1, sl2, u, clamps) for the bridge-crossing step, else None.
     ``events`` = (t, logs) appends (t, mark, displacement) to ``logs[s]``
     for every jump of path 0 of side s.
     """
-    n, d = sides[0][0].shape
     sqh = np.sqrt(h)
-
-    def normals(rng, m):
-        return rng.standard_normal((m, d))
-
     refl = None
     if lam is None:
-        z = _draw(streams, normals)
+        z = draws.z
         dxs = [np.asarray(spec.drift(x, k), dtype=float) * h
                + sqh * np.einsum("nij,nj->ni", np.asarray(spec.sigma(x, k), dtype=float), z)
                for x, k in sides]
     else:
         (X, K), (Xt, Kt) = sides
-        z1 = _draw(streams, normals)
-        z2 = _draw(streams, normals)
+        z1, z2 = draws.z, draws.z2
         sl1, c1 = _sigma_lambda(spec, X, K, lam)
         sl2, c2 = _sigma_lambda(spec, Xt, Kt, lam)
         diff = Xt - X
@@ -277,14 +350,12 @@ def _increment(spec: ModelSpec, sides, h: float, streams, eps, lam_rate,
         refl = (sl1, sl2, u, c1 + c2)
 
     if eps is not None:
-        counts = _draw(streams, lambda rng, m: rng.poisson(lam_rate * h, m))
         for (x, k), dx in zip(sides, dxs):
             comp = spec.jump_compensator(x, k, eps) if spec.jump_compensator is not None \
                 else _compensator_quadrature(spec, x, k, eps)
             dx -= np.asarray(comp, dtype=float) * h
-        if counts.any():
-            hit, marks = _draw_marks(spec.jump_measure.large_jump_quantile, eps,
-                                     counts, streams)
+        if draws.hit is not None:
+            hit, marks = draws.hit, draws.marks
             # path 0's marks, in round order
             first = np.flatnonzero(hit == 0) if events is not None else ()
             for s, (x, k) in enumerate(sides):
@@ -292,13 +363,12 @@ def _increment(spec: ModelSpec, sides, h: float, streams, eps, lam_rate,
                 np.add.at(dxs[s], hit, disp)
                 for i in first:
                     events[1][s].append((events[0], marks[i].copy(), disp[i].copy()))
-        if gaussian:
+        if draws.zg is not None:
             # a shared draw keeps the substitute synchronous; per-side roots
             # preserve each marginal's covariance exactly
-            zg = _draw(streams, normals)
             for (x, k), dx in zip(sides, dxs):
                 root, _ = sqrt_psd_batched(np.asarray(spec.small_jump_cov(x, k, eps), dtype=float))
-                dx += sqh * np.einsum("nij,nj->ni", root, zg)
+                dx += sqh * np.einsum("nij,nj->ni", root, draws.zg)
     return dxs, refl
 
 
@@ -308,9 +378,9 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     """Advance an (n, d) batch over the full grid.  Core of every simulator.
 
     ``streams`` holds the batch's ``(rng, lo, hi)`` segments (see
-    ``_increment``).  Each step takes its increment from ``_increment``;
-    the "switching" regime then draws the two switch uniforms, per segment.
-    Rate rows are built only for the switch candidates, the paths whose first
+    ``_draw_step``).  Each step makes its draws with ``_draw_step``, the two
+    switch uniforms included under "switching", and takes its increment from
+    ``_apply_step``.  Rate rows are built only for the switch candidates, the paths whose first
     switch uniform falls below 1 - exp(-Qbar_k h); the switch law is the same
     as building every row.  "frozen" keeps the regime, and "killed" keeps it
     too and accumulates the trapezoid rule for int q_k(X(s)) ds.
@@ -352,10 +422,12 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     if observe is not None:
         observe(0, 0.0, x, k, alive)
 
+    n_unif = 2 if switching else 0
     for i in range(nsteps):
         t_next = (i + 1) * h
-        (dx,), _ = _increment(spec, ((x, k),), h, streams, eps, lam_rate, gaussian,
-                              events=(t_next, (jump_events,)) if record else None)
+        draws = _draw_step(streams, spec, h, eps, lam_rate, gaussian=gaussian, n_unif=n_unif)
+        (dx,), _ = _apply_step(spec, ((x, k),), h, draws, eps,
+                               events=(t_next, (jump_events,)) if record else None)
         if count_dropped:
             cov0 = np.asarray(spec.small_jump_cov(x[:1], k[:1], eps), dtype=float)
             dropped_var += h * float(np.trace(cov0[0]))
@@ -364,7 +436,7 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
 
         kn = k
         if switching:
-            u1, u2 = _draw(streams, lambda rng, m: rng.random((2, m)), axis=1)
+            u1, u2 = draws.unif
             cand = np.flatnonzero(alive & (u1 < -np.expm1(-qbar * h)))
             if cand.size:
                 rows, ls = trunc.rows(x[cand], k[cand], bound=qbar[cand])

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from rsjd import HybridState, IntegratorConfig, simulate_path
+from rsjd import (
+    CouplingConfig,
+    HybridState,
+    IntegratorConfig,
+    couple_ensemble,
+    example51,
+    simulate_path,
+)
 from rsjd.cli import run
 from rsjd.config import load_model_config, resolve_model
 
@@ -170,3 +177,66 @@ class TestCli:
         cfg = payload["config"]
         for key in ("model", "seed", "h", "r_max", "policy", "start", "t"):
             assert key in cfg
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestPositiveFields:
+    """Every positive config field rejects NaN and values <= 0, in the
+    constructor and as a CLI option (exit 2); ``epsilon`` and ``eta`` reject
+    +-inf too, while +inf turns the guard of ``r_max``, ``ball_radius`` and
+    ``delta0`` off."""
+
+    @staticmethod
+    def _strong_feller(tmp_path, option, value):
+        # "--opt=value" keeps argparse from reading "-inf" as an option
+        return run(["strong-feller", "--model", "example51", "--n", "16", "--t", "0.1",
+                    "--h", "0.05", "--separations", "0.2,0.1", "--outdir", str(tmp_path),
+                    f"{option}={value!r}"])
+
+    def _check(self, tmp_path, field, option, bads, match):
+        for bad in bads:
+            with pytest.raises(ValueError, match=match):
+                CouplingConfig(step=0.05, horizon=0.1, **{field: bad})
+            assert self._strong_feller(tmp_path, option, bad) == 2, bad
+        assert not (tmp_path / "strong-feller.json").exists()
+
+    def test_epsilon(self, tmp_path):
+        self._check(tmp_path, "epsilon", "--epsilon", [-1.0, 0.0, NAN, INF, -INF],
+                    "jump cutoff epsilon must be positive and finite")
+        # a jump-free model never reads the cutoff: only the config check sees it
+        p = tmp_path / "m.yaml"
+        p.write_text(DRIFT_ONLY_YAML)
+        assert run(["simulate", "--model", str(p), "--start", "1,1", "--t", "0.1",
+                    "--h", "0.05", "--epsilon=nan", "--outdir", str(tmp_path)]) == 2
+
+    def test_r_max(self, tmp_path):
+        # before the check, --r-max -1 censored every pair and exited 1
+        self._check(tmp_path, "r_max", "--r-max", [-1.0, 0.0, NAN, -INF],
+                    "r_max must be positive")
+
+    def test_ball_radius(self, tmp_path):
+        self._check(tmp_path, "ball_radius", "--ball-radius", [-1.0, 0.0, NAN, -INF],
+                    "ball_radius must be positive")
+
+    def test_delta0(self, tmp_path):
+        self._check(tmp_path, "delta0", "--delta0", [-1.0, 0.0, NAN, -INF],
+                    "delta0 must be positive")
+
+    def test_eta(self, tmp_path):
+        self._check(tmp_path, "eta", "--eta", [-1.0, 0.0, NAN, INF, -INF],
+                    "coalescence threshold eta must be positive and finite")
+
+    def test_infinite_guards_mean_none(self, tmp_path):
+        cfg = CouplingConfig(step=0.05, horizon=0.5, r_max=INF, ball_radius=INF,
+                             delta0=INF)
+        ens = couple_ensemble(example51(), HybridState(np.array([0.0]), 1),
+                              HybridState(np.array([2.0]), 1), cfg, 64, 5)
+        assert ens.n_censored == 0
+        assert np.all(np.isinf(ens.tau_r)) and np.all(np.isinf(ens.s_delta0))
+        assert run(["couple", "--model", "example51", "--start", "0,1", "--start2", "2,1",
+                    "--t", "0.5", "--h", "0.05", "--r-max=inf", "--ball-radius=inf",
+                    "--delta0=inf", "--outdir", str(tmp_path)]) == 0
+        marks = json.loads((tmp_path / "couple_marks.json").read_text())
+        assert marks["tau_R"] is None and marks["S_delta0"] is None

@@ -1,7 +1,7 @@
 """One uniform block per stream for a step's marks.
 
 Each jump measure declares an inverse-CDF map ``large_jump_quantile(eps, U)``
-on a (2, n) block of uniforms, and ``_increment`` draws one block per stream
+on a (2, n) block of uniforms, and ``_draw_step`` draws one block per stream
 and step and maps all the step's marks in one call.  The property below
 checks that against the per-round loop that drew the marks before, with the
 samplers that the measures declared then.  The digests were recorded before

@@ -3,7 +3,8 @@
 Chunk c always draws from the stream derived from (seed, stream, c), and the
 worker threads only distribute the chunks, so 1, 2 and 3 threads must give
 the same bytes.  n is not a multiple of CHUNK_SIZE, so the last chunk is
-partial and three threads get unequal shares.
+partial and three threads get unequal shares.  The coupled ensemble is a
+three-separation sweep, whose chunks each step all separations together.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ N = 2 * CHUNK_SIZE + 13
 THREADS = (1, 2, 3)
 START = HybridState(np.array([0.5, -0.25]), 1)
 START2 = HybridState(np.array([-0.75, 1.0]), 1)
+SWEEP = [START2, HybridState(np.array([0.6, -0.25]), 1), START]
 
 
 def _assert_same_bytes(runs):
@@ -40,7 +42,8 @@ def test_coupled_ensemble(kind):
     cfg = CouplingConfig(step=1.0 / 16, horizon=0.25, kind=kind)
     runs = []
     for threads in THREADS:
-        ens = couple_ensemble(example52(), START, START2, cfg, N, 31, threads=threads)
+        ens = couple_ensemble(example52(), START, SWEEP, cfg, len(SWEEP) * N, 31,
+                              threads=threads)
         runs.append((ens.x, ens.xt, ens.k, ens.kt, ens.zeta, ens.s_delta0, ens.tau_r,
                      ens.t_meet, ens.coalesced, ens.exit_time))
     _assert_same_bytes(runs)
