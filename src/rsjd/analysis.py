@@ -23,7 +23,8 @@ from . import quadrature
 from .errors import EstimationError, QuadratureError
 from .generator import as_test_function
 from .model import HybridState, ModelSpec, RowTruncator, certified_tail
-from .simulate import IntegratorConfig, _sigma_lambda, derive_rng, simulate_ensemble
+from .simulate import (IntegratorConfig, _check_positive, _sigma_lambda, derive_rng,
+                       simulate_ensemble)
 
 __all__ = [
     "EstimatorResult",
@@ -514,10 +515,11 @@ def build_G(kappa_R: float, lambda_R: float, g: Callable, grid_n: int = 1 << 12)
     The inner integrals of g use per-cell adaptive quadrature; the outer
     layers accumulate trapezoid cells, which keeps the discrete monotonicity
     and concavity of the tabulation exact.  alpha is then located by bisection
-    on r - G(r) within the first sign-change cell.
+    on r - G(r) within the first sign-change cell.  ``kappa_R`` and
+    ``lambda_R`` must be positive and finite.
     """
-    if kappa_R <= 0 or lambda_R <= 0:
-        raise ValueError("kappa_R and lambda_R must be positive")
+    _check_positive("kappa_R", kappa_R, finite=True)
+    _check_positive("lambda_R", lambda_R, finite=True)
     grid = np.linspace(0.0, 1.0, grid_n + 1)
     m = kappa_R / (2.0 * lambda_R)
     psi = _cumulative_integral(g, grid)

@@ -24,7 +24,7 @@ from .coupling import CouplingConfig, couple
 from .errors import RsjdError
 from .generator import LyapunovCertificate, TestFunction, dynkin_check, check_lyapunov
 from .model import HybridState, RowTruncator, validate_model
-from .simulate import IntegratorConfig, simulate_ensemble, simulate_path
+from .simulate import IntegratorConfig, _check_positive, simulate_ensemble, simulate_path
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,6 +53,16 @@ def _parse_ball(text: str):
 def _parse_grid(text: str):
     lo, hi, n = text.split(":")
     return float(lo), float(hi), int(n)
+
+
+def _probe_grid(text: str, kmax: int, d: int):
+    """Probe arrays (xs, ks) for the grid 'lo:hi:n' on every axis times the
+    regimes 1..kmax, point-major: each grid point with all its regimes."""
+    lo, hi, npts = _parse_grid(text)
+    mesh = np.meshgrid(*[np.linspace(lo, hi, npts)] * d, indexing="ij")
+    xs_space = np.stack([mm.ravel() for mm in mesh], axis=-1)
+    ks = np.arange(1, kmax + 1)
+    return np.repeat(xs_space, len(ks), axis=0), np.tile(ks, xs_space.shape[0])
 
 
 def _named_function(name: str, d: int) -> TestFunction:
@@ -339,13 +349,7 @@ def _cmd_lyapunov(args) -> int:
     if spec.default_lyapunov is None:
         print("model declares no default Lyapunov function", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    lo, hi, npts = _parse_grid(args.grid)
-    axes = [np.linspace(lo, hi, npts)] * spec.d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    xs_space = np.stack([mm.ravel() for mm in mesh], axis=-1)
-    ks = np.arange(1, args.kmax + 1)
-    xs = np.repeat(xs_space, len(ks), axis=0)
-    kk = np.tile(ks, xs_space.shape[0])
+    xs, kk = _probe_grid(args.grid, args.kmax, spec.d)
     cert = LyapunovCertificate(V=spec.default_lyapunov, alpha=args.alpha,
                                beta=args.beta)
     rep = check_lyapunov(spec, cert, xs, kk, tol=args.tol)
@@ -391,6 +395,7 @@ def _cmd_g_function(args) -> int:
 
 
 def _cmd_f_function(args) -> int:
+    _check_positive("--r-max-tab", args.r_max_tab, finite=True)
     g = _g_of(args)
     Ff = analysis.build_F(g)
     rgrid = np.linspace(0.0, args.r_max_tab, 2001)
@@ -414,13 +419,8 @@ def _cmd_f_function(args) -> int:
 
 def _cmd_validate(args) -> int:
     spec = resolve_model(args.model)
-    lo, hi, npts = _parse_grid(args.grid)
-    axes = [np.linspace(lo, hi, npts)] * spec.d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    xs_space = np.stack([mm.ravel() for mm in mesh], axis=-1)
-    points = [HybridState(xr, int(kk))
-              for xr in xs_space for kk in range(1, args.kmax + 1)]
-    rep = validate_model(spec, points, quad_crosscheck=args.quad_crosscheck)
+    xs, ks = _probe_grid(args.grid, args.kmax, spec.d)
+    rep = validate_model(spec, xs, ks, quad_crosscheck=args.quad_crosscheck)
     result = rep.to_dict()
     _emit(Path(args.outdir), "validate", _cfg_dict(args), result,
           "validate: " + ("no violation found at %d points" % rep.n_points

@@ -38,15 +38,16 @@ exit of the ball of radius R (by either the states or the regime indices),
 first |X~ - X| above delta0, first regime disagreement, and the meeting time.
 
 Ensembles are deterministic given (model, starts, config, seed): chunk c
-draws from the stream derived from (seed, stream, c), whatever the thread
-count.  A sweep over several second starts draws once per chunk, and every
-separation sees those draws; block j of the sweep holds the bytes of a
-one-start ensemble with the j-th second start.
+draws from the stream derived from (seed, stream, c), and the chunks run
+through ``simulate._run_batches``, the batch runner of plain ensembles too,
+which merges their outputs in chunk order whatever the thread count.  A
+sweep over several second starts draws once per chunk, and every separation
+sees those draws; block j of the sweep holds the bytes of a one-start
+ensemble with the j-th second start.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -55,7 +56,7 @@ import numpy as np
 from ._linalg import sqrt_psd_batched
 from .model import HybridState, ModelSpec, RowTruncator
 from .simulate import (CHUNK_SIZE, SCREEN_SLACK, IntegratorConfig, PathRecord, _apply_step,
-                       _check_positive, _draw_step, _jump_setup, derive_rng)
+                       _check_positive, _draw_step, _run_batches, _step_setup, derive_rng)
 
 __all__ = [
     "CouplingConfig",
@@ -181,7 +182,7 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     m = n // blocks
     reflect = cfg.kind == "reflection"
     lam = _resolve_lambda(spec, cfg) if reflect else None
-    nsteps, h = cfg.grid()
+    nsteps, h, eps, lam_rate, gaussian, row_tol = _step_setup(spec, cfg)
     eta = cfg.eta if cfg.eta is not None else 1e-6 * (1.0 + float(np.linalg.norm(x0[0])))
 
     X = x0.astype(float).copy()
@@ -198,9 +199,6 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     exit_time = np.full(n, np.inf)
     n_clamped = 0
 
-    eps, lam_rate = _jump_setup(spec, cfg)
-    gaussian = cfg.small_jump_policy == "gaussian"
-    row_tol = cfg.regime_tol if cfg.regime_tol is not None else spec.regime_tol
     truncs = [RowTruncator(spec.rates, row_tol) for _ in range(blocks)]
     block_edges = m * np.arange(1, blocks)
     # the whole-row bounds do not depend on the truncation level
@@ -449,39 +447,18 @@ def couple_ensemble(spec: ModelSpec, start: HybridState,
     per = n_pairs // S
     xt_start = np.array([s.x for s in seconds], dtype=float)
     bounds = [(lo, min(lo + CHUNK_SIZE, per)) for lo in range(0, per, CHUNK_SIZE)]
-    d = spec.d
-    arrays = {name: np.empty(n_pairs) for name in
-              ("zeta", "s_delta0", "tau_r", "t_meet", "exit_time")}
-    x_out = np.empty((n_pairs, d))
-    xt_out = np.empty((n_pairs, d))
-    k_out = np.empty(n_pairs, dtype=np.int64)
-    kt_out = np.empty(n_pairs, dtype=np.int64)
-    co_out = np.empty(n_pairs, dtype=bool)
 
     def work(ci: int):
         lo, hi = bounds[ci]
         m = hi - lo
-        rng = derive_rng(seed, stream, ci)
         out = _evolve_pair(spec, np.tile(start.x, (S * m, 1)), np.repeat(xt_start, m, axis=0),
                            np.full(S * m, start.k, dtype=np.int64),
-                           np.full(S * m, start.k, dtype=np.int64), cfg, rng, blocks=S)
-        dest = (per * np.arange(S)[:, None] + np.arange(lo, hi)).ravel()
-        x_out[dest], xt_out[dest] = out["x"], out["xt"]
-        k_out[dest], kt_out[dest] = out["k"], out["kt"]
-        co_out[dest] = out["coalesced"]
-        for name in arrays:
-            arrays[name][dest] = out[name]
+                           np.full(S * m, start.k, dtype=np.int64), cfg,
+                           derive_rng(seed, stream, ci), blocks=S)
+        return (per * np.arange(S)[:, None] + np.arange(lo, hi)).ravel(), out
 
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(bounds))))
-    else:
-        for ci in range(len(bounds)):
-            work(ci)
-
-    return CoupledEnsemble(x_out, xt_out, k_out, kt_out, arrays["zeta"],
-                           arrays["s_delta0"], arrays["tau_r"], arrays["t_meet"],
-                           co_out, arrays["exit_time"])
+    return CoupledEnsemble(**_run_batches(work, len(bounds), threads, n_pairs,
+                                          [f.name for f in fields(CoupledEnsemble)]))
 
 
 def pair_one_step(spec: ModelSpec, x, xt, k: int, n: int, cfg: CouplingConfig,
@@ -495,11 +472,13 @@ def pair_one_step(spec: ModelSpec, x, xt, k: int, n: int, cfg: CouplingConfig,
     lambda_R, jump cutoff and small-jump policy.
     """
     lam = _resolve_lambda(spec, cfg) if cfg.kind == "reflection" else None
-    eps, lam_rate = _jump_setup(spec, cfg) if with_jumps else (None, None)
+    _, _, eps, lam_rate, gaussian, _ = _step_setup(spec, cfg)
+    if not with_jumps:
+        eps = lam_rate = None
     K = np.full(n, k, dtype=np.int64)
     sides = ((np.tile(np.asarray(x, dtype=float), (n, 1)), K),
              (np.tile(np.asarray(xt, dtype=float), (n, 1)), K))
     draws = _draw_step(((rng, 0, n),), spec, cfg.step, eps, lam_rate, reflect=lam is not None,
-                       gaussian=cfg.small_jump_policy == "gaussian")
+                       gaussian=gaussian)
     (dX, dXt), _ = _apply_step(spec, sides, cfg.step, draws, eps, lam=lam)
     return dX, dXt

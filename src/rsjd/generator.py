@@ -54,7 +54,8 @@ class TestFunction:
     ``fn(x, k)`` follows the usual broadcasting convention (x: (..., d),
     k: (...)).  When ``grad``/``hess`` are absent, central finite differences
     with step ``fd_scale * (1 + |x|)`` are used.  ``bounded``/``bound`` feed
-    the estimators that require sup|f|; ``regime_tail(x, k, L)`` bounds
+    the estimators that require sup|f| and come together: either both or
+    neither is set.  ``regime_tail(x, k, L)`` bounds
     sum_{l>L} q_kl(x) |f(x,l) - f(x,k)| for unbounded-in-k functions;
     ``k_independent`` declares that the regime-exchange term vanishes
     identically.
@@ -75,6 +76,8 @@ class TestFunction:
     def __post_init__(self):
         if self.bounded and self.bound is None:
             raise ValueError("bounded test functions must declare their sup-norm bound")
+        if self.bound is not None and not self.bounded:
+            raise ValueError("a sup-norm bound needs bounded=True")
 
     def _fd_step(self, x: np.ndarray) -> float:
         return self.fd_scale * (1.0 + float(np.linalg.norm(x)))
@@ -488,7 +491,7 @@ def dynkin_check(spec: ModelSpec, f, x, k: int, t_small: float, n_paths: int,
     """
     from dataclasses import replace
 
-    from .simulate import simulate_ensemble
+    from .simulate import _step_setup, simulate_ensemble
 
     f = as_test_function(f)
     x = np.asarray(x, dtype=float)
@@ -503,7 +506,7 @@ def dynkin_check(spec: ModelSpec, f, x, k: int, t_small: float, n_paths: int,
 
     sim_bias = 0.0
     if spec.has_jumps and cfg_run.small_jump_policy == "drop":
-        eps_sim = cfg_run.epsilon if cfg_run.epsilon is not None else spec.jump_measure.epsilon
+        eps_sim = _step_setup(spec, cfg_run)[2]
         xs, ks = x[None], np.array([int(k)])
         small2 = _small_second_moment(spec, xs, ks, eps_sim, 1e-9)[0]
         sup_h = _hessian_sup_estimate(spec, f, xs, ks, eps_sim)[0]

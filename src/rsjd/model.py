@@ -351,10 +351,13 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def validate_model(spec: ModelSpec, probe_points, directions=None,
+def validate_model(spec: ModelSpec, xs, ks, directions=None,
                    quad_crosscheck: int = 0) -> ValidationReport:
     """Spot-check the model's structural assumptions at the given probe points.
 
+    The probes are the arrays ``xs`` (n, d) and ``ks`` (n,): probe i is the
+    hybrid state (xs[i], ks[i]).  The coordinates must be finite, the regimes
+    at least 1 and d the model's dimension, else ``ValueError``.
     Sampling-based only: the report states the worst margin observed over the
     probes for each check, never a proof.  Checks cover finiteness and
     symmetry/PSD-ness of a = sigma sigma^T, the declared ellipticity floor and
@@ -362,9 +365,14 @@ def validate_model(spec: ModelSpec, probe_points, directions=None,
     moment of the jump measure.  ``quad_crosscheck`` > 0 additionally compares
     the closed-form second moment against quadrature at that many probes.
     """
-    points = [spec.check_state(p) for p in probe_points]
-    if not points:
-        raise ValueError("probe_points must be nonempty")
+    xs = np.asarray(xs, dtype=float)
+    ks = np.asarray(ks, dtype=np.int64)
+    n = ks.size
+    if xs.ndim != 2 or xs.shape[1] != spec.d or ks.shape != (xs.shape[0],) or not n:
+        raise ValueError(f"need probe arrays xs (n, {spec.d}) and ks (n,) with n >= 1, "
+                         f"got shapes {xs.shape} and {ks.shape}")
+    if not (np.all(np.isfinite(xs)) and ks.min() >= 1):
+        raise ValueError("probe coordinates must be finite and regime indices >= 1")
     if directions is None:
         dirs = [np.eye(spec.d)[i] for i in range(spec.d)]
     else:
@@ -372,37 +380,32 @@ def validate_model(spec: ModelSpec, probe_points, directions=None,
 
     checks = []
 
-    def run_check(name, values, points_used, tol=0.0, note="", larger_is_worse=True):
+    def run_check(name, values, probe=None, tol=0.0, note=""):
+        """Record the largest of ``values``, or the first non-finite one;
+        ``values[j]`` belongs to probe ``probe[j]``, by default probe j."""
         values = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            i = int(np.argmax(~np.isfinite(values)))
-            checks.append(ValidationCheck(name, float("nan"),
-                                          (points_used[i].x, points_used[i].k),
-                                          False, "non-finite value at probe"))
-            return
-        i = int(np.argmax(values)) if larger_is_worse else int(np.argmin(values))
-        worst = float(values[i])
-        passed = worst <= tol if larger_is_worse else worst >= -tol
-        checks.append(ValidationCheck(name, worst, (points_used[i].x, points_used[i].k),
-                                      passed, note))
+        bad = ~np.isfinite(values)
+        i = int(np.argmax(bad if bad.any() else values))
+        p = i if probe is None else probe[i]
+        worst = float("nan") if bad.any() else float(values[i])
+        checks.append(ValidationCheck(name, worst, (xs[p], int(ks[p])), worst <= tol,
+                                      "non-finite value at probe" if bad.any() else note))
 
     # one batched call per coefficient; dot products go through matmul, which
     # sums in the order a per-point x @ b does
-    xs = np.stack([p.x for p in points])
-    ks = np.array([p.k for p in points])
     bs = np.asarray(spec.drift(xs, ks), dtype=float)
     sigs = np.asarray(spec.sigma(xs, ks), dtype=float)
     if not (np.all(np.isfinite(bs)) and np.all(np.isfinite(sigs))):
         checks.append(ValidationCheck("finite-coefficients", float("nan"),
-                                      (points[0].x, points[0].k), False,
+                                      (xs[0], int(ks[0])), False,
                                       "non-finite drift or diffusion value"))
-        return ValidationReport(tuple(checks), len(points))
+        return ValidationReport(tuple(checks), n)
     a = np.einsum("nij,nkj->nik", sigs, sigs)
 
-    run_check("a-symmetric", np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)), points,
+    run_check("a-symmetric", np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2)),
               tol=1e-12, note="max |a - a^T|")
-    run_check("a-psd", -np.linalg.eigvalsh(a)[:, 0], points,
-              tol=1e-10, note="-(min eigenvalue of a)")
+    run_check("a-psd", -np.linalg.eigvalsh(a)[:, 0], tol=1e-10,
+              note="-(min eigenvalue of a)")
 
     if spec.ellipticity_floor is not None:
         lam = spec.ellipticity_floor
@@ -412,24 +415,24 @@ def validate_model(spec: ModelSpec, probe_points, directions=None,
             vals.append(_dot((vb[:, None, :] @ a)[:, 0], vb))
         # (point, direction) pairs in point-major order
         run_check("ellipticity-floor", lam - np.stack(vals, axis=1).ravel(),
-                  [p for p in points for _ in dirs], tol=1e-10,
+                  np.repeat(np.arange(n), len(dirs)), tol=1e-10,
                   note=f"lambda - <xi, a xi> with lambda={lam}")
 
     c2 = None
     if spec.has_jumps and spec.jump_measure.c_second_moment is not None:
         c2 = np.asarray(spec.jump_measure.c_second_moment(xs, ks), dtype=float)
         run_check("jump-second-moment-finite", np.where(np.isfinite(c2), -1.0, np.inf),
-                  points, tol=0.0, note="int |c|^2 nu finite at probes")
+                  tol=0.0, note="int |c|^2 nu finite at probes")
 
     if spec.growth_constant is not None:
         kap = spec.growth_constant
         cap = kap * (_dot(xs, xs) + 1.0)
-        run_check("growth-drift", 2.0 * _dot(xs, bs) - cap, points, tol=1e-10,
+        run_check("growth-drift", 2.0 * _dot(xs, bs) - cap, tol=1e-10,
                   note=f"2<x,b> - kappa(|x|^2+1), kappa={kap}")
-        total = (sigs * sigs).reshape(len(points), -1).sum(axis=1)
+        total = (sigs * sigs).reshape(n, -1).sum(axis=1)
         if c2 is not None:
             total = total + c2
-        run_check("growth-diffusion-jump", total - cap, points, tol=1e-10,
+        run_check("growth-diffusion-jump", total - cap, tol=1e-10,
                   note=f"|sigma|^2 + int|c|^2 nu - kappa(|x|^2+1), kappa={kap}")
 
     if spec.rates.kappa0 is not None:
@@ -437,17 +440,14 @@ def validate_model(spec: ModelSpec, probe_points, directions=None,
         ls = np.arange(1, 65)
         cap = k0 * ls * 3.0 ** -ls
         q = rate_rows(spec.rates, xs, ks, len(ls))
-        run_check("rate-uniform-bound", np.max(q - cap, axis=1), points, tol=1e-12,
+        run_check("rate-uniform-bound", np.max(q - cap, axis=1), tol=1e-12,
                   note=f"q_kl(x) - kappa0 l 3^-l with kappa0={k0}, l <= 64")
 
     if quad_crosscheck > 0 and c2 is not None:
         from .generator import _jump_second_moment_quadrature  # local import avoids a cycle
-        errs, pts = [], []
-        for p, closed in zip(points[:quad_crosscheck], c2[:quad_crosscheck]):
-            numeric = _jump_second_moment_quadrature(spec, p.x, p.k)
-            errs.append(abs(numeric - closed) - 1e-6 * (1.0 + abs(closed)))
-            pts.append(p)
-        run_check("jump-second-moment-quadrature", errs, pts, tol=0.0,
+        errs = [abs(_jump_second_moment_quadrature(spec, xs[i], int(ks[i])) - c2[i])
+                - 1e-6 * (1.0 + abs(c2[i])) for i in range(min(quad_crosscheck, n))]
+        run_check("jump-second-moment-quadrature", errs, tol=0.0,
                   note="closed form vs quadrature (1e-6 relative)")
 
-    return ValidationReport(tuple(checks), len(points))
+    return ValidationReport(tuple(checks), n)

@@ -29,8 +29,9 @@ chunk.  Each draw of a step is made per chunk, from the chunk's own stream
 and in the order a lone chunk makes it, and every other operation of a step
 acts on each path alone, so packing leaves the numbers as they are (see
 ``simulate_ensemble`` for the one shared quantity, the rate-row truncation
-level).  Results are bit-identical whatever the worker count that runs the
-batches.
+level).  ``_run_batches``, the one batch runner of both ensemble engines,
+hands the batches to the worker threads and merges their outputs in batch
+order, so results are bit-identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ def _check_positive(name: str, value, *, finite: bool) -> None:
 class IntegratorConfig:
     """Step size, horizon and jump/switching policies for the integrator.
 
-    ``epsilon`` and ``regime_tol`` must be positive and finite.  ``r_max``
-    must be positive; paths whose |x| exceeds it are censored, and +inf
-    turns the guard off.
+    ``step``, ``horizon``, ``epsilon`` and ``regime_tol`` must be positive
+    and finite, with ``step <= horizon``.  ``r_max`` must be positive; paths
+    whose |x| exceeds it are censored, and +inf turns the guard off.
     """
 
     step: float
@@ -88,8 +89,10 @@ class IntegratorConfig:
     r_max: float = 1e6                 # state-explosion guard; exceeding paths are censored
 
     def __post_init__(self):
-        if not (0.0 < self.step <= self.horizon):
-            raise ValueError("need 0 < step <= horizon")
+        _check_positive("step", self.step, finite=True)
+        _check_positive("horizon", self.horizon, finite=True)
+        if self.step > self.horizon:
+            raise ValueError("need step <= horizon")
         if self.small_jump_policy not in ("drop", "gaussian"):
             raise ValueError("small_jump_policy must be 'drop' or 'gaussian'")
         if self.epsilon is not None:
@@ -173,19 +176,25 @@ class EnsembleResult:
         return int(np.count_nonzero(self.censored))
 
 
-def _jump_setup(spec: ModelSpec, cfg: IntegratorConfig):
-    """Validated (cutoff, large-jump rate) for ``cfg``; (None, None) without jumps."""
+def _step_setup(spec: ModelSpec, cfg: IntegratorConfig):
+    """``cfg`` resolved against ``spec`` for the step kernels: (nsteps, h, eps,
+    lam_rate, gaussian, row_tol), with the validated jump cutoff ``eps`` and
+    large-jump rate ``lam_rate`` None for a model without jumps, ``gaussian``
+    the small-jump policy and ``row_tol`` the rate-row truncation tolerance."""
+    nsteps, h = cfg.grid()
+    gaussian = cfg.small_jump_policy == "gaussian"
+    row_tol = cfg.regime_tol if cfg.regime_tol is not None else spec.regime_tol
     if not spec.has_jumps:
-        return None, None
+        return nsteps, h, None, None, gaussian, row_tol
     eps = cfg.epsilon if cfg.epsilon is not None else spec.jump_measure.epsilon
     if not (0.0 < eps < spec.jump_measure.radius_max):
         raise ValueError("jump cutoff outside the mark domain")
     lam_rate = float(spec.jump_measure.large_jump_rate(eps))
     if not np.isfinite(lam_rate) or lam_rate < 0:
         raise ValueError("large-jump rate must be finite and nonnegative")
-    if cfg.small_jump_policy == "gaussian" and spec.small_jump_cov is None:
+    if gaussian and spec.small_jump_cov is None:
         raise ValueError("gaussian small-jump policy needs a closed-form small_jump_cov")
-    return eps, lam_rate
+    return nsteps, h, eps, lam_rate, gaussian, row_tol
 
 
 def _sigma_lambda(spec: ModelSpec, x: np.ndarray, k: np.ndarray, lam: float):
@@ -393,12 +402,9 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     n, d = x0.shape
     x = x0.astype(float).copy()
     k = k0.astype(np.int64).copy()
-    nsteps, h = cfg.grid()
-    eps, lam_rate = _jump_setup(spec, cfg)
-    gaussian = cfg.small_jump_policy == "gaussian"
+    nsteps, h, eps, lam_rate, gaussian, row_tol = _step_setup(spec, cfg)
     count_dropped = (record and eps is not None and not gaussian
                      and spec.small_jump_cov is not None)
-    row_tol = cfg.regime_tol if cfg.regime_tol is not None else spec.regime_tol
     trunc = RowTruncator(spec.rates, row_tol) if switching or killed else None
 
     # Exact switch pre-screen: q_k(x) <= Qbar_k = tail_bound(k, 0), so only a
@@ -576,10 +582,6 @@ def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState
             if not batches or hi - batches[-1][0][2] > CHUNK_SIZE:
                 batches.append([])
             batches[-1].append((bi, c, lo, hi))
-    x_out = np.empty((n_paths, spec.d))
-    k_out = np.empty(n_paths, dtype=np.int64)
-    e_out = np.empty(n_paths)
-    w_out = np.empty(n_paths) if regime == "killed" else None
     observers = [None] * len(batches)
 
     def work(b: int):
@@ -590,20 +592,29 @@ def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState
         blk = block[lo:hi]
         if observer is not None:
             observers[b] = observer(blk)
-        out = _evolve(spec, x_start[blk], k_start[blk], cfg, streams,
-                      regime=regime, observe=observers[b])
-        x_out[lo:hi] = out["x"]
-        k_out[lo:hi] = out["k"]
-        e_out[lo:hi] = out["exit_time"]
-        if w_out is not None:
-            w_out[lo:hi] = out["weight"]
+        return slice(lo, hi), _evolve(spec, x_start[blk], k_start[blk], cfg, streams,
+                                      regime=regime, observe=observers[b])
 
-    if threads > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(batches))))
-    else:
-        for b in range(len(batches)):
-            work(b)
-
-    return EnsembleResult(x_out, k_out, e_out, weight=w_out,
+    names = ("x", "k", "exit_time") + (("weight",) if regime == "killed" else ())
+    return EnsembleResult(**_run_batches(work, len(batches), threads, n_paths, names),
                           observers=observers if observer is not None else [])
+
+
+def _run_batches(work: Callable, n_batches: int, threads: int, n: int, names) -> dict:
+    """Run ``work(b) -> (dest, out)`` for b = 0..n_batches-1 and merge the outputs.
+
+    Returns, for each of ``names``, the (n, ...) array holding ``out[name]``
+    at rows ``dest``.  With ``threads`` > 1 the batches run on that many
+    threads, else in the calling thread; either way the outputs merge in
+    batch order, so the result does not depend on the thread count.
+    """
+    merged = {}
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        batches = range(n_batches)
+        parts = pool.map(work, batches) if threads > 1 and n_batches > 1 else map(work, batches)
+        for dest, out in parts:
+            for name in names:
+                if name not in merged:
+                    merged[name] = np.empty((n,) + out[name].shape[1:], out[name].dtype)
+                merged[name][dest] = out[name]
+    return merged

@@ -184,9 +184,10 @@ NAN, INF = float("nan"), float("inf")
 
 class TestPositiveFields:
     """Every positive config field rejects NaN and values <= 0, in the
-    constructor and as a CLI option (exit 2); ``epsilon`` and ``eta`` reject
-    +-inf too, while +inf turns the guard of ``r_max``, ``ball_radius`` and
-    ``delta0`` off."""
+    constructor and as a CLI option (exit 2); ``step``, ``horizon``,
+    ``epsilon`` and ``eta`` reject +-inf too, while +inf turns the guard of
+    ``r_max``, ``ball_radius`` and ``delta0`` off.  The gauge commands'
+    inputs follow the same rule."""
 
     @staticmethod
     def _strong_feller(tmp_path, option, value):
@@ -227,6 +228,34 @@ class TestPositiveFields:
     def test_eta(self, tmp_path):
         self._check(tmp_path, "eta", "--eta", [-1.0, 0.0, NAN, INF, -INF],
                     "coalescence threshold eta must be positive and finite")
+
+    def test_step_and_horizon(self, tmp_path):
+        # before the check, an infinite horizon overflowed in grid() and exited 1
+        for field, option in (("step", "--h"), ("horizon", "--t")):
+            for bad in [-1.0, 0.0, NAN, INF, -INF]:
+                with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+                    CouplingConfig(**{"step": 0.05, "horizon": 0.1, field: bad})
+                assert self._strong_feller(tmp_path, option, bad) == 2, (option, bad)
+        with pytest.raises(ValueError, match="need step <= horizon"):
+            IntegratorConfig(step=0.2, horizon=0.1)
+        assert not (tmp_path / "strong-feller.json").exists()
+        assert run(["irreducible", "--model", "example51", "--start", "0,1", "--target", "0,1",
+                    "--regime", "2", "--t=inf", "--outdir", str(tmp_path)]) == 2
+        assert run(["invariant", "--model", "example51", "--starts", "0,1", "--t-end=inf",
+                    "--outdir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["g-function", "--kappa=nan", "--lam=1"],
+        ["g-function", "--kappa=1", "--lam=inf"],
+        ["g-function", "--kappa=-1", "--lam=1"],
+        ["f-function", "--r-max-tab=nan"],
+        ["f-function", "--r-max-tab=inf"],
+        ["f-function", "--r-max-tab=0"],
+    ])
+    def test_gauge_inputs(self, tmp_path, argv):
+        # before the check, nan exited 1 and --lam inf wrote a table
+        assert run(argv + ["--outdir", str(tmp_path)]) == 2
+        assert not list(tmp_path.iterdir())
 
     def test_infinite_guards_mean_none(self, tmp_path):
         cfg = CouplingConfig(step=0.05, horizon=0.5, r_max=INF, ball_radius=INF,

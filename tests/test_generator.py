@@ -136,6 +136,12 @@ class TestDerivativeChecks:
         with pytest.raises(ValueError):
             TestFunction(fn=lambda x, k: 0.0, bounded=True)
 
+    def test_bound_requires_bounded(self):
+        # the estimators read bound while the generator reads bounded, so a
+        # bound alone made the two disagree on whether f is bounded
+        with pytest.raises(ValueError, match="bound needs bounded=True"):
+            TestFunction(fn=lambda x, k: 0.0, bound=1.0)
+
 
 class TestLyapunov:
     def test_zero_model_any_beta(self):

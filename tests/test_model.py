@@ -109,25 +109,27 @@ class TestValidateModel:
     def probes(self, spec, lo=-10.0, hi=10.0, n=9, kmax=8):
         xs = np.linspace(lo, hi, n)
         if spec.d == 1:
-            return [HybridState(np.array([v]), k) for v in xs for k in range(1, kmax + 1)]
-        return [HybridState(np.array([v, w]), k)
-                for v in xs for w in xs[::2] for k in range(1, kmax + 1)]
+            pts = [(np.array([v]), k) for v in xs for k in range(1, kmax + 1)]
+        else:
+            pts = [(np.array([v, w]), k)
+                   for v in xs for w in xs[::2] for k in range(1, kmax + 1)]
+        return np.stack([x for x, _ in pts]), np.array([k for _, k in pts])
 
     def test_example51_passes(self):
         spec = example51()
-        rep = validate_model(spec, self.probes(spec), quad_crosscheck=2)
+        rep = validate_model(spec, *self.probes(spec), quad_crosscheck=2)
         assert rep.passed, rep.summary()
 
     def test_example51_ellipticity_at_least_one(self):
         # a(x,k) = (|x|^{2/3}+1)^2 >= 1 everywhere, floor declared as 1
         spec = example51()
-        rep = validate_model(spec, self.probes(spec))
+        rep = validate_model(spec, *self.probes(spec))
         check = {c.name: c for c in rep.checks}["ellipticity-floor"]
         assert check.margin <= 1e-10
 
     def test_example51_growth_kappa4(self):
         spec = example51()
-        rep = validate_model(spec, self.probes(spec))
+        rep = validate_model(spec, *self.probes(spec))
         check = {c.name: c for c in rep.checks}["growth-diffusion-jump"]
         assert check.passed and check.margin <= 0.0
 
@@ -139,18 +141,26 @@ class TestValidateModel:
             rates=zero_rates(),
             growth_constant=1e-6,
         )
-        rep = validate_model(spec, self.probes(spec, kmax=2))
+        rep = validate_model(spec, *self.probes(spec, kmax=2))
         assert rep.passed
 
     def test_example52_passes(self):
         spec = example52(1.0)
-        rep = validate_model(spec, self.probes(spec, lo=-5, hi=5, n=5, kmax=5),
+        rep = validate_model(spec, *self.probes(spec, lo=-5, hi=5, n=5, kmax=5),
                              quad_crosscheck=2)
         assert rep.passed, rep.summary()
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            validate_model(example51(), [HybridState(np.zeros(2), 1)])
+            validate_model(example51(), np.zeros((1, 2)), [1])
+
+    @pytest.mark.parametrize("xs, ks", [
+        ([[np.nan]], [1]), ([[np.inf]], [1]), ([[0.0]], [0]), (np.zeros((0, 1)), []),
+        ([[0.0], [1.0]], [1]), ([0.0], [1]),
+    ])
+    def test_bad_probes_rejected(self, xs, ks):
+        with pytest.raises(ValueError):
+            validate_model(example51(), xs, ks)
 
     def test_nonfinite_coefficient_reported(self):
         spec = ModelSpec(
@@ -159,14 +169,14 @@ class TestValidateModel:
             sigma=zero_model().sigma,
             rates=zero_rates(),
         )
-        rep = validate_model(spec, [HybridState(np.array([10.0]), 1)])
+        rep = validate_model(spec, np.array([[10.0]]), [1])
         assert not rep.passed
 
     def test_pure(self):
         spec = example51()
         probes = self.probes(spec, n=5, kmax=3)
-        a = validate_model(spec, probes).to_dict()
-        b = validate_model(spec, probes).to_dict()
+        a = validate_model(spec, *probes).to_dict()
+        b = validate_model(spec, *probes).to_dict()
         assert a == b
 
     def test_batched_checks_match_pointwise(self):
@@ -207,17 +217,20 @@ class TestValidateModel:
         # a report shows only the worst value, so small groups expose most values
         for lo in range(0, len(probes), 4):
             group = probes[lo:lo + 4]
-            checks = {c.name: c for c in validate_model(spec, group, directions=raw_dirs).checks}
+            checks = {c.name: c for c in validate_model(
+                spec, np.stack([p.x for p in group]), [p.k for p in group],
+                directions=raw_dirs).checks}
             for name, per_probe in ref.items():
                 vals = [v for vs in per_probe[lo:lo + 4] for v in vs]
                 i = int(np.argmax(vals))
                 worst = group[i // len(per_probe[lo])]
                 assert checks[name].margin == vals[i], name
-                assert checks[name].worst_point[0] is worst.x, name
+                assert np.array_equal(checks[name].worst_point[0], worst.x), name
+                assert checks[name].worst_point[1] == worst.k, name
 
     def test_rate_uniform_bound_checked(self):
         spec = example51()
-        rep = validate_model(spec, self.probes(spec, n=5, kmax=4))
+        rep = validate_model(spec, *self.probes(spec, n=5, kmax=4))
         names = [c.name for c in rep.checks]
         assert "rate-uniform-bound" in names
         assert {c.name: c for c in rep.checks}["rate-uniform-bound"].passed

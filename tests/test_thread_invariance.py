@@ -5,6 +5,8 @@ worker threads only distribute the chunks, so 1, 2 and 3 threads must give
 the same bytes.  n is not a multiple of CHUNK_SIZE, so the last chunk is
 partial and three threads get unequal shares.  The coupled ensemble is a
 three-separation sweep, whose chunks each step all separations together.
+The packed multi-start ensemble runs batches of unequal width: two starts'
+chunks share the first batch and the third start's chunk runs alone.
 """
 
 import numpy as np
@@ -56,6 +58,27 @@ def test_killed_ensemble():
         ens = simulate_ensemble(example52(), START, cfg, N, 32, threads=threads,
                                 regime="killed")
         runs.append((ens.x, ens.k, ens.exit_time, ens.weight))
+    _assert_same_bytes(runs)
+
+
+def test_frozen_ensemble():
+    cfg = IntegratorConfig(step=1.0 / 16, horizon=0.25)
+    runs = []
+    for threads in THREADS:
+        ens = simulate_ensemble(example52(), START, cfg, N, 34, threads=threads,
+                                regime="frozen")
+        runs.append((ens.x, ens.k, ens.exit_time))
+    _assert_same_bytes(runs)
+
+
+def test_packed_multi_start_ensemble():
+    cfg = IntegratorConfig(step=1.0 / 16, horizon=0.25)
+    starts = [START, START2, SWEEP[1]]
+    n = len(starts) * (CHUNK_SIZE // 2 - 7)
+    runs = []
+    for threads in THREADS:
+        ens = simulate_ensemble(example52(), starts, cfg, n, 35, threads=threads)
+        runs.append((ens.x, ens.k, ens.exit_time))
     _assert_same_bytes(runs)
 
 
