@@ -229,10 +229,11 @@ def example52(delta: float = 1.0) -> ModelSpec:
     V = TestFunction(
         fn=lambda x, k: np.sum(np.asarray(x, dtype=float) ** 2, axis=-1) + np.asarray(k, dtype=float),
         grad=lambda x, k: 2.0 * np.asarray(x, dtype=float),
-        hess=lambda x, k: 2.0 * np.eye(2),
+        hess=lambda x, k: 2.0 * np.broadcast_to(np.eye(2), np.shape(x) + (2,)),
         bounded=False,
         regime_tail=lyap_regime_tail,
         label="V(x,k)=|x|^2+k",
+        broadcasting=True,
     )
 
     measure = JumpMeasureSpec(

@@ -59,6 +59,13 @@ class TestFunction:
     sum_{l>L} q_kl(x) |f(x,l) - f(x,k)| for unbounded-in-k functions;
     ``k_independent`` declares that the regime-exchange term vanishes
     identically.
+
+    ``broadcasting`` declares that ``grad``, ``hess`` and ``regime_tail``
+    follow ``fn``'s convention too: for x (..., d) and k (...) they return
+    shapes (..., d), (..., d, d) and (...).  The generator then evaluates a
+    whole batch of points in one call of each, and a declared callable that
+    returns any other shape raises ``ValueError``.  Without the declaration
+    they are called one point at a time, as are the finite differences.
     """
 
     fn: Callable[..., np.ndarray]
@@ -70,6 +77,7 @@ class TestFunction:
     regime_tail: Callable[..., float] | None = None
     k_independent: bool = False
     label: str = "f"
+    broadcasting: bool = False
 
     __test__ = False  # keep pytest from collecting this as a test class
 
@@ -114,6 +122,35 @@ class TestFunction:
                     - float(self.fn(x - ei + ej, k)) + float(self.fn(x - ei - ej, k))
                 ) / (4.0 * h ** 2)
         return H
+
+    def gradients(self, xs, ks) -> np.ndarray:
+        """``gradient`` at every point of a batch (xs: (..., d), ks: (...))."""
+        return self._batched("grad", self.gradient, xs, ks, xs.shape)
+
+    def hessians(self, xs, ks) -> np.ndarray:
+        """``hessian`` at every point of a batch (xs: (..., d), ks: (...))."""
+        return self._batched("hess", self.hessian, xs, ks, xs.shape + xs.shape[-1:])
+
+    def regime_tails(self, xs, ks, L: int) -> np.ndarray:
+        """``regime_tail`` at level L at every point of a batch."""
+        return self._batched("regime_tail", lambda x, k, L: float(self.regime_tail(x, k, L)),
+                             xs, ks, xs.shape[:-1], L)
+
+    def _batched(self, name, pointwise, xs, ks, shape, *args) -> np.ndarray:
+        """One call of the field ``name`` on the whole batch when this
+        function broadcasts, else ``pointwise`` at each point; ``shape`` is
+        the shape that the declaration promises."""
+        ks = np.broadcast_to(ks, xs.shape[:-1])
+        declared = getattr(self, name)
+        if self.broadcasting and declared is not None:
+            out = np.asarray(declared(xs, ks, *args), dtype=float)
+            if out.shape != shape:
+                raise ValueError(f"{self.label}: {name} declared to broadcast returned "
+                                 f"shape {out.shape}, expected {shape}")
+            return out
+        out = np.array([pointwise(x, k, *args) for x, k in
+                        zip(xs.reshape(-1, xs.shape[-1]), ks.ravel().tolist())])
+        return out.reshape(xs.shape[:-1] + out.shape[1:])
 
     def check_derivatives(self, points) -> float:
         """Worst relative mismatch between analytic derivatives and central
@@ -215,7 +252,7 @@ def _hessian_sup_estimate(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: 
     d = xs.shape[1]
     shifts = np.concatenate([np.zeros((1, d)), np.eye(d), -np.eye(d)])
     probes = xs[:, None, :] + csup[:, None, None] * shifts
-    hess = np.array([[f.hessian(p, k) for p in row] for row, k in zip(probes, ks.tolist())])
+    hess = f.hessians(probes, ks[:, None])
     return np.max(np.abs(np.linalg.eigvalsh(hess)), axis=(1, 2))
 
 
@@ -223,23 +260,32 @@ def _hessian_sup_estimate(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: 
 # Generator evaluation
 
 
-def _regime_level(f: TestFunction, rates, x: np.ndarray, k: int, tail_tol: float,
-                  l_cap: int):
-    """Truncation level L of the regime sum at (x, k) and its certified tail."""
+def _regime_levels(f: TestFunction, rates, xs: np.ndarray, ks: np.ndarray, tail_tol: float,
+                   l_cap: int):
+    """Truncation level L of the regime sum at every point and its certified
+    tail: L doubles from 16 until the tail is below ``tail_tol``."""
+    if f.regime_tail is None and not f.bounded:
+        raise ValueError(
+            "unbounded test function needs a regime_tail bound for the regime sum")
+    levels = np.empty(len(ks), dtype=np.int64)
+    tails = np.empty(len(ks))
+    todo = np.arange(len(ks))
     L = 16
-    while True:
+    while todo.size:
         if f.regime_tail is not None:
-            tail = float(f.regime_tail(x, k, L))
-        elif f.bounded:
-            tail = 2.0 * float(f.bound) * certified_tail(rates, k, L)
+            tail = f.regime_tails(xs[todo], ks[todo], L)
         else:
-            raise ValueError(
-                "unbounded test function needs a regime_tail bound for the regime sum")
-        if tail <= tail_tol:
-            return L, tail
-        if L >= l_cap:
+            uk, inv = np.unique(ks[todo], return_inverse=True)
+            tail = 2.0 * float(f.bound) * np.array(
+                [certified_tail(rates, k, L) for k in uk.tolist()])[inv]
+        done = tail <= tail_tol
+        levels[todo[done]] = L
+        tails[todo[done]] = tail[done]
+        todo = todo[~done]
+        if todo.size and L >= l_cap:
             raise TruncationError(f"regime sum tail not below {tail_tol} within L={l_cap}")
         L *= 2
+    return levels, tails
 
 
 def _generator(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
@@ -247,10 +293,9 @@ def _generator(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
                l_cap: int = 1 << 20):
     """Generator values and brackets at every point of the batch; raises on
     the first failure anywhere in it."""
-    klist = ks.tolist()
     f0 = np.broadcast_to(np.asarray(f.fn(xs, ks), dtype=float), ks.shape)
-    grads = np.array([f.gradient(x, k) for x, k in zip(xs, klist)])
-    hess = np.array([f.hessian(x, k) for x, k in zip(xs, klist)])
+    grads = f.gradients(xs, ks)
+    hess = f.hessians(xs, ks)
     sig = np.asarray(spec.sigma(xs, ks), dtype=float)
     a = sig @ np.swapaxes(sig, -1, -2)
     b = np.asarray(spec.drift(xs, ks), dtype=float)
@@ -266,9 +311,8 @@ def _generator(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
         bracket += quad_err + 0.5 * sup_h * small2
 
     if not f.k_independent:
-        levels, tails = np.array([_regime_level(f, spec.rates, x, k, tail_tol, l_cap)
-                                  for x, k in zip(xs, klist)]).T
-        for L in np.unique(levels).astype(int).tolist():
+        levels, tails = _regime_levels(f, spec.rates, xs, ks, tail_tol, l_cap)
+        for L in np.unique(levels).tolist():
             idx = np.flatnonzero(levels == L)
             q = rate_rows(spec.rates, xs[idx], ks[idx], L)
             x = np.broadcast_to(xs[idx, None, :], (len(idx), L, xs.shape[1]))
@@ -345,15 +389,17 @@ class LyapunovCertificate:
     box: tuple | None = None
     regimes: tuple | None = None
 
-    def indicator(self, x, k: int) -> float:
+    def indicator(self, x, k):
+        """1_{box x regimes} at x: (..., d), k: (...); a float at one point."""
+        x = np.asarray(x, dtype=float)
+        k = np.asarray(k)
+        inside = np.ones(np.broadcast_shapes(x.shape[:-1], k.shape), dtype=bool)
         if self.box is not None:
             lo, hi = (np.asarray(v, dtype=float) for v in self.box)
-            if not (np.all(x >= lo) and np.all(x <= hi)):
-                return 0.0
+            inside &= np.all((x >= lo) & (x <= hi), axis=-1)
         if self.regimes is not None:
-            if not (self.regimes[0] <= k <= self.regimes[1]):
-                return 0.0
-        return 1.0
+            inside &= (self.regimes[0] <= k) & (k <= self.regimes[1])
+        return inside.astype(float) if inside.ndim else float(inside)
 
 
 @dataclass(frozen=True)
@@ -414,6 +460,38 @@ class DriftReport:
 GENERATOR_BLOCK = 256   # grid points per batched generator call in check_lyapunov
 
 
+def _preconditions(V: TestFunction, rate_fn, xs: np.ndarray, ks: np.ndarray,
+                   errors: dict) -> np.ndarray:
+    """``rate_fn`` at every point where V and the rate pass the certificate's
+    preconditions (finite, V >= 0, rate >= 1), NaN elsewhere; the message of
+    each failing point goes into ``errors``.  A V declared to broadcast is
+    evaluated on the whole grid at once, and point by point only when that
+    call raises."""
+    if V.broadcasting:
+        try:
+            v = np.broadcast_to(np.asarray(V.fn(xs, ks), dtype=float), ks.shape)
+            r = np.broadcast_to(np.asarray(rate_fn(xs, ks), dtype=float), ks.shape)
+        except Exception:  # evaluated point by point below
+            pass
+        else:
+            bad = ~(np.isfinite(v) & np.isfinite(r)) | (v < 0) | (r < 1.0 - 1e-12)
+            for i in np.flatnonzero(bad).tolist():
+                errors[i] = (f"certificate preconditions violated: V={float(v[i])}, "
+                             f"rate={float(r[i])}")
+            return np.where(bad, np.nan, r)
+    rates = np.full(len(ks), np.nan)
+    for i, (xr, kk) in enumerate(zip(xs, ks.tolist())):
+        try:
+            v0 = float(V.fn(xr, kk))
+            r0 = float(rate_fn(xr, kk))
+            if not (np.isfinite(v0) and np.isfinite(r0)) or v0 < 0 or r0 < 1.0 - 1e-12:
+                raise ValueError(f"certificate preconditions violated: V={v0}, rate={r0}")
+            rates[i] = r0
+        except Exception as exc:  # reported per point
+            errors[i] = str(exc)
+    return rates
+
+
 def check_lyapunov(spec: ModelSpec, cert: LyapunovCertificate, xs, ks,
                    tol: float = 1e-6, **gen_kwargs) -> DriftReport:
     """Evaluate the certificate margin A V + alpha*rate - beta*indicator on a grid.
@@ -433,32 +511,21 @@ def check_lyapunov(spec: ModelSpec, cert: LyapunovCertificate, xs, ks,
     values = np.full(len(ks), np.nan)
     margins = np.full(len(ks), np.nan)
     brackets = np.zeros(len(ks))
-    rates = np.full(len(ks), np.nan)
     errors = {}
-    for i, (xr, kk) in enumerate(zip(xs, ks.tolist())):
-        try:
-            v0 = float(cert.V.fn(xr, kk))
-            r0 = float(rate_fn(xr, kk))
-            if not (np.isfinite(v0) and np.isfinite(r0)) or v0 < 0 or r0 < 1.0 - 1e-12:
-                raise ValueError(f"certificate preconditions violated: V={v0}, rate={r0}")
-            rates[i] = r0
-        except Exception as exc:  # reported per point
-            errors[i] = str(exc)
+    rates = _preconditions(cert.V, rate_fn, xs, ks, errors)
     good = np.flatnonzero(np.isfinite(rates))
     for lo in range(0, good.size, GENERATOR_BLOCK):
         idx = good[lo:lo + GENERATOR_BLOCK]
         gen = apply_generator_batch(spec, cert.V, xs[idx], ks[idx], **gen_kwargs)
         errors.update((int(idx[j]), msg) for j, msg in gen.failures.items())
-        for j, i in enumerate(idx.tolist()):
-            if i in errors:
-                continue
-            if not np.isfinite(gen.value[j]):
-                errors[i] = f"generator value is not finite: {gen.value[j]}"
-                continue
-            values[i] = gen.value[j]
-            brackets[i] = gen.bracket[j]
-            margins[i] = (gen.value[j] + cert.alpha * rates[i]
-                          - cert.beta * cert.indicator(xs[i], int(ks[i])))
+        finite = np.isfinite(gen.value)
+        for j in np.flatnonzero(~finite).tolist():
+            errors.setdefault(int(idx[j]), f"generator value is not finite: {gen.value[j]}")
+        values[idx[finite]] = gen.value[finite]
+        brackets[idx[finite]] = gen.bracket[finite]
+    ok = np.isfinite(values)
+    margins[ok] = (values[ok] + cert.alpha * rates[ok]
+                   - cert.beta * cert.indicator(xs[ok], ks[ok]))
     failures = tuple(f"({xs[i].tolist()}, {int(ks[i])}): {errors[i]}" for i in sorted(errors))
     return DriftReport(xs, ks, values, margins, brackets, tol, failures)
 

@@ -77,7 +77,8 @@ class IntegratorConfig:
     """Step size, horizon and jump/switching policies for the integrator.
 
     ``step``, ``horizon``, ``epsilon`` and ``regime_tol`` must be positive
-    and finite, with ``step <= horizon``.  ``r_max`` must be positive; paths
+    and finite, with ``step <= horizon`` and a finite step count
+    ``horizon / step``.  ``r_max`` must be positive; paths
     whose |x| exceeds it are censored, and +inf turns the guard off.
     """
 
@@ -93,6 +94,9 @@ class IntegratorConfig:
         _check_positive("horizon", self.horizon, finite=True)
         if self.step > self.horizon:
             raise ValueError("need step <= horizon")
+        if not self.horizon / self.step < np.inf:
+            raise ValueError(f"step count horizon/step must be finite, got "
+                             f"{self.horizon!r}/{self.step!r}")
         if self.small_jump_policy not in ("drop", "gaussian"):
             raise ValueError("small_jump_policy must be 'drop' or 'gaussian'")
         if self.epsilon is not None:

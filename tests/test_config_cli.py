@@ -244,6 +244,17 @@ class TestPositiveFields:
         assert run(["invariant", "--model", "example51", "--starts", "0,1", "--t-end=inf",
                     "--outdir", str(tmp_path)]) == 2
 
+    def test_step_count(self, tmp_path):
+        # a finite step and horizon whose ratio overflows used to end in an
+        # OverflowError from grid() and exit 1
+        with pytest.raises(ValueError, match="step count horizon/step must be finite"):
+            IntegratorConfig(step=1e-10, horizon=1e300)
+        with pytest.raises(ValueError, match="step count horizon/step must be finite"):
+            CouplingConfig(step=1e-10, horizon=1e300)
+        assert run(["irreducible", "--model", "example51", "--start", "0,1", "--target", "0,1",
+                    "--regime", "2", "--t=1e300", "--h=1e-10", "--outdir", str(tmp_path)]) == 2
+        assert not (tmp_path / "irreducible.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["g-function", "--kappa=nan", "--lam=1"],
         ["g-function", "--kappa=1", "--lam=inf"],

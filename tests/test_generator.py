@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from rsjd import (
     example51,
     example52,
 )
+from rsjd.cli import run
 from rsjd.model import RateMatrixSpec
 
 from test_simulate import make_model
@@ -217,6 +219,80 @@ class TestLyapunov:
             assert rep.values[i] == pytest.approx(gv.value, rel=1e-12, abs=1e-12)
             assert rep.brackets[i] == pytest.approx(gv.bracket, rel=1e-6, abs=1e-15)
             assert np.isfinite(rep.margins[i])
+
+
+class TestBroadcastingDeclaration:
+    """example52's V declares that its derivatives and regime tail broadcast,
+    so the generator and the Lyapunov check evaluate whole blocks at once;
+    with the declaration turned off they go point by point."""
+
+    def test_declared_matches_pointwise(self):
+        spec = example52(1.0)
+        V0 = spec.default_lyapunov
+        assert V0.broadcasting
+
+        def fn(x, k):
+            # NaN beyond |x| = 3.5: (3.4, 0) fails in its mark integral and
+            # (4, 0) in the preconditions
+            x = np.asarray(x, dtype=float)
+            return np.where(np.linalg.norm(x, axis=-1) > 3.5, np.nan, V0.fn(x, k))
+
+        def rate_fn(x, k):
+            # V - 1, which is below 1 near the origin in regime 1
+            return V0.fn(x, k) - 1.0
+
+        axes = np.meshgrid(np.linspace(-1.5, 1.5, 5), np.linspace(-1.5, 1.5, 5), indexing="ij")
+        pts = np.concatenate([np.stack([a.ravel() for a in axes], axis=-1),
+                              [[3.4, 0.0], [4.0, 0.0], [0.5, -0.5]]])
+        xs = np.repeat(pts, 3, axis=0)
+        ks = np.tile(np.array([1, 2, 5]), len(pts))
+        reports = []
+        for broadcasting in (True, False):
+            V = replace(V0, fn=fn, broadcasting=broadcasting)
+            cert = LyapunovCertificate(V=V, alpha=1.0 / 6.0, beta=2.5, rate_fn=rate_fn,
+                                       box=((-1.0, -2.0), (2.0, 1.0)), regimes=(1, 2))
+            reports.append(check_lyapunov(spec, cert, xs, ks))
+        declared, pointwise = reports
+        for name in ("values", "margins", "brackets"):
+            assert getattr(declared, name).tobytes() == getattr(pointwise, name).tobytes(), name
+        assert declared.failures == pointwise.failures
+        # every kind of failure is present: a precondition with rate < 1, one
+        # with V not finite, and a mark integral that does not converge
+        assert any("([0.0, 0.0], 1): certificate preconditions violated: V=1.0, rate=0.0"
+                   == msg for msg in declared.failures)
+        assert any(msg.startswith("([4.0, 0.0], 1): certificate preconditions violated: V=nan")
+                   for msg in declared.failures)
+        assert any(msg.startswith("([3.4, 0.0], 1)") and "did not converge" in msg
+                   for msg in declared.failures)
+        assert np.isfinite(declared.margins).sum() > 60
+
+    def test_wrong_shape_raises(self):
+        # a declared derivative of the wrong shape would broadcast silently
+        # in the generator's sums
+        spec = example52(1.0)
+        V0 = spec.default_lyapunov
+        x = np.array([1.0, 0.5])
+        for field, pointwise in (("grad", lambda x, k: 2.0 * np.ones(2)),
+                                 ("hess", lambda x, k: 2.0 * np.eye(2)),
+                                 ("regime_tail", lambda x, k, L: 3.0 ** -L)):
+            bad = replace(V0, **{field: pointwise})
+            with pytest.raises(ValueError, match="declared to broadcast returned shape"):
+                apply_generator(spec, bad, x, 1)
+            # the same callable is fine without the declaration
+            gv = apply_generator(spec, replace(bad, broadcasting=False), x, 1)
+            assert np.isfinite(gv.value)
+
+    def test_cli_payload_digests(self, tmp_path):
+        # the benchmark's lyapunov arguments; both digests were recorded
+        # while every point was still evaluated on its own
+        assert run(["lyapunov", "--model", "example52:1.0", "--grid=-5:5:9", "--kmax", "10",
+                    "--seed", "1000", "--outdir", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("lyapunov.json", "lyapunov.csv")}
+        assert digests == {
+            "lyapunov.json": "5c4df7826d6d0fb95722f43ac5657c2d5b698f4cd5d57dc91c7144a9a65ba0c4",
+            "lyapunov.csv": "741c3fb1cb2729a08d476e55a739d0e856cd97f95e2b8801fbc9d1ce7ae696d0",
+        }
 
 
 class TestDynkin:
