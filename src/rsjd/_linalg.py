@@ -34,3 +34,21 @@ def sqrt_psd_batched(mats: np.ndarray, clamp_tol: float = CLAMP_TOL):
     w = np.maximum(w, 0.0)
     root = np.einsum("...ij,...j,...kj->...ik", q, np.sqrt(w), q)
     return root, clamped
+
+
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis: ``np.linalg.norm(x, axis=-1)`` bit
+    for bit, without the reduction's length-d inner loop per row.
+
+    Computes sqrt(x0*x0 + x1*x1 + ...) one column at a time, the order in which
+    numpy's reduction adds fewer than eight terms; at eight or more it regroups
+    the sum, so wider rows go to ``np.linalg.norm`` itself.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    if d >= 8:
+        return np.linalg.norm(x, axis=-1)
+    s = x[..., 0] * x[..., 0]
+    for j in range(1, d):
+        s = s + x[..., j] * x[..., j]
+    return np.sqrt(s)

@@ -53,10 +53,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import sqrt_psd_batched
+from ._csv import write_csv
+from ._linalg import row_norm, sqrt_psd_batched
 from .model import HybridState, ModelSpec, RowTruncator
 from .simulate import (CHUNK_SIZE, SCREEN_SLACK, IntegratorConfig, PathRecord, _apply_step,
-                       _check_positive, _draw_step, _run_batches, _step_setup, derive_rng)
+                       _check_positive, _draw_block, _run_batches, _step_draws, _step_setup,
+                       derive_rng)
 
 __all__ = [
     "CouplingConfig",
@@ -148,7 +150,7 @@ def _coupled_switch(trunc: RowTruncator, X, Xt, K, Kt, qbar1, qbar2, cand, u1, u
     second, l2)``: the pairs whose first side switches and their new regimes,
     then the same for the second side."""
     m = cand.size
-    rows_all, ls = trunc.rows(np.concatenate([X[cand], Xt[cand]], axis=0),
+    rows_all, ls = trunc.rows(np.concatenate([X.take(cand, axis=0), Xt.take(cand, axis=0)]),
                               np.concatenate([K[cand], Kt[cand]]),
                               bound=np.concatenate([qbar1[cand], qbar2[cand]]))
     rows1, rows2 = rows_all[:m], rows_all[m:]
@@ -173,8 +175,9 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     """Advance an (n, d) batch of coupled pairs over the full grid.
 
     The batch is ``blocks`` equal blocks of m = n / blocks pairs that all see
-    the same numbers: each step draws once for m pairs from ``rng`` and
-    repeats the draws for every block.  Each block keeps its own rate-row
+    the same numbers: the draws are made once for m pairs from ``rng``, by
+    ``_draw_block`` a block of steps at a time, and each step's draws are
+    repeated for every block.  Each block keeps its own rate-row
     truncation level, so block j holds exactly what a batch of its m pairs
     alone would.
     """
@@ -215,7 +218,7 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
         }
 
     def scan_marks(t):
-        delta = np.linalg.norm(Xt - X, axis=1)
+        delta = row_norm(Xt - X)
         met = (delta < eta) & (K == Kt) & np.isinf(t_meet)
         if met.any():
             t_meet[met] = t
@@ -226,7 +229,7 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
         zeta[split] = t
         far = (delta > cfg.delta0) & np.isinf(s_delta0)
         s_delta0[far] = t
-        big = np.maximum(np.linalg.norm(X, axis=1), np.linalg.norm(Xt, axis=1))
+        big = np.maximum(row_norm(X), row_norm(Xt))
         big = np.maximum(big, np.maximum(K, Kt).astype(float))
         out = (big > cfg.ball_radius) & np.isinf(tau_r)
         tau_r[out] = t
@@ -236,11 +239,12 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
         rec["x1"][0], rec["k1"][0] = X[0], K[0]
         rec["x2"][0], rec["k2"][0] = Xt[0], Kt[0]
 
-    for i in range(nsteps):
+    step_draws = _step_draws(((rng, 0, m),), spec, h, eps, lam_rate, nsteps, reflect=reflect,
+                             gaussian=gaussian, n_unif=3 if reflect else 2)
+    for i, draws in enumerate(step_draws):
         t_next = (i + 1) * h
         # one set of draws for m pairs, repeated for every block
-        draws = _draw_step(((rng, 0, m),), spec, h, eps, lam_rate, reflect=reflect,
-                           gaussian=gaussian, n_unif=3 if reflect else 2).repeat(blocks)
+        draws = draws.repeat(blocks)
         (dX, dXt), refl = _apply_step(
             spec, ((X, K), (Xt, Kt)), h, draws, eps, lam=lam,
             events=(t_next, (rec["jp1"], rec["jp2"])) if record else None)
@@ -275,8 +279,8 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
             sl1, sl2, u, clamps = refl
             n_clamped += clamps
             sep0, sep1 = Xt - X, Xtn - Xn
-            r0 = np.linalg.norm(sep0, axis=1)
-            p_cross = _bridge_crossing_prob(sep0, sep1, r0, np.linalg.norm(sep1, axis=1),
+            r0 = row_norm(sep0)
+            p_cross = _bridge_crossing_prob(sep0, sep1, r0, row_norm(sep1),
                                             sl1, sl2, u, lam, h)
             meet = alive & ~merged & (r0 > 0.0) & (Kn == Ktn) & (unif[2] < p_cross)
             if meet.any():
@@ -284,8 +288,7 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
                 t_meet[meet] = np.minimum(t_meet[meet], t_next)
                 Xtn[meet] = Xn[meet]
 
-        newly = alive & ((np.linalg.norm(Xn, axis=1) > cfg.r_max)
-                         | (np.linalg.norm(Xtn, axis=1) > cfg.r_max))
+        newly = alive & ((row_norm(Xn) > cfg.r_max) | (row_norm(Xtn) > cfg.r_max))
         if newly.any():
             exit_time[newly] = t_next
             alive &= ~newly
@@ -329,18 +332,10 @@ class CoupledPathRecord:
 
     def to_csv(self, path):
         d = self.first.xs.shape[1]
-        cols = (["t"] + [f"x{i+1}" for i in range(d)] + [f"xt{i+1}" for i in range(d)]
-                + ["k", "kt", "abs_delta"])
-        rows = [",".join(cols)]
-        for i, t in enumerate(self.times):
-            rows.append(",".join(
-                [repr(float(t))]
-                + [repr(float(v)) for v in self.first.xs[i]]
-                + [repr(float(v)) for v in self.second.xs[i]]
-                + [str(int(self.first.ks[i])), str(int(self.second.ks[i])),
-                   repr(float(self.delta[i]))]))
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        write_csv(path, (["t"] + [f"x{i+1}" for i in range(d)] + [f"xt{i+1}" for i in range(d)]
+                         + ["k", "kt", "abs_delta"]),
+                  self.times, self.first.xs, self.second.xs, self.first.ks, self.second.ks,
+                  self.delta)
 
     def marks_dict(self) -> dict:
         out = {k: (None if np.isinf(v) else float(v)) for k, v in self.marks.items()}
@@ -478,7 +473,7 @@ def pair_one_step(spec: ModelSpec, x, xt, k: int, n: int, cfg: CouplingConfig,
     K = np.full(n, k, dtype=np.int64)
     sides = ((np.tile(np.asarray(x, dtype=float), (n, 1)), K),
              (np.tile(np.asarray(xt, dtype=float), (n, 1)), K))
-    draws = _draw_step(((rng, 0, n),), spec, cfg.step, eps, lam_rate, reflect=lam is not None,
-                       gaussian=gaussian)
+    (draws,) = _draw_block(((rng, 0, n),), spec, cfg.step, eps, lam_rate, 1,
+                           reflect=lam is not None, gaussian=gaussian)
     (dX, dXt), _ = _apply_step(spec, sides, cfg.step, draws, eps, lam=lam)
     return dX, dXt

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._linalg import row_norm
 from .generator import TestFunction
 from .model import JumpMeasureSpec, ModelSpec, RateMatrixSpec
 
@@ -149,7 +150,7 @@ def example52(delta: float = 1.0) -> ModelSpec:
 
     def sigma(x, k):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
+        r = row_norm(x)
         fac = (r + 1.0) / 4.0
         return fac[..., None, None] * np.eye(2)
 
@@ -157,13 +158,13 @@ def example52(delta: float = 1.0) -> ModelSpec:
         x = np.asarray(x, dtype=float)
         k = np.asarray(k, dtype=float)
         u = np.asarray(u, dtype=float)
-        mag = np.linalg.norm(u, axis=-1)
+        mag = row_norm(u)
         amp = np.sqrt(k / (k + 1.0)) * gamma * mag
         return amp[..., None] * x
 
     def density(u):
         u = np.asarray(u, dtype=float)
-        return np.linalg.norm(u, axis=-1) ** -(2.0 + delta)
+        return row_norm(u) ** -(2.0 + delta)
 
     def radial_density(r):
         r = np.asarray(r, dtype=float)
@@ -207,13 +208,13 @@ def example52(delta: float = 1.0) -> ModelSpec:
         x = np.asarray(x, dtype=float)
         k = np.asarray(k, dtype=float)
         l = np.asarray(l, dtype=float)
-        r = np.sqrt(np.sum(x * x, axis=-1))
+        r = row_norm(x)
         return (2.0 + np.cos(k * r)) * np.exp(-l * _LOG3) / (2.0 + np.sin(r * r))
 
     def row_sum(x, k):
         x = np.asarray(x, dtype=float)
         k = np.asarray(k, dtype=float)
-        r = np.sqrt(np.sum(x * x, axis=-1))
+        r = row_norm(x)
         geo = 0.5 - np.exp(-k * _LOG3)
         return (2.0 + np.cos(k * r)) / (2.0 + np.sin(r * r)) * geo
 

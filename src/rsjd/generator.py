@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import quadrature
+from ._csv import write_csv
 from .errors import TruncationError
 from .model import HybridState, ModelSpec, certified_tail, rate_rows
 
@@ -448,13 +449,8 @@ class DriftReport:
 
     def to_csv(self, path):
         d = self.xs.shape[1]
-        header = ",".join([f"x{i+1}" for i in range(d)] + ["k", "generator", "margin", "bracket"])
-        rows = [header]
-        for xr, kk, g, m, br in zip(self.xs, self.ks, self.values, self.margins, self.brackets):
-            rows.append(",".join([repr(float(v)) for v in xr]
-                                 + [str(int(kk)), repr(float(g)), repr(float(m)), repr(float(br))]))
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        write_csv(path, [f"x{i+1}" for i in range(d)] + ["k", "generator", "margin", "bracket"],
+                  self.xs, self.ks, self.values, self.margins, self.brackets)
 
 
 GENERATOR_BLOCK = 256   # grid points per batched generator call in check_lyapunov

@@ -79,10 +79,12 @@ class JumpMeasureSpec:
     restriction of nu to {|u| > eps}: U is a (2, n) block of uniforms on
     [0, 1), and column j of U gives mark j of the (n, mark_dim) result.  Row 0
     drives the magnitude and row 1 the direction (the sign in 1-d, the angle
-    in 2-d).  The map must act column by column, with no other state, so that
-    one call over a whole step's marks gives bit for bit the marks that one
-    call per jump round would.  The integrators draw one uniform block per
-    RNG stream and step and call the map once on it.
+    in 2-d).  ``large_jump_quantile`` must map the columns of U independently,
+    with no other state: mark j depends on column j alone.  The integrators
+    rely on it: they draw one uniform block per RNG stream and step, and map
+    the marks of a block of steps (``simulate._draw_block``) in one call,
+    which must give bit for bit the marks that one call per step and jump
+    round would.
 
     n marks from a generator are ``large_jump_quantile(eps, rng.random((2, n)))``.
 
@@ -231,13 +233,20 @@ class RowTruncator:
 
     Used by the integrators: rows are produced as an (n, L) array over the
     common regime grid 1..L, with L grown adaptively until the uniform tail
-    bound is below ``rel_tol`` relative to every row sum in the batch.
+    bound is below ``rel_tol`` relative to every row sum in the batch.  L
+    starts at the integer ``l_start`` >= 1 and doubles up to the integer
+    ``l_cap`` >= ``l_start``.
     """
 
     def __init__(self, rates: RateMatrixSpec, rel_tol: float,
                  l_start: int = 16, l_cap: int = 1 << 20):
         if not 0.0 < rel_tol < np.inf:
             raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (l_start, l_cap)):
+            raise ValueError(f"l_start and l_cap must be integers, got {l_start!r} and {l_cap!r}")
+        if not 1 <= l_start <= l_cap:
+            raise ValueError(f"need 1 <= l_start <= l_cap, got l_start={l_start}, l_cap={l_cap}")
         self.rates = rates
         self.rel_tol = float(rel_tol)
         self.l_cap = int(l_cap)

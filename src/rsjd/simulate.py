@@ -25,13 +25,23 @@ fixed-size chunks, and chunk c of block i draws from its own RNG stream,
 derived from (master seed, stream + i, c).  Consecutive chunks are packed
 into batches of at most CHUNK_SIZE paths that step in lockstep, so narrow
 ensembles pay the fixed cost of a step once per batch instead of once per
-chunk.  Each draw of a step is made per chunk, from the chunk's own stream
-and in the order a lone chunk makes it, and every other operation of a step
-acts on each path alone, so packing leaves the numbers as they are (see
-``simulate_ensemble`` for the one shared quantity, the rate-row truncation
-level).  ``_run_batches``, the one batch runner of both ensemble engines,
-hands the batches to the worker threads and merges their outputs in batch
-order, so results are bit-identical whatever the worker count.
+chunk.  Every other operation of a step acts on each path alone, so packing
+leaves the numbers as they are (see ``simulate_ensemble`` for the one shared
+quantity, the rate-row truncation level).  ``_run_batches``, the one batch
+runner of both ensemble engines, hands the batches to the worker threads and
+merges their outputs in batch order, so results are bit-identical whatever
+the worker count.
+
+The RNG-order contract (``_draw_block``): each chunk consumes its own stream
+step by step, and within a step in this fixed order, every draw sized by the
+chunk alone: the Brownian normals (a second set under the reflection
+coupling); with jumps, the Poisson counts, then two uniforms per jump for the
+marks; under the gaussian small-jump policy, its normals; last, the switch
+uniforms row by row (the bridge-crossing uniform as a third row in the
+reflection coupling).  No draw depends on the state, so the engines draw
+DRAW_PATH_STEPS // n steps of an n-path batch at a time ahead of stepping
+them; a chunk's numbers are the same whatever batch it is packed in and
+however many steps are drawn at once.
 """
 
 from __future__ import annotations
@@ -43,7 +53,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import quadrature
-from ._linalg import sqrt_psd_batched
+from ._csv import write_csv
+from ._linalg import row_norm, sqrt_psd_batched
 from .model import HybridState, ModelSpec, RowTruncator
 
 __all__ = [
@@ -58,6 +69,10 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 4096  # fixed chunk width; part of the determinism contract
+# path-steps drawn per _draw_block call: a batch of n paths draws
+# DRAW_PATH_STEPS // n steps at a time, at least one; the numbers do not
+# depend on it
+DRAW_PATH_STEPS = 8192
 # relative slack on the whole-row bound Qbar_k, so that round-off in a row sum
 # can never drop a switch that should fire
 SCREEN_SLACK = 1.0 + 1e-12
@@ -141,13 +156,8 @@ class PathRecord:
 
     def to_csv(self, path):
         d = self.xs.shape[1]
-        header = ",".join(["t"] + [f"x{i+1}" for i in range(d)] + ["k"])
-        rows = [header]
-        for t, xr, kk in zip(self.times, self.xs, self.ks):
-            rows.append(",".join([repr(float(t))] + [repr(float(v)) for v in xr]
-                                 + [str(int(kk))]))
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        write_csv(path, ["t"] + [f"x{i+1}" for i in range(d)] + ["k"],
+                  self.times, self.xs, self.ks)
 
     def to_npz(self, path):
         sw = np.array([(t, a, b) for t, a, b in self.switch_events], dtype=float).reshape(-1, 3)
@@ -208,53 +218,51 @@ def _sigma_lambda(spec: ModelSpec, x: np.ndarray, k: np.ndarray, lam: float):
     return sqrt_psd_batched(a)
 
 
-def _draw(streams, draw, axis: int = 0):
-    """``draw(rng, m)`` for each ``(rng, lo, hi)`` segment, m = hi - lo,
-    concatenated in segment order along ``axis``."""
-    parts = [draw(rng, hi - lo) for rng, lo, hi in streams]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+def _block_marks(quantile, eps: float, counts: np.ndarray, seg_los, block: np.ndarray):
+    """The marks of the large jumps of a block of steps, from their uniforms.
 
-
-def _draw_marks(quantile, eps: float, counts: np.ndarray, streams):
-    """The marks of one step's large jumps, from one uniform block per segment.
-
-    Returns ``(hit, marks)``: jump j moves path ``hit[j]`` by ``marks[j]``.
-    The jumps are listed round by round, round r holding the paths with more
-    than r jumps, in path order.  A segment with m jumps makes one
-    ``rng.random(2 m)`` call and reads it as consecutive rounds: round r's
-    c_r marks take c_r uniforms for row 0 of the quantile's U, then c_r for
-    row 1.  ``rng.random(a + b)`` is ``rng.random(a)`` followed by
-    ``rng.random(b)`` bit for bit, so these are the numbers that one
-    ``rng.random((2, c_r))`` per round and segment would draw.  ``quantile``
-    then maps all the marks in one call.  Needs ``counts.any()``.
+    ``counts`` holds the (steps, n) Poisson counts of a batch whose segment g
+    starts at path ``seg_los[g]``.  ``block`` holds, step by step and within
+    a step segment by segment, the 2 J uniforms that the segment drew for its
+    J jumps of the step.  Returns ``(hit, marks)``: jump j moves path
+    ``hit[j]`` by ``marks[j]``.  The jumps are listed step by step, and within
+    a step round by round, round r holding the paths with more than r jumps,
+    in path order.  A segment reads its 2 J uniforms of a step as consecutive
+    rounds: round r's c_r marks take c_r uniforms for row 0 of the quantile's
+    U, then c_r for row 1.  ``rng.random(a + b)`` is ``rng.random(a)``
+    followed by ``rng.random(b)`` bit for bit, so these are the numbers that
+    one ``rng.random((2, c_r))`` per step, round and segment would draw.
+    ``quantile`` maps the columns of U independently, so its one call over the
+    whole block gives the marks of one call per round.  Needs ``counts.any()``.
     """
-    n = counts.size
-    mask = counts > np.arange(int(counts.max()))[:, None]        # (rounds, n)
-    hit = mask.ravel().nonzero()[0] % n                            # round-major
-    per = np.add.reduceat(mask, [lo for _, lo, _ in streams], axis=1, dtype=np.intp)
-    # the jumps of one (round, segment) group are consecutive both in hit
-    # order and in the segment's block, so each group shifts by one offset
-    sizes = per.ravel()                  # groups in hit order: (round, segment)
-    seg_major = per.T.ravel()            # groups in block order: (segment, round)
+    n = counts.shape[1]
+    mask = counts[:, None, :] > np.arange(int(counts.max()))[:, None]  # (steps, rounds, n)
+    hit = mask.ravel().nonzero()[0] % n                                  # step, then round
+    per = np.add.reduceat(mask, seg_los, axis=2, dtype=np.intp)       # (steps, rounds, segs)
+    # the jumps of one (step, round, segment) group are consecutive both in
+    # hit order and in the block, so each group shifts by one offset
+    sizes = per.ravel()                       # groups in hit order: (step, round, segment)
+    blk = per.transpose(0, 2, 1)              # groups in block order: (step, segment, round)
+    seg_major = blk.ravel()
     block_start = 2 * (np.cumsum(seg_major) - seg_major)
-    off = block_start.reshape(per.T.shape).T.ravel() - (np.cumsum(sizes) - sizes)
+    off = block_start.reshape(blk.shape).transpose(0, 2, 1).ravel() - (np.cumsum(sizes) - sizes)
     idx = np.repeat(np.array([off, off + sizes]), sizes, axis=1) + np.arange(hit.size)
-    block = _draw([(rng, 0, m) for (rng, _, _), m in zip(streams, per.sum(axis=0)) if m],
-                  lambda rng, m: rng.random(2 * m))
     return hit, quantile(eps, block[idx])
 
 
 @dataclass(slots=True)
 class StepDraws:
-    """Every random number of one step of a batch, as ``_draw_step`` made them.
+    """Every random number of one step of a batch, as ``_draw_block`` made them.
 
     ``z`` holds the (n, d) Brownian normals and ``z2`` the second set under
     reflection.  With jumps, ``counts`` holds the (n,) Poisson counts, and
     when some path jumps, jump j moves path ``hit[j]`` by the mark
-    ``marks[j]`` (see ``_draw_marks``).  ``zg`` holds the gaussian-policy
-    normals and ``unif`` the (rows, n) switch uniforms, with the
-    bridge-crossing uniform as row 2 under reflection.  A field that the step
-    does not draw is None.
+    ``marks[j]``, round by round (see ``_block_marks``).  ``zg`` holds the
+    gaussian-policy normals and ``unif`` the (rows, n) switch uniforms, with
+    the bridge-crossing uniform as row 2 under reflection.  A field that the
+    step does not draw is None.  The arrays may be views into the buffers of
+    a block of steps, which ``_step_draws`` refills for the next block; the
+    step engines only read them.
     """
 
     z: np.ndarray
@@ -282,40 +290,90 @@ class StepDraws:
                          None if self.unif is None else np.tile(self.unif, reps))
 
 
-def _draw_step(streams, spec: ModelSpec, h: float, eps, lam_rate, *,
-               reflect: bool = False, gaussian: bool = False,
-               n_unif: int = 0) -> StepDraws:
-    """Make every draw of one step for a batch; the RNG-order contract.
+def _draw_buffers(n: int, d: int, steps: int, *, jumps: bool, reflect: bool = False,
+                  gaussian: bool = False, n_unif: int = 0):
+    """Empty buffers for ``steps`` steps of an n-path batch, as ``_draw_block``
+    fills them: (z, z2, zg, counts, unif), None for a draw the step does not make."""
+    return (np.empty((steps, n, d)),
+            np.empty((steps, n, d)) if reflect else None,
+            np.empty((steps, n, d)) if jumps and gaussian else None,
+            np.empty((steps, n), dtype=np.int64) if jumps else None,
+            np.empty((steps, n_unif, n)) if n_unif else None)
+
+
+def _draw_block(streams, spec: ModelSpec, h: float, eps, lam_rate, steps: int, *,
+                reflect: bool = False, gaussian: bool = False,
+                n_unif: int = 0, buffers=None) -> list:
+    """Make every draw of ``steps`` consecutive steps of a batch; the
+    RNG-order contract.  Returns one ``StepDraws`` per step.
 
     ``streams`` is a tuple of ``(rng, lo, hi)`` segments covering the batch
     in order: paths lo..hi-1 draw from rng.  Each segment consumes its stream
-    in this fixed order: the normals (two sets under ``reflect``); with jumps
-    (``eps`` not None), the Poisson counts, then one uniform block for the
-    marks of all its jumps (see ``_draw_marks``), then under ``gaussian`` the
-    small-jump normals; last, ``n_unif`` rows of uniforms -- the two switch
-    uniforms, and the bridge-crossing one as a third row.  Every draw is
-    sized by the segment, so a segment consumes its stream exactly as a batch
-    of its own paths would.  The quantile map turns the mark uniforms into
-    marks here, once per step.
+    step by step, and within a step of its m paths in this fixed order:
+
+    1. the (m, d) normals, and a second set under ``reflect``;
+    2. with jumps (``eps`` not None), the m Poisson counts, then
+       ``random(2 J)`` for the marks of its J jumps (see ``_block_marks``);
+    3. with jumps and under ``gaussian``, the (m, d) small-jump normals;
+    4. ``random((n_unif, m))``: the two switch uniforms, and the
+       bridge-crossing one as a third row.
+
+    Every draw is sized by the segment, so a segment consumes its stream
+    exactly as a batch of its own paths would, and as ``steps`` calls of one
+    step each would.  The draws go into the first ``steps`` steps of
+    ``buffers``, from ``_draw_buffers`` with the same flags, or into new ones;
+    the ``StepDraws`` are views of them, valid until the buffers are refilled.
+    The quantile map turns the mark uniforms of the whole block into marks in
+    one call.
     """
-    d = spec.d
+    n = streams[-1][2]
+    jumps = eps is not None
+    if buffers is None:
+        buffers = _draw_buffers(n, spec.d, steps, jumps=jumps, reflect=reflect,
+                                gaussian=gaussian, n_unif=n_unif)
+    z, z2, zg, counts, unif = (None if b is None else b[:steps] for b in buffers)
+    mark_unif = []  # (step, segment) order
+    for s in range(steps):
+        for rng, lo, hi in streams:
+            m = hi - lo
+            rng.standard_normal(out=z[s, lo:hi])
+            if reflect:
+                rng.standard_normal(out=z2[s, lo:hi])
+            if jumps:
+                c = rng.poisson(lam_rate * h, m)
+                counts[s, lo:hi] = c
+                mark_unif.append(rng.random(2 * int(c.sum())))
+                if gaussian:
+                    rng.standard_normal(out=zg[s, lo:hi])
+            if n_unif:
+                unif[s, :, lo:hi] = rng.random((n_unif, m))
 
-    def normals(rng, m):
-        return rng.standard_normal((m, d))
+    def at(a, s):
+        return None if a is None else a[s]
 
-    draws = StepDraws(_draw(streams, normals))
-    if reflect:
-        draws.z2 = _draw(streams, normals)
-    if eps is not None:
-        draws.counts = _draw(streams, lambda rng, m: rng.poisson(lam_rate * h, m))
-        if draws.counts.any():
-            draws.hit, draws.marks = _draw_marks(spec.jump_measure.large_jump_quantile, eps,
-                                                 draws.counts, streams)
-        if gaussian:
-            draws.zg = _draw(streams, normals)
-    if n_unif:
-        draws.unif = _draw(streams, lambda rng, m: rng.random((n_unif, m)), axis=1)
+    draws = [StepDraws(z[s], at(z2, s), at(counts, s), zg=at(zg, s), unif=at(unif, s))
+             for s in range(steps)]
+    if jumps and counts.any():
+        hit, marks = _block_marks(spec.jump_measure.large_jump_quantile, eps, counts,
+                                  [lo for _, lo, _ in streams], np.concatenate(mark_unif))
+        ends = [0] + np.cumsum(counts.sum(axis=1)).tolist()
+        for dr, a, b in zip(draws, ends, ends[1:]):
+            if b > a:
+                dr.hit, dr.marks = hit[a:b], marks[a:b]
     return draws
+
+
+def _step_draws(streams, spec: ModelSpec, h: float, eps, lam_rate, nsteps: int, **kw):
+    """The ``StepDraws`` of ``nsteps`` steps in order, made by ``_draw_block``
+    DRAW_PATH_STEPS // n steps at a time for a batch of n paths; ``kw`` as
+    for ``_draw_block``.  Every block refills the same buffers, so a step's
+    draws hold only until the next step's are asked for."""
+    n = streams[-1][2]
+    block = min(nsteps, max(1, DRAW_PATH_STEPS // n))
+    buffers = _draw_buffers(n, spec.d, block, jumps=eps is not None, **kw)
+    for i in range(0, nsteps, block):
+        yield from _draw_block(streams, spec, h, eps, lam_rate, min(block, nsteps - i),
+                               buffers=buffers, **kw)
 
 
 def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
@@ -352,7 +410,7 @@ def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
         sl1, c1 = _sigma_lambda(spec, X, K, lam)
         sl2, c2 = _sigma_lambda(spec, Xt, Kt, lam)
         diff = Xt - X
-        dn = np.linalg.norm(diff, axis=1)
+        dn = row_norm(diff)
         u = np.where(dn[:, None] > 0.0, diff / np.where(dn[:, None] > 0.0, dn[:, None], 1.0), 0.0)
         w2_ref = z2 - 2.0 * u * np.einsum("ni,ni->n", u, z2)[:, None]
         sqlam = np.sqrt(lam)
@@ -372,7 +430,8 @@ def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
             # path 0's marks, in round order
             first = np.flatnonzero(hit == 0) if events is not None else ()
             for s, (x, k) in enumerate(sides):
-                disp = np.asarray(spec.jump_coeff(x[hit], k[hit], marks), dtype=float)
+                disp = np.asarray(spec.jump_coeff(x.take(hit, axis=0), k.take(hit), marks),
+                                  dtype=float)
                 np.add.at(dxs[s], hit, disp)
                 for i in first:
                     events[1][s].append((events[0], marks[i].copy(), disp[i].copy()))
@@ -390,13 +449,14 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
             observe: Callable | None = None):
     """Advance an (n, d) batch over the full grid.  Core of every simulator.
 
-    ``streams`` holds the batch's ``(rng, lo, hi)`` segments (see
-    ``_draw_step``).  Each step makes its draws with ``_draw_step``, the two
-    switch uniforms included under "switching", and takes its increment from
-    ``_apply_step``.  Rate rows are built only for the switch candidates, the paths whose first
-    switch uniform falls below 1 - exp(-Qbar_k h); the switch law is the same
-    as building every row.  "frozen" keeps the regime, and "killed" keeps it
-    too and accumulates the trapezoid rule for int q_k(X(s)) ds.
+    ``streams`` holds the batch's ``(rng, lo, hi)`` segments.  The draws
+    come from ``_draw_block``, a block of steps at a time, the two switch
+    uniforms included under "switching", and each step takes its increment
+    from ``_apply_step``.  Rate rows are built only for the switch
+    candidates, the paths whose first switch uniform falls below
+    1 - exp(-Qbar_k h); the switch law is the same as building every row.
+    "frozen" keeps the regime, and "killed" keeps it too and accumulates the
+    trapezoid rule for int q_k(X(s)) ds.
     ``observe(i, t, x, k, alive)`` sees the batch after step i.
     """
     if regime not in ("switching", "frozen", "killed"):
@@ -432,10 +492,10 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     if observe is not None:
         observe(0, 0.0, x, k, alive)
 
-    n_unif = 2 if switching else 0
-    for i in range(nsteps):
+    step_draws = _step_draws(streams, spec, h, eps, lam_rate, nsteps, gaussian=gaussian,
+                             n_unif=2 if switching else 0)
+    for i, draws in enumerate(step_draws):
         t_next = (i + 1) * h
-        draws = _draw_step(streams, spec, h, eps, lam_rate, gaussian=gaussian, n_unif=n_unif)
         (dx,), _ = _apply_step(spec, ((x, k),), h, draws, eps,
                                events=(t_next, (jump_events,)) if record else None)
         if count_dropped:
@@ -449,9 +509,9 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
             u1, u2 = draws.unif
             cand = np.flatnonzero(alive & (u1 < -np.expm1(-qbar * h)))
             if cand.size:
-                rows, ls = trunc.rows(x[cand], k[cand], bound=qbar[cand])
+                rows, ls = trunc.rows(x.take(cand, axis=0), k.take(cand), bound=qbar.take(cand))
                 qk = rows.sum(axis=1)
-                do = (u1[cand] < -np.expm1(-qk * h)) & (qk > 0.0)
+                do = (u1.take(cand) < -np.expm1(-qk * h)) & (qk > 0.0)
                 if do.any():
                     fire = cand[do]
                     cum = np.cumsum(rows[do], axis=1)
@@ -467,7 +527,7 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
             kill_int += np.where(alive, 0.5 * h * (q_prev + q_new), 0.0)
             q_prev = q_new
 
-        newly = alive & (np.linalg.norm(xn, axis=1) > cfg.r_max)
+        newly = alive & (row_norm(xn) > cfg.r_max)
         if newly.any():
             exit_time[newly] = t_next
             alive &= ~newly

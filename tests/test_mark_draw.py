@@ -1,11 +1,12 @@
-"""One uniform block per stream for a step's marks.
+"""One uniform block per stream and step for the marks.
 
 Each jump measure declares an inverse-CDF map ``large_jump_quantile(eps, U)``
-on a (2, n) block of uniforms, and ``_draw_step`` draws one block per stream
-and step and maps all the step's marks in one call.  The property below
-checks that against the per-round loop that drew the marks before, with the
-samplers that the measures declared then.  The digests were recorded before
-the change, so they show that it moves no number.
+on a (2, n) block of uniforms.  ``_draw_block`` draws one block per stream
+and step, and ``_block_marks`` maps the marks of a whole block of steps in
+one call.  The property below checks that against the per-round loop that
+drew the marks before, step after step, with the samplers that the measures
+declared then.  The digests were recorded before the change, so they show
+that it moves no number.
 """
 
 import hashlib
@@ -26,7 +27,7 @@ from rsjd import (
     simulate_ensemble,
 )
 from rsjd.config import _power_law_measure, load_model_config
-from rsjd.simulate import _draw_marks, derive_rng
+from rsjd.simulate import _block_marks, derive_rng
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 JUMP1D = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "jump1d.yaml"
@@ -92,10 +93,20 @@ def _round_loop(sampler, eps, counts, streams):
 
 @st.composite
 def _batches(draw):
-    counts = draw(st.lists(st.integers(0, 6), min_size=1, max_size=40))
-    n = len(counts)
+    """(steps, n) counts, one to four steps, and the segment bounds."""
+    steps = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    counts = draw(st.lists(st.integers(0, 6), min_size=steps * n, max_size=steps * n))
     cuts = draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=min(3, n - 1)))
-    return np.array(counts), [0] + sorted(cuts) + [n]
+    return np.array(counts).reshape(steps, n), [0] + sorted(cuts) + [n]
+
+
+def _block_loop(quantile, eps, counts, streams):
+    """``_block_marks`` on the uniforms that ``_draw_block`` draws for the
+    marks: ``random(2 J)`` per step and segment."""
+    block = np.concatenate([rng.random(2 * int(c[lo:hi].sum()))
+                            for c in counts for rng, lo, hi in streams])
+    return _block_marks(quantile, eps, counts, [lo for _, lo, _ in streams], block)
 
 
 class TestOneBlockDraw:
@@ -112,12 +123,31 @@ class TestOneBlockDraw:
                          for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
 
         new, ref = streams(), streams()
-        hit, marks = _draw_marks(make().large_jump_quantile, eps, counts, new)
-        ref_hit, ref_marks = _round_loop(sampler, eps, counts, ref)
+        hit, marks = _block_loop(make().large_jump_quantile, eps, counts, new)
+        ref_hit, ref_marks = (np.concatenate(a) for a in zip(
+            *(_round_loop(sampler, eps, c, ref) for c in counts if c.any())))
         assert hit.tobytes() == ref_hit.tobytes()
         assert marks.shape == ref_marks.shape
         assert marks.tobytes() == ref_marks.tobytes()
         # every stream is left where the round loop leaves it
+        for (a, _, _), (b, _, _) in zip(new, ref):
+            assert a.random() == b.random()
+
+    def test_several_steps_and_segments(self):
+        # three steps, the middle one without a jump, over three segments
+        counts = np.array([[0, 2, 1, 0, 3, 1], [0] * 6, [4, 0, 0, 1, 0, 2]])
+        meas = example52().jump_measure
+
+        def streams():
+            return tuple((derive_rng(7, s), lo, lo + 2) for s, lo in enumerate((0, 2, 4)))
+
+        new, ref = streams(), streams()
+        hit, marks = _block_loop(meas.large_jump_quantile, 0.1, counts, new)
+        ref_hit, ref_marks = (np.concatenate(a) for a in zip(
+            *(_round_loop(_sampler52(1.0), 0.1, c, ref) for c in counts if c.any())))
+        assert hit.tolist() == [1, 2, 4, 5, 1, 4, 4, 0, 3, 5, 0, 5, 0, 0]
+        assert hit.tobytes() == ref_hit.tobytes()
+        assert marks.tobytes() == ref_marks.tobytes()
         for (a, _, _), (b, _, _) in zip(new, ref):
             assert a.random() == b.random()
 

@@ -152,6 +152,15 @@ class TestTailCheck:
         with pytest.raises(ValueError, match="rel_tol"):
             RowTruncator(example51().rates, rel_tol)
 
+    @pytest.mark.parametrize("l_start, l_cap", [(0, 1 << 20), (-4, 1 << 20), (2.5, 1 << 20),
+                                                (8.0, 1 << 20), (True, 8), (32, 16),
+                                                (8, 64.5)])
+    def test_truncator_rejects_bad_levels(self, l_start, l_cap):
+        # l_start = 0 made rows() loop forever: L *= 2 stayed at 0 below l_cap.
+        # Only the constructor runs here, so a missing check fails, not hangs.
+        with pytest.raises(ValueError, match="l_start"):
+            RowTruncator(example51().rates, 1e-9, l_start=l_start, l_cap=l_cap)
+
 
 class TestTailTable:
     @staticmethod
