@@ -1,4 +1,16 @@
-"""Small shared linear-algebra helpers."""
+"""Small shared linear-algebra helpers.
+
+``row_norm`` and ``sum_last`` are column forms of ``np.linalg.norm`` and
+``np.sum`` over the last axis.  numpy reduces a short last axis with a
+length-d inner loop per row, which costs several times the arithmetic on
+(rows, 2) arrays; the column forms make one whole-array operation per column
+instead.  They give the same bits as the reductions when the axis has fewer
+than eight entries: numpy then adds the terms one after another from the
+first, which is the order the column forms use; a sum starts from +0.0, so
+that -0.0 + -0.0 sums to +0.0 as it does in numpy.  From eight entries on numpy
+sums pairwise in a different grouping, so there both helpers call the
+reduction itself.
+"""
 
 from __future__ import annotations
 
@@ -38,17 +50,27 @@ def sqrt_psd_batched(mats: np.ndarray, clamp_tol: float = CLAMP_TOL):
 
 def row_norm(x: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis: ``np.linalg.norm(x, axis=-1)`` bit
-    for bit, without the reduction's length-d inner loop per row.
-
-    Computes sqrt(x0*x0 + x1*x1 + ...) one column at a time, the order in which
-    numpy's reduction adds fewer than eight terms; at eight or more it regroups
-    the sum, so wider rows go to ``np.linalg.norm`` itself.
-    """
+    for bit, as sqrt(x0*x0 + x1*x1 + ...) one column at a time (see the module
+    docstring); at eight or more columns it is ``np.linalg.norm`` itself."""
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    if d >= 8:
+    if not 0 < d < 8:
         return np.linalg.norm(x, axis=-1)
     s = x[..., 0] * x[..., 0]
     for j in range(1, d):
         s = s + x[..., j] * x[..., j]
     return np.sqrt(s)
+
+
+def sum_last(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis: ``np.sum(x, axis=-1)`` of a float array bit for
+    bit, one column at a time (see the module docstring); at eight or more
+    columns it is ``np.sum`` itself."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    if not 0 < d < 8:
+        return np.sum(x, axis=-1)
+    s = x[..., 0] + 0.0
+    for j in range(1, d):
+        s += x[..., j]
+    return s

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
+from ._csv import write_csv
 from .config import resolve_model
 from .coupling import CouplingConfig, couple
 from .errors import RsjdError
@@ -242,14 +243,9 @@ def _cmd_strong_feller(args) -> int:
 
 def _write_terminal_csv(path: Path, terminal: dict) -> None:
     x = terminal["x"]
-    cols = [f"x{i+1}" for i in range(x.shape[1])] + ["k"]
-    extra_cols = [c for c in ("weight",) if c in terminal]
-    rows = [",".join(cols + extra_cols)]
-    for i in range(x.shape[0]):
-        row = [repr(float(v)) for v in x[i]] + [str(int(terminal["k"][i]))]
-        row += [repr(float(terminal[c][i])) for c in extra_cols]
-        rows.append(",".join(row))
-    path.write_text("\n".join(rows) + "\n")
+    extra = [c for c in ("weight",) if c in terminal]
+    write_csv(path, [f"x{i+1}" for i in range(x.shape[1])] + ["k"] + extra,
+              x, terminal["k"], *(terminal[c] for c in extra))
 
 
 def _cmd_irreducible(args) -> int:
@@ -444,25 +440,18 @@ def _cmd_dynkin(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: one argument builder per subcommand
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="rsjd",
-        description="Simulation and verification toolkit for regime-switching "
-                    "jump diffusions with countably many regimes")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="one trajectory to CSV")
+def _simulate_args(p):
     _common_args(p)
     _integrator_args(p, default_h=1e-3)
     p.add_argument("--start", required=True, help="x1,...,xd,k")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--npz", action="store_true", help="also write the binary event log")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("couple", help="one coupled pair to CSV + marks sidecar")
+
+def _couple_args(p):
     _common_args(p)
     _integrator_args(p)
     p.add_argument("--kind", choices=["basic", "reflection"], default="basic")
@@ -470,24 +459,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start2", required=True)
     p.add_argument("--t", type=float, required=True)
     _coupling_args(p)
-    p.set_defaults(func=_cmd_couple)
 
-    for name, fdefault in (("feller", "tanh-over-1pk"),
-                           ("strong-feller", "halfline-regime:0:1")):
-        p = sub.add_parser(name, help=f"{name} modulus trend along a shrinking sequence")
-        _common_args(p)
-        _integrator_args(p)
-        p.add_argument("--x", default="0", help="base point coordinates")
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument("--separations", default="0.2,0.1,0.05,0.025")
-        p.add_argument("--t", type=float, default=1.0)
-        p.add_argument("--n", type=int, default=50000)
-        p.add_argument("--f", default=fdefault)
-        p.add_argument("--threshold", type=float, default=0.05)
-        _coupling_args(p)
-        p.set_defaults(func=_cmd_feller if name == "feller" else _cmd_strong_feller)
 
-    p = sub.add_parser("irreducible", help="reachability with a positive lower bound")
+def _trend_args(p, fdefault: str):
+    _common_args(p)
+    _integrator_args(p)
+    p.add_argument("--x", default="0", help="base point coordinates")
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--separations", default="0.2,0.1,0.05,0.025")
+    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=50000)
+    p.add_argument("--f", default=fdefault)
+    p.add_argument("--threshold", type=float, default=0.05)
+    _coupling_args(p)
+
+
+def _irreducible_args(p):
     _common_args(p)
     _integrator_args(p)
     p.add_argument("--start", required=True)
@@ -498,9 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adapt", action="store_true")
     p.add_argument("--terminal-csv", action="store_true",
                    help="also dump per-path terminal states")
-    p.set_defaults(func=_cmd_irreducible)
 
-    p = sub.add_parser("killed", help="killed sub-transition inequalities")
+
+def _killed_args(p):
     _common_args(p)
     _integrator_args(p)
     p.add_argument("--start", required=True)
@@ -511,9 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid for the sup of the switching rate (lo:hi:n)")
     p.add_argument("--terminal-csv", action="store_true",
                    help="also dump per-path terminal states and weights")
-    p.set_defaults(func=_cmd_killed)
 
-    p = sub.add_parser("invariant", help="occupation-histogram self-consistency")
+
+def _invariant_args(p):
     _common_args(p)
     _integrator_args(p, default_h=0.02)
     p.add_argument("--starts", required=True, help="semicolon-separated states")
@@ -524,38 +511,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=10)
     p.add_argument("--paths", type=int, default=256)
     p.add_argument("--tv-tol", type=float, default=0.1)
-    p.set_defaults(func=_cmd_invariant)
 
-    p = sub.add_parser("lyapunov", help="drift-certificate margin on a grid")
+
+def _lyapunov_args(p):
     _common_args(p)
     p.add_argument("--grid", default="-5:5:21")
     p.add_argument("--kmax", type=int, default=30)
     p.add_argument("--alpha", type=float, default=1.0 / 6.0)
     p.add_argument("--beta", type=float, default=2.5)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=_cmd_lyapunov)
 
-    p = sub.add_parser("g-function", help="tabulate the contraction gauge")
+
+def _g_function_args(p):
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--g", default="power:-0.3333333333333333")
     p.add_argument("--outdir", default=os.environ.get("RSJD_OUTDIR", "."))
-    p.set_defaults(func=_cmd_g_function)
 
-    p = sub.add_parser("f-function", help="tabulate the reachability gauge")
+
+def _f_function_args(p):
     p.add_argument("--g", default="power:-0.3333333333333333")
     p.add_argument("--r-max-tab", type=float, default=20.0)
     p.add_argument("--outdir", default=os.environ.get("RSJD_OUTDIR", "."))
-    p.set_defaults(func=_cmd_f_function)
 
-    p = sub.add_parser("validate", help="assumption spot-checks on a probe grid")
+
+def _validate_args(p):
     _common_args(p)
     p.add_argument("--grid", default="-10:10:41")
     p.add_argument("--kmax", type=int, default=20)
     p.add_argument("--quad-crosscheck", type=int, default=3)
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("dynkin", help="generator-integrator consistency z-score")
+
+def _dynkin_args(p):
     _common_args(p)
     _integrator_args(p, default_h=2.0 ** -14)
     p.add_argument("--x", default="0.5")
@@ -564,13 +551,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-small", type=float, default=2.0 ** -8)
     p.add_argument("--n", type=int, default=100000)
     p.add_argument("--z-max", type=float, default=4.0)
-    p.set_defaults(func=_cmd_dynkin)
 
+
+# subcommand -> (help, argument builder, handler), in the order of --help
+COMMANDS = {
+    "simulate": ("one trajectory to CSV", _simulate_args, _cmd_simulate),
+    "couple": ("one coupled pair to CSV + marks sidecar", _couple_args, _cmd_couple),
+    "feller": ("feller modulus trend along a shrinking sequence",
+               lambda p: _trend_args(p, "tanh-over-1pk"), _cmd_feller),
+    "strong-feller": ("strong-feller modulus trend along a shrinking sequence",
+                      lambda p: _trend_args(p, "halfline-regime:0:1"), _cmd_strong_feller),
+    "irreducible": ("reachability with a positive lower bound", _irreducible_args,
+                    _cmd_irreducible),
+    "killed": ("killed sub-transition inequalities", _killed_args, _cmd_killed),
+    "invariant": ("occupation-histogram self-consistency", _invariant_args, _cmd_invariant),
+    "lyapunov": ("drift-certificate margin on a grid", _lyapunov_args, _cmd_lyapunov),
+    "g-function": ("tabulate the contraction gauge", _g_function_args, _cmd_g_function),
+    "f-function": ("tabulate the reachability gauge", _f_function_args, _cmd_f_function),
+    "validate": ("assumption spot-checks on a probe grid", _validate_args, _cmd_validate),
+    "dynkin": ("generator-integrator consistency z-score", _dynkin_args, _cmd_dynkin),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``rsjd`` argument parser.
+
+    Every subcommand of ``COMMANDS`` is registered, so ``rsjd --help`` and
+    the error for an unknown subcommand list them all.  Only the subcommand
+    named by ``command`` gets its options, or every subcommand when it is
+    None; ``run`` names the one it is about to parse, which spares the
+    building of the other subparsers' options on every call.
+    """
+    ap = argparse.ArgumentParser(
+        prog="rsjd",
+        description="Simulation and verification toolkit for regime-switching "
+                    "jump diffusions with countably many regimes")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_args(p)
+        p.set_defaults(func=handler)
     return ap
 
 
 def run(argv) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -40,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._linalg import row_norm, sum_last
 from .examples import example51, example52
 from .model import JumpMeasureSpec, ModelSpec, RateMatrixSpec
 
@@ -53,8 +54,8 @@ def _namespace():
         "abs", "cos", "sin", "tan", "exp", "log", "sqrt", "cbrt", "tanh",
         "arctan", "sign", "minimum", "maximum", "pi", "e", "where")}
     ns["np"] = np
-    ns["norm"] = lambda x: np.linalg.norm(x, axis=-1)
-    ns["norm2"] = lambda x: np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+    ns["norm"] = row_norm
+    ns["norm2"] = lambda x: sum_last(np.asarray(x, dtype=float) ** 2)
     return ns
 
 

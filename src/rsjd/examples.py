@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import row_norm
+from ._linalg import row_norm, sum_last
 from .generator import TestFunction
 from .model import JumpMeasureSpec, ModelSpec, RateMatrixSpec
 
@@ -87,7 +87,7 @@ def example51() -> ModelSpec:
         x = np.asarray(x, dtype=float)
         k = np.asarray(k, dtype=float)
         l = np.asarray(l, dtype=float)
-        x2 = np.sum(x * x, axis=-1)
+        x2 = sum_last(x * x)
         return k * np.exp(-(l + k) * _LOG3) / (1.0 + l * x2)
 
     def tail_bound(k, L):
@@ -182,7 +182,7 @@ def example52(delta: float = 1.0) -> ModelSpec:
     def c_second_moment(x, k):
         x = np.asarray(x, dtype=float)
         k = np.asarray(k, dtype=float)
-        return (k / (k + 1.0)) * np.sum(x * x, axis=-1)
+        return (k / (k + 1.0)) * sum_last(x * x)
 
     def _abs_moment_above(eps):
         # int_{eps<|u|<1} |u| nu(du) = 2 pi int_eps^1 r^-delta dr; expm1 keeps
@@ -228,7 +228,7 @@ def example52(delta: float = 1.0) -> ModelSpec:
         return 3.0 * (t * (L / 2.0 + 0.75) + k * t / 2.0)
 
     V = TestFunction(
-        fn=lambda x, k: np.sum(np.asarray(x, dtype=float) ** 2, axis=-1) + np.asarray(k, dtype=float),
+        fn=lambda x, k: sum_last(np.asarray(x, dtype=float) ** 2) + np.asarray(k, dtype=float),
         grad=lambda x, k: 2.0 * np.asarray(x, dtype=float),
         hess=lambda x, k: 2.0 * np.broadcast_to(np.eye(2), np.shape(x) + (2,)),
         bounded=False,

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import quadrature
 from ._csv import write_csv
+from ._linalg import row_norm, sum_last
 from .errors import TruncationError
 from .model import HybridState, ModelSpec, certified_tail, rate_rows
 
@@ -200,7 +201,7 @@ class GeneratorBatch(NamedTuple):
 def _c_squared(spec: ModelSpec):
     def c2(x, k, u):
         c = np.asarray(spec.jump_coeff(x, k, u), dtype=float)
-        return np.sum(c * c, axis=-1)
+        return sum_last(c * c)
     return c2
 
 
@@ -210,7 +211,7 @@ def _jump_outer_integral(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: n
     error estimate, per point; f0 and grads are f and Df at the points."""
     def increment(x, k, f0, grad, u):
         c = np.asarray(spec.jump_coeff(x, k, u), dtype=float)
-        return np.asarray(f.fn(x + c, k), dtype=float) - f0 - np.sum(grad * c, axis=-1)
+        return np.asarray(f.fn(x + c, k), dtype=float) - f0 - sum_last(grad * c)
 
     return quadrature.integrate(spec, increment, (xs, ks, f0, grads), eps,
                                 spec.jump_measure.radius_max, quad_tol)
@@ -249,7 +250,7 @@ def _hessian_sup_estimate(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: 
         angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
         dirs = eps * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     c = np.asarray(spec.jump_coeff(xs[:, None, :], ks[:, None], dirs[None]), dtype=float)
-    csup = np.max(np.linalg.norm(c, axis=-1), axis=1)
+    csup = np.max(row_norm(c), axis=1)
     d = xs.shape[1]
     shifts = np.concatenate([np.zeros((1, d)), np.eye(d), -np.eye(d)])
     probes = xs[:, None, :] + csup[:, None, None] * shifts

@@ -85,10 +85,13 @@ def _panels(lo: float, hi: float) -> np.ndarray:
     return np.concatenate(([0.0], hi * PANEL_RATIO ** -np.arange(ORIGIN_DEPTH, -1, -1.0)))
 
 
+@functools.lru_cache(maxsize=64)
 def _rule(lo: float, hi: float):
     """Nodes r (m,) and weight rows (3, m): the value order, the estimate
     order, and the value order restricted to the innermost panel when it
-    reaches the origin (zero otherwise)."""
+    reaches the origin (zero otherwise).  Cached per interval, since the
+    calls of a run ask for a few intervals many times; the arrays are
+    read-only because all callers share them."""
     ends = _panels(lo, hi)
     a, b = ends[:-1, None], ends[1:, None]
     nodes, weights = [], []
@@ -100,7 +103,9 @@ def _rule(lo: float, hi: float):
     if lo == 0.0:
         m = ORDERS[1]
         weights[0][2, :m] = weights[0][0, :m]
-    return np.concatenate(nodes), np.concatenate(weights, axis=1)
+    r, w = np.concatenate(nodes), np.concatenate(weights, axis=1)
+    r.flags.writeable = w.flags.writeable = False
+    return r, w
 
 
 def integrate(spec: ModelSpec, integrand: Callable, states: tuple, lo: float, hi: float,

@@ -235,10 +235,20 @@ def _block_marks(quantile, eps: float, counts: np.ndarray, seg_los, block: np.nd
     ``quantile`` maps the columns of U independently, so its one call over the
     whole block gives the marks of one call per round.  Needs ``counts.any()``.
     """
+    hit, unif = _mark_uniforms(counts, seg_los, block)
+    return hit, quantile(eps, unif)
+
+
+def _mark_uniforms(counts: np.ndarray, seg_los, block: np.ndarray):
+    """``hit`` and the (2, J) quantile input U of ``_block_marks``; the
+    index arrays that order them die here, before the quantile allocates."""
     n = counts.shape[1]
     mask = counts[:, None, :] > np.arange(int(counts.max()))[:, None]  # (steps, rounds, n)
-    hit = mask.ravel().nonzero()[0] % n                                  # step, then round
-    per = np.add.reduceat(mask, seg_los, axis=2, dtype=np.intp)       # (steps, rounds, segs)
+    hit = mask.ravel().nonzero()[0]                                      # step, then round
+    hit %= n
+    # (steps, rounds, segs); reduceat first copies mask into its dtype, and
+    # uint32 holds any segment's count in half the bytes of intp
+    per = np.add.reduceat(mask, seg_los, axis=2, dtype=np.uint32).astype(np.intp)
     # the jumps of one (step, round, segment) group are consecutive both in
     # hit order and in the block, so each group shifts by one offset
     sizes = per.ravel()                       # groups in hit order: (step, round, segment)
@@ -246,8 +256,9 @@ def _block_marks(quantile, eps: float, counts: np.ndarray, seg_los, block: np.nd
     seg_major = blk.ravel()
     block_start = 2 * (np.cumsum(seg_major) - seg_major)
     off = block_start.reshape(blk.shape).transpose(0, 2, 1).ravel() - (np.cumsum(sizes) - sizes)
-    idx = np.repeat(np.array([off, off + sizes]), sizes, axis=1) + np.arange(hit.size)
-    return hit, quantile(eps, block[idx])
+    idx = np.repeat(np.array([off, off + sizes]), sizes, axis=1)
+    idx += np.arange(hit.size)
+    return hit, block[idx]
 
 
 @dataclass(slots=True)

@@ -1,0 +1,100 @@
+"""The table-driven parser and the terminal-state CSV of the CLI.
+
+``run`` builds the options of the invoked subcommand only.  Each argv below
+must parse to the same namespace as under the parser that holds every
+subcommand's options, and the top-level help and errors must still see all
+twelve subcommands.
+"""
+
+import numpy as np
+import pytest
+
+from rsjd import cli
+
+ARGV = {
+    "simulate": ["--model", "example51", "--start", "0,1", "--t", "1", "--npz"],
+    "couple": ["--model", "example51", "--start", "0,1", "--start2", "1,1", "--t", "1",
+               "--kind", "reflection", "--lambda-r", "0.5"],
+    "feller": ["--model", "example51", "--separations", "0.1,0.05", "--n", "64"],
+    "strong-feller": ["--model", "example51", "--delta0", "0.5", "--eta", "0.1"],
+    "irreducible": ["--model", "example51", "--start", "0,1", "--target", "0,1",
+                    "--regime", "2", "--adapt", "--terminal-csv"],
+    "killed": ["--model", "example51", "--start", "0,1", "--ball", "0,1",
+               "--m-grid=-2:2:5", "--policy", "gaussian"],
+    "invariant": ["--model", "example52", "--starts", "0,0,1;1,1,2", "--box=-3:3",
+                  "--tv-tol", "0.2"],
+    "lyapunov": ["--model", "example52:1.0", "--grid=-5:5:9", "--kmax", "10"],
+    "g-function": ["--kappa", "8", "--lam", "1"],
+    "f-function": ["--r-max-tab", "5", "--g", "power:-0.5"],
+    "validate": ["--model", "example52", "--quad-crosscheck", "0"],
+    "dynkin": ["--model", "example52", "--x", "0.5,0.5", "--seed", "3"],
+}
+
+
+def test_the_table_covers_every_subcommand():
+    assert list(ARGV) == list(cli.COMMANDS)
+    assert len(cli.COMMANDS) == 12
+
+
+@pytest.mark.parametrize("name", list(ARGV))
+def test_one_subcommand_parser_gives_the_same_namespace(name):
+    argv = [name, *ARGV[name]]
+    full = cli.build_parser().parse_args(argv)
+    one = cli.build_parser(name).parse_args(argv)
+    assert vars(one) == vars(full)
+    assert one.func is cli.COMMANDS[name][2]
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert cli.run(["--help"]) == 0
+    out = capsys.readouterr().out
+    for name, (help_text, _, _) in cli.COMMANDS.items():
+        assert name in out and help_text in out
+
+
+def test_subcommand_help_shows_its_options(capsys):
+    assert cli.run(["lyapunov", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--kmax" in out and "--alpha" in out
+
+
+def test_unknown_subcommand_exits_2(capsys):
+    assert cli.run(["no-such-command", "--model", "example51"]) == cli.EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+    for name in cli.COMMANDS:
+        assert repr(name) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lyapunov"],                                    # --model missing
+    ["irreducible", "--model", "example51", "--start", "0,1", "--target", "0,1"],
+    ["g-function", "--kappa", "8"],
+    [],
+])
+def test_missing_required_input_exits_2(argv, capsys):
+    assert cli.run(argv) == cli.EXIT_INPUT_ERROR
+    assert "required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("irreducible", ["--target", "0,1", "--regime", "2"]),
+    ("killed", ["--ball", "0,1"]),
+])
+def test_terminal_csv_lines(command, extra, tmp_path, capsys):
+    # the format of the per-value writer this output had before the shared
+    # one: repr of each float, the regime as an integer, one path a line
+    assert cli.run([command, "--model", "example51", "--start", "0,1", *extra,
+                    "--t", "0.25", "--h", "0.0625", "--n", "40", "--seed", "5",
+                    "--threads", "1", "--outdir", str(tmp_path), "--terminal-csv"]) in (0, 1)
+    lines = (tmp_path / f"{command}_terminal.csv").read_text().splitlines()
+    weighted = command == "killed"
+    assert lines[0] == "x1,k" + (",weight" if weighted else "")
+    assert len(lines) == 41
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert fields[0] == repr(float(fields[0]))
+        assert fields[1] == str(int(fields[1])) and int(fields[1]) >= 1
+        if weighted:
+            assert fields[2] == repr(float(fields[2])) and 0.0 <= float(fields[2]) <= 1.0
+    assert np.isfinite([float(line.split(",")[0]) for line in lines[1:]]).all()

@@ -127,6 +127,19 @@ class TestDispatch:
         for a, b in zip(whole, blocked):
             assert np.allclose(a, b, rtol=1e-14, atol=0.0)
 
+    def test_rule_is_shared_and_read_only(self):
+        r, w = quadrature._rule(0.05, 1.0)
+        assert quadrature._rule(0.05, 1.0)[0] is r
+        for a in (r, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        spec = example51()
+        xs, ks = np.array([[0.5], [1.5]]), np.array([1, 2])
+        first = quadrature.integrate(spec, spec.jump_coeff, (xs, ks), 0.05, 1.0, 1e-10)
+        again = quadrature.integrate(spec, spec.jump_coeff, (xs, ks), 0.05, 1.0, 1e-10)
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+
     def test_unresolved_singularity_raises(self):
         # |c|^2 nu ~ r^-0.9 dr: the innermost panel holds too much mass
         spec = example52(1.9)
