@@ -304,6 +304,8 @@ class Partition:
         bins = np.asarray(self.bins)
         if not (lo.ndim == 1 and lo.size and lo.shape == hi.shape == bins.shape):
             raise ValueError("partition needs lo, hi and bins of one common length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError(f"partition needs finite lo and hi, got {self.lo!r} and {self.hi!r}")
         if not np.all(lo < hi):
             raise ValueError("partition needs lo < hi on every axis")
         if not np.all(bins >= 1):

@@ -298,8 +298,7 @@ def _cmd_killed(args) -> int:
     xs = np.linspace(lo, hi, npts)
     grid = np.zeros((npts, spec.d))
     grid[:, 0] = xs
-    rows, _ = RowTruncator(spec.rates, 1e-12).rows(grid, np.full(npts, start.k))
-    M = float(rows.sum(axis=1).max())
+    M = float(RowTruncator(spec.rates, 1e-12).row_sums(grid, np.full(npts, start.k)).max())
 
     full = analysis.estimate_transition(spec, start, args.t, center, radius,
                                         start.k, args.n, cfg, args.seed + 3,

@@ -42,6 +42,19 @@ __all__ = [
     "RowTruncator",
 ]
 
+# rate-row entries per block of ``RowTruncator.row_sums``: a block of
+# ROW_SUM_ENTRIES // L paths (512 at L = 32) stays in cache; the sums do not
+# depend on it
+ROW_SUM_ENTRIES = 16384
+
+
+def _check_positive(name: str, value, *, finite: bool) -> None:
+    """Raise ``ValueError`` unless ``value`` > 0, which NaN fails; with
+    ``finite``, +inf fails too."""
+    if not (value > 0 and (not finite or value < np.inf)):
+        need = "positive and finite" if finite else "positive (inf for no limit)"
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class HybridState:
@@ -108,8 +121,10 @@ class JumpMeasureSpec:
     large_jump_sampler = None
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < self.radius_max):
-            raise ValueError("small-jump cutoff must lie inside the mark domain")
+        if not (0.0 < self.epsilon < self.radius_max < np.inf):
+            raise ValueError("small-jump cutoff must lie inside the bounded mark domain: need "
+                             f"0 < epsilon < radius_max < inf, got {self.epsilon!r} and "
+                             f"{self.radius_max!r}")
 
 
 @dataclass(frozen=True)
@@ -124,14 +139,20 @@ class RateMatrixSpec:
     screen for switches, so it must be valid at L = 0; a built row whose sum
     exceeds it raises ``TruncationError``, and so does a NaN, infinite or
     negative tail.  The optional closed form ``row_sum(x, k)`` of q_k(x) is an
-    oracle for tests only: killed mode sums its truncated rows instead, as the
-    closed form differs at round-off and would move the killed weights.
+    oracle for tests only: killed mode takes ``RowTruncator.row_sums``, the
+    sums of its truncated rows, as the closed form differs at round-off and
+    would move the killed weights.  ``kappa0``, when given, must be positive
+    and finite.
     """
 
     rate: Callable[..., np.ndarray]
     tail_bound: Callable[[int, int], float] | None
     row_sum: Callable[..., np.ndarray] | None = None
     kappa0: float | None = None
+
+    def __post_init__(self):
+        if self.kappa0 is not None:
+            _check_positive("kappa0", self.kappa0, finite=True)
 
 
 @dataclass(frozen=True)
@@ -148,7 +169,9 @@ class ModelSpec:
     panels, two orders whose difference is the error estimate), and raises
     ``QuadratureError`` where that estimate exceeds the tolerance.
     ``jump_radial`` declares that c depends on u only through |u|, enabling
-    radial quadrature for 2-d mark spaces.
+    radial quadrature for 2-d mark spaces.  The declared constants
+    ``ellipticity_floor`` and ``growth_constant``, when given, must be
+    positive and finite.
     """
 
     d: int
@@ -173,6 +196,9 @@ class ModelSpec:
             raise ValueError("jump coefficient and jump measure must be supplied together")
         if not 0.0 < self.regime_tol < np.inf:
             raise ValueError(f"regime_tol must be positive and finite, got {self.regime_tol!r}")
+        for name in ("ellipticity_floor", "growth_constant"):
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name), finite=True)
 
     @property
     def has_jumps(self) -> bool:
@@ -231,9 +257,11 @@ def q_row_truncated(rates: RateMatrixSpec, x, k: int, rel_tol: float,
 class RowTruncator:
     """Batched rate-row evaluation with a cached, certified truncation level.
 
-    Used by the integrators: rows are produced as an (n, L) array over the
-    common regime grid 1..L, with L grown adaptively until the uniform tail
-    bound is below ``rel_tol`` relative to every row sum in the batch.  L
+    Used by the integrators: ``rows`` produces rows as an (n, L) array over
+    the common regime grid 1..L, with L grown adaptively until the uniform
+    tail bound is below ``rel_tol`` relative to every row sum in the batch.
+    ``row_sums`` returns only the row sums, the q_k(x) that killed mode
+    needs, certified the same way without holding the (n, L) array.  L
     starts at the integer ``l_start`` >= 1 and doubles up to the integer
     ``l_cap`` >= ``l_start``.
     """
@@ -308,6 +336,44 @@ class RowTruncator:
                         f"rate row sum {s[i]!r} (k={int(k[i])}) exceeds the declared "
                         f"whole-row bound tail_bound(k, 0)")
                 return q, np.arange(1, L + 1)
+            if L >= self.l_cap:
+                raise TruncationError(
+                    f"rate rows not summable to rel_tol={self.rel_tol} within L={self.l_cap}")
+            L *= 2
+
+    def row_sums(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """``rows(x, k)[0].sum(axis=1)``, bit for bit, at the level ``rows``
+        would reach, without the (n, L) array.
+
+        The batch goes through ``rate_rows`` in blocks of ROW_SUM_ENTRIES // L
+        consecutive paths, and each block's rows are summed at once.  A block
+        whose paths share one regime passes it as a scalar, so the model
+        computes its regime-only factors once per block.  A level that fails
+        on some block is doubled and the batch summed again from its start.
+        """
+        k = np.asarray(k)
+        n = k.shape[0]
+        s = np.empty(n)
+        L = self._level
+        while True:
+            tail = self._tail_bounds(k, L)
+            size = max(1, ROW_SUM_ENTRIES // L)
+            for lo in range(0, n, size):
+                hi = min(lo + size, n)
+                kb = k[lo:hi]
+                if bool(np.all(kb == kb[0])):
+                    kb = kb[0]
+                q = rate_rows(self.rates, x[lo:hi], kb, L)
+                if q.shape[0] == hi - lo:
+                    q.sum(axis=-1, out=s[lo:hi])
+                else:   # a row that depends on neither x nor the paths' own k
+                    s[lo:hi] = q.sum(axis=-1)
+                tb = tail[lo:hi]
+                if not bool(np.all(tb <= self.rel_tol * (s[lo:hi] + tb))):
+                    break
+            else:
+                self._level = L
+                return s
             if L >= self.l_cap:
                 raise TruncationError(
                     f"rate rows not summable to rel_tol={self.rel_tol} within L={self.l_cap}")

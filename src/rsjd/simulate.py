@@ -55,7 +55,7 @@ import numpy as np
 from . import quadrature
 from ._csv import write_csv
 from ._linalg import row_norm, sqrt_psd_batched
-from .model import HybridState, ModelSpec, RowTruncator
+from .model import HybridState, ModelSpec, RowTruncator, _check_positive
 
 __all__ = [
     "IntegratorConfig",
@@ -77,14 +77,6 @@ DRAW_PATH_STEPS = 8192
 # can never drop a switch that should fire
 SCREEN_SLACK = 1.0 + 1e-12
 COMP_QUAD_TOL = 1e-10  # tolerance of the fallback compensator quadrature
-
-
-def _check_positive(name: str, value, *, finite: bool) -> None:
-    """Raise ``ValueError`` unless ``value`` > 0, which NaN fails; with
-    ``finite``, +inf fails too."""
-    if not (value > 0 and (not finite or value < np.inf)):
-        need = "positive and finite" if finite else "positive (inf for no limit)"
-        raise ValueError(f"{name} must be {need}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -488,7 +480,7 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     alive = np.ones(n, dtype=bool)
     exit_time = np.full(n, np.inf)
     kill_int = np.zeros(n) if killed else None
-    q_prev = trunc.rows(x, k)[0].sum(axis=1) if killed else None
+    q_prev = trunc.row_sums(x, k) if killed else None
 
     dropped_var = 0.0
     rec_times = rec_xs = rec_ks = None
@@ -534,7 +526,7 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
                     if record and fire[0] == 0:
                         switch_events.append((t_next, int(k[0]), int(kn[0])))
         elif killed:
-            q_new = trunc.rows(xn, k)[0].sum(axis=1)
+            q_new = trunc.row_sums(xn, k)
             kill_int += np.where(alive, 0.5 * h * (q_prev + q_new), 0.0)
             q_prev = q_new
 
@@ -626,9 +618,10 @@ def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState
     state (``example52`` needs L = 32 at its default tolerance from any
     state).  Otherwise switching could differ only where a uniform falls
     within round-off of a switch threshold, and killed-mode weights, which
-    sum the rows, in their last bits.  A one-start ensemble of CHUNK_SIZE
-    paths or more packs nothing.  Threads only distribute the batches, so
-    any thread count reproduces the same numbers.
+    sum the rows (``RowTruncator.row_sums``), in their last bits.  A
+    one-start ensemble of CHUNK_SIZE paths or more packs nothing.  Threads
+    only distribute the batches, so any thread count reproduces the same
+    numbers.
 
     ``regime`` is "switching", "frozen" or "killed" (see the module
     docstring); only "killed" fills ``weight``.  ``observer(block)`` is

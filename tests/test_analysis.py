@@ -230,6 +230,8 @@ class TestInvariantOccupation:
         dict(lo=(1.0,), hi=(1.0,), bins=(2,)),              # empty box
         dict(lo=(-1.0,), hi=(1.0,), bins=(0,)),
         dict(lo=(-1.0,), hi=(1.0,), bins=(2,), k_max=0),
+        dict(lo=(-1.0,), hi=(float("inf"),), bins=(2,)),    # unbounded box
+        dict(lo=(-float("inf"), 0.0), hi=(1.0, 1.0), bins=(2, 2)),
     ])
     def test_partition_rejects_degenerate_boxes(self, kw):
         with pytest.raises(ValueError):

@@ -268,6 +268,18 @@ class TestPositiveFields:
         assert run(argv + ["--outdir", str(tmp_path)]) == 2
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("field, bad", [("ellipticity_floor", ".nan"),
+                                            ("ellipticity_floor", "-1"),
+                                            ("growth_constant", ".inf")])
+    def test_declared_model_constants(self, tmp_path, field, bad):
+        # a NaN floor used to load and make `validate` report a failed check (exit 1)
+        p = tmp_path / "m.yaml"
+        p.write_text(FULL_YAML.replace(f"  {field}: ", f"  {field}: {bad} #"))
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            load_model_config(p)
+        assert run(["validate", "--model", str(p), "--outdir", str(tmp_path)]) == 2
+        assert not (tmp_path / "validate.json").exists()
+
     def test_infinite_guards_mean_none(self, tmp_path):
         cfg = CouplingConfig(step=0.05, horizon=0.5, r_max=INF, ball_radius=INF,
                              delta0=INF)

@@ -122,10 +122,10 @@ class TestPairOneStep:
 
     @pytest.mark.parametrize("floor", [0.0, float("nan")])
     def test_model_floor_not_positive_finite_rejected(self, floor):
-        # with no lambda_R the declared floor is used, and it is checked the same way
-        spec = make_model(sigma=diag_sigma(1.0), ellipticity_floor=floor)
-        with pytest.raises(ValueError, match="lambda_R must be positive and finite"):
-            self._step(spec, kind="reflection")
+        # with no lambda_R the declared floor is used; the model constructor
+        # rejects a bad floor before any coupling can take it
+        with pytest.raises(ValueError, match="ellipticity_floor must be positive and finite"):
+            make_model(sigma=diag_sigma(1.0), ellipticity_floor=floor)
 
     @pytest.mark.parametrize("kind", ["basic", "reflection"])
     def test_gaussian_policy_adds_small_jump_covariance(self, kind):

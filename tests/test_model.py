@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,37 @@ class TestRowTruncation:
             assert np.allclose(rows[i], dense, rtol=1e-12, atol=1e-300)
             tail = rates.tail_bound(int(ks[i]), len(ls))
             assert tail <= 1e-10 * (dense.sum() + tail)
+
+
+class TestDeclaredConstants:
+    """The declared model constants are checked when the spec is built; a
+    NaN floor used to reach ``validate_model`` as a failed check."""
+
+    @pytest.mark.parametrize("field, bad", [
+        ("ellipticity_floor", float("nan")), ("ellipticity_floor", -1.0),
+        ("ellipticity_floor", 0.0), ("ellipticity_floor", float("inf")),
+        ("growth_constant", float("nan")), ("growth_constant", float("inf")),
+        ("growth_constant", -1.0),
+    ])
+    def test_model_constants(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            replace(example51(), **{field: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_kappa0(self, bad):
+        with pytest.raises(ValueError, match="kappa0 must be positive and finite"):
+            replace(example51().rates, kappa0=bad)
+
+    def test_none_means_undeclared(self):
+        spec = replace(example51(), ellipticity_floor=None, growth_constant=None,
+                       rates=replace(example51().rates, kappa0=None))
+        assert spec.ellipticity_floor is None and spec.rates.kappa0 is None
+
+    @pytest.mark.parametrize("radius_max", [float("inf"), float("nan"), 0.05, 0.01])
+    def test_radius_max(self, radius_max):
+        # +inf used to pass here and fail only later, in quadrature.integrate
+        with pytest.raises(ValueError, match="small-jump cutoff must lie inside the bounded"):
+            replace(example51().jump_measure, radius_max=radius_max)
 
 
 class TestValidateModel:
