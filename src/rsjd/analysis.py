@@ -341,9 +341,10 @@ class _Occupation:
     """Ensemble observer: one batch's occupation counts of (start, cell) in
     the two half windows [t_burn, mid) and [mid, t_end].  ``block`` holds
     the start index of each of the batch's paths.  Each step's (x, k,
-    alive) at t >= t_burn waits in a buffer, and one selection of the alive
-    paths, one ``flat_index`` and one ``bincount`` bin ``BLOCK`` steps at a
-    time; the buffer is flushed when the window changes and by the caller
+    alive) at t >= t_burn is copied into buffers of ``BLOCK`` steps, made
+    once; one ``flat_index`` and one ``bincount`` bin the buffered steps
+    together, over the alive paths only when some path is censored.  The
+    buffers are flushed when full, when the window changes and by the caller
     after the ensemble.  The counts are integers, so binning steps together
     gives the counts that binning them one by one would."""
 
@@ -354,10 +355,15 @@ class _Occupation:
         self.partition = partition
         self.t_burn = t_burn
         self.mid = mid
-        self.block = block
+        n, d = block.size, len(partition.lo)
         self.counts = np.zeros((2, n_starts * partition.n_cells), dtype=np.int64)
         self.window = 0
-        self.pending: list = []
+        self.fill = 0
+        self.xs = np.empty((self.BLOCK, n, d))
+        self.ks = np.empty((self.BLOCK, n), dtype=np.int64)
+        self.alive = np.empty((self.BLOCK, n), dtype=bool)
+        # the start offsets of the buffered paths, step after step
+        self.offsets = np.tile(block * partition.n_cells, self.BLOCK)
 
     def __call__(self, i: int, t: float, x: np.ndarray, k: np.ndarray, alive: np.ndarray):
         if t < self.t_burn - 1e-12:
@@ -367,20 +373,28 @@ class _Occupation:
             self.flush()
             self.window = window
         # copies, as the integrator owns x, k and alive
-        self.pending.append((x.copy(), k.copy(), self.block, alive.copy()))
-        if len(self.pending) == self.BLOCK:
+        j = self.fill
+        self.xs[j] = x
+        self.ks[j] = k
+        self.alive[j] = alive
+        self.fill = j + 1
+        if self.fill == self.BLOCK:
             self.flush()
 
     def flush(self):
-        if not self.pending:
+        m = self.fill
+        if not m:
             return
-        x, k, start, alive = (np.concatenate(a) for a in zip(*self.pending))
-        self.pending.clear()
-        # compress, not boolean indexing: the latter copies (n, d) rows slowly
-        x, k, start = (np.compress(alive, a, axis=0) for a in (x, k, start))
-        self.counts[self.window] += np.bincount(
-            start * self.partition.n_cells + self.partition.flat_index(x, k),
-            minlength=self.counts.shape[1])
+        self.fill = 0
+        x = self.xs[:m].reshape(-1, self.xs.shape[2])
+        k = self.ks[:m].reshape(-1)
+        offsets = self.offsets[:k.size]
+        alive = self.alive[:m].reshape(-1)
+        if not alive.all():
+            # compress, not boolean indexing: the latter copies (n, d) rows slowly
+            x, k, offsets = (np.compress(alive, a, axis=0) for a in (x, k, offsets))
+        self.counts[self.window] += np.bincount(offsets + self.partition.flat_index(x, k),
+                                                minlength=self.counts.shape[1])
 
 
 def _tv(p: np.ndarray, q: np.ndarray) -> float:
@@ -811,7 +825,7 @@ def modulus_probe(spec: ModelSpec, k: int, pairs, rel_tol: float = 1e-10,
         xs, zs = (np.stack(side) for side in zip(*pairs))
         n = len(pairs)
         # all rows share one level, so one certified tail covers each side
-        rows, ls = RowTruncator(spec.rates, rel_tol, l_start=8).rows(
+        rows, _, ls = RowTruncator(spec.rates, rel_tol, l_start=8).rows(
             np.concatenate([xs, zs]), np.full(2 * n, k))
         out["rate_row"] = (np.abs(rows[:n] - rows[n:]).sum(axis=1)
                            + 2.0 * certified_tail(spec.rates, k, len(ls)))

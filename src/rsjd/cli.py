@@ -321,6 +321,8 @@ def _cmd_killed(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
+    if not args.tv_tol >= 0.0:   # NaN fails too
+        raise ValueError(f"--tv-tol must be nonnegative, got {args.tv_tol!r}")
     spec = resolve_model(args.model)
     starts = [_parse_state(s) for s in args.starts.split(";")]
     lo, hi = (float(v) for v in args.box.split(":"))

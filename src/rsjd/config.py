@@ -187,11 +187,23 @@ def load_model_config(path) -> ModelSpec:
         rates=rates,
         jump_coeff=jump_coeff,
         jump_measure=measure,
-        ellipticity_floor=m.get("ellipticity_floor"),
-        growth_constant=m.get("growth_constant"),
+        ellipticity_floor=_optional_float(m, "ellipticity_floor"),
+        growth_constant=_optional_float(m, "growth_constant"),
         regime_tol=float(m.get("regime_tol", 1e-9)),
         name=m.get("name", "config-model"),
     )
+
+
+def _optional_float(m: dict, key: str) -> float | None:
+    """``float(m[key])``, None when the key is absent; ``ValueError`` names
+    the key when the value is not a number."""
+    v = m.get(key)
+    if v is None:
+        return None
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {v!r}") from None
 
 
 def resolve_model(ref: str) -> ModelSpec:

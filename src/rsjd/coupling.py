@@ -150,9 +150,9 @@ def _coupled_switch(trunc: RowTruncator, X, Xt, K, Kt, qbar1, qbar2, cand, u1, u
     second, l2)``: the pairs whose first side switches and their new regimes,
     then the same for the second side."""
     m = cand.size
-    rows_all, ls = trunc.rows(np.concatenate([X.take(cand, axis=0), Xt.take(cand, axis=0)]),
-                              np.concatenate([K[cand], Kt[cand]]),
-                              bound=np.concatenate([qbar1[cand], qbar2[cand]]))
+    rows_all, _, ls = trunc.rows(np.concatenate([X.take(cand, axis=0), Xt.take(cand, axis=0)]),
+                                 np.concatenate([K[cand], Kt[cand]]),
+                                 bound=np.concatenate([qbar1[cand], qbar2[cand]]))
     rows1, rows2 = rows_all[:m], rows_all[m:]
     ml = np.minimum(rows1, rows2)
     al = rows1 - ml

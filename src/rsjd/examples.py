@@ -142,6 +142,7 @@ def example52(delta: float = 1.0) -> ModelSpec:
     if not (0.0 < delta < 2.0):
         raise ValueError("delta must lie in (0, 2)")
     gamma = np.sqrt((2.0 - delta) / (2.0 * np.pi))
+    eye = np.eye(2)
 
     def drift(x, k):
         x = np.asarray(x, dtype=float)
@@ -152,7 +153,7 @@ def example52(delta: float = 1.0) -> ModelSpec:
         x = np.asarray(x, dtype=float)
         r = row_norm(x)
         fac = (r + 1.0) / 4.0
-        return fac[..., None, None] * np.eye(2)
+        return fac[..., None, None] * eye
 
     def jump_coeff(x, k, u):
         x = np.asarray(x, dtype=float)

@@ -21,7 +21,9 @@ other row code, ``RowTruncator`` first, is built on them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -49,9 +51,10 @@ ROW_SUM_ENTRIES = 16384
 
 
 def _check_positive(name: str, value, *, finite: bool) -> None:
-    """Raise ``ValueError`` unless ``value`` > 0, which NaN fails; with
-    ``finite``, +inf fails too."""
-    if not (value > 0 and (not finite or value < np.inf)):
+    """Raise ``ValueError`` unless ``value`` is a real number > 0, which NaN
+    fails; with ``finite``, +inf fails too."""
+    if not (isinstance(value, numbers.Real) and value > 0
+            and (not finite or value < np.inf)):
         need = "positive and finite" if finite else "positive (inf for no limit)"
         raise ValueError(f"{name} must be {need}, got {value!r}")
 
@@ -214,11 +217,19 @@ class ModelSpec:
 # Rate-row truncation
 
 
+@lru_cache(maxsize=64)
+def _regime_grid(L: int) -> np.ndarray:
+    """The target regimes 1..L of a row at level L, read-only and shared."""
+    ls = np.arange(1, L + 1)
+    ls.flags.writeable = False
+    return ls
+
+
 def rate_rows(rates: RateMatrixSpec, x: np.ndarray, k, L: int) -> np.ndarray:
     """Rows q_{k_i, l}(x_i) for l = 1..L as an (n, L) array (x: (n, d),
     k: (n,)), with the diagonal l == k_i zeroed and negative values clipped."""
     k = np.asarray(k)
-    ls = np.arange(1, L + 1)
+    ls = _regime_grid(L)
     # x gains a broadcast axis so (n, 1, d) states pair with (n, 1) regimes
     # and the (1, L) target grid to produce (n, L) rows
     q = np.asarray(rates.rate(x[..., None, :], k[..., None], ls[None, :]), dtype=float)
@@ -248,7 +259,7 @@ def q_row_truncated(rates: RateMatrixSpec, x, k: int, rel_tol: float,
     certified to satisfy tail <= rel_tol * (sum(partial) + tail).
     """
     k = int(k)
-    q, ls = RowTruncator(rates, rel_tol, l_start, l_cap).rows(
+    q, _, ls = RowTruncator(rates, rel_tol, l_start, l_cap).rows(
         np.asarray(x, dtype=float)[None], np.array([k]))
     partial = [(int(l), float(v)) for l, v in zip(ls, q[0]) if v > 0.0]
     return partial, certified_tail(rates, k, len(ls))
@@ -316,7 +327,9 @@ class RowTruncator:
         return self._tail_bounds(k, 0)
 
     def rows(self, x: np.ndarray, k: np.ndarray, bound: np.ndarray | None = None):
-        """Return ``(rows, ls)`` with rows[i, j] = q_{k_i, ls_j}(x_i), diagonal zeroed.
+        """Return ``(rows, sums, ls)`` with rows[i, j] = q_{k_i, ls_j}(x_i),
+        diagonal zeroed, ``sums = rows.sum(axis=1)`` and ``ls`` the read-only
+        ``_regime_grid`` 1..L.
 
         With ``bound`` (per path), a row whose sum exceeds it raises
         ``TruncationError``: the model broke its declared row bound.
@@ -326,16 +339,15 @@ class RowTruncator:
         while True:
             q = rate_rows(self.rates, x, k, L)
             s = q.sum(axis=-1)
-            tail_per_path = self._tail_bounds(k, L)
-            ok = tail_per_path <= self.rel_tol * (s + tail_per_path)
-            if bool(np.all(ok)):
+            tail = self._tail_bounds(k, L)
+            if (tail <= self.rel_tol * (s + tail)).all():
                 self._level = L
-                if bound is not None and bool(np.any(s > bound)):
+                if bound is not None and (s > bound).any():
                     i = int(np.argmax(s - bound))
                     raise TruncationError(
                         f"rate row sum {s[i]!r} (k={int(k[i])}) exceeds the declared "
                         f"whole-row bound tail_bound(k, 0)")
-                return q, np.arange(1, L + 1)
+                return q, s, _regime_grid(L)
             if L >= self.l_cap:
                 raise TruncationError(
                     f"rate rows not summable to rel_tol={self.rel_tol} within L={self.l_cap}")

@@ -38,14 +38,19 @@ chunk alone: the Brownian normals (a second set under the reflection
 coupling); with jumps, the Poisson counts, then two uniforms per jump for the
 marks; under the gaussian small-jump policy, its normals; last, the switch
 uniforms row by row (the bridge-crossing uniform as a third row in the
-reflection coupling).  No draw depends on the state, so the engines draw
-DRAW_PATH_STEPS // n steps of an n-path batch at a time ahead of stepping
-them; a chunk's numbers are the same whatever batch it is packed in and
-however many steps are drawn at once.
+reflection coupling).  Uniforms that follow one another in this order are
+drawn in one call where that saves a call: ``rng.random(a + b)`` gives the
+numbers of ``rng.random(a)`` followed by ``rng.random(b)`` bit for bit, so
+the mark and switch uniforms of a step without gaussian normals come from
+one ``random(2 J + rows m)``.  No draw depends on the state, so the engines
+draw DRAW_PATH_STEPS // n steps of an n-path batch at a time ahead of
+stepping them; a chunk's numbers are the same whatever batch it is packed in
+and however many steps are drawn at once.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -74,7 +79,8 @@ CHUNK_SIZE = 4096  # fixed chunk width; part of the determinism contract
 # depend on it
 DRAW_PATH_STEPS = 8192
 # relative slack on the whole-row bound Qbar_k, so that round-off in a row sum
-# can never drop a switch that should fire
+# can never drop a switch that should fire, and on the r_max screen of
+# ``_outside``, so that round-off in a norm can never hide a crossing
 SCREEN_SLACK = 1.0 + 1e-12
 COMP_QUAD_TOL = 1e-10  # tolerance of the fallback compensator quadrature
 
@@ -321,7 +327,9 @@ def _draw_block(streams, spec: ModelSpec, h: float, eps, lam_rate, steps: int, *
     4. ``random((n_unif, m))``: the two switch uniforms, and the
        bridge-crossing one as a third row.
 
-    Every draw is sized by the segment, so a segment consumes its stream
+    With jumps, switch uniforms and no gaussian normals, 2 and 4 are one
+    ``random(2 J + n_unif m)`` call, which draws the same numbers.  Every
+    draw is sized by the segment, so a segment consumes its stream
     exactly as a batch of its own paths would, and as ``steps`` calls of one
     step each would.  The draws go into the first ``steps`` steps of
     ``buffers``, from ``_draw_buffers`` with the same flags, or into new ones;
@@ -335,6 +343,8 @@ def _draw_block(streams, spec: ModelSpec, h: float, eps, lam_rate, steps: int, *
         buffers = _draw_buffers(n, spec.d, steps, jumps=jumps, reflect=reflect,
                                 gaussian=gaussian, n_unif=n_unif)
     z, z2, zg, counts, unif = (None if b is None else b[:steps] for b in buffers)
+    lam_h = lam_rate * h if jumps else None
+    merged = jumps and n_unif and not gaussian   # steps 2 and 4 in one call
     mark_unif = []  # (step, segment) order
     for s in range(steps):
         for rng, lo, hi in streams:
@@ -343,19 +353,26 @@ def _draw_block(streams, spec: ModelSpec, h: float, eps, lam_rate, steps: int, *
             if reflect:
                 rng.standard_normal(out=z2[s, lo:hi])
             if jumps:
-                c = rng.poisson(lam_rate * h, m)
-                counts[s, lo:hi] = c
-                mark_unif.append(rng.random(2 * int(c.sum())))
+                c = counts[s, lo:hi]
+                c[...] = rng.poisson(lam_h, m)
+                n_mark = 2 * int(c.sum())
+                if merged:
+                    u = rng.random(n_mark + n_unif * m)
+                    mark_unif.append(u[:n_mark])
+                    unif[s, :, lo:hi] = u[n_mark:].reshape(n_unif, m)
+                    continue
+                mark_unif.append(rng.random(n_mark))
                 if gaussian:
                     rng.standard_normal(out=zg[s, lo:hi])
             if n_unif:
                 unif[s, :, lo:hi] = rng.random((n_unif, m))
 
-    def at(a, s):
-        return None if a is None else a[s]
+    def per_step(a):
+        return [None] * steps if a is None else list(a)
 
-    draws = [StepDraws(z[s], at(z2, s), at(counts, s), zg=at(zg, s), unif=at(unif, s))
-             for s in range(steps)]
+    draws = [StepDraws(zs, z2s, cs, zg=zgs, unif=us)
+             for zs, z2s, cs, zgs, us in zip(list(z), per_step(z2), per_step(counts),
+                                             per_step(zg), per_step(unif))]
     if jumps and counts.any():
         hit, marks = _block_marks(spec.jump_measure.large_jump_quantile, eps, counts,
                                   [lo for _, lo, _ in streams], np.concatenate(mark_unif))
@@ -392,8 +409,8 @@ def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
 
     The jump coefficient is evaluated once per side over the marks of all
     rounds; ``np.add.at`` adds each path's displacements one round after
-    another, so each path's sum runs in the same order as one update per
-    round would.
+    another, one coordinate at a time, so each path's sum runs in the same
+    order as one update per round would.
 
     Returns the list of increments, one per side, and under reflection
     (sl1, sl2, u, clamps) for the bridge-crossing step, else None.
@@ -435,7 +452,9 @@ def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
             for s, (x, k) in enumerate(sides):
                 disp = np.asarray(spec.jump_coeff(x.take(hit, axis=0), k.take(hit), marks),
                                   dtype=float)
-                np.add.at(dxs[s], hit, disp)
+                # column by column: ufunc.at over a 1-d array takes numpy's fast path
+                for j in range(disp.shape[1]):
+                    np.add.at(dxs[s][:, j], hit, disp[:, j])
                 for i in first:
                     events[1][s].append((events[0], marks[i].copy(), disp[i].copy()))
         if draws.zg is not None:
@@ -454,12 +473,19 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
 
     ``streams`` holds the batch's ``(rng, lo, hi)`` segments.  The draws
     come from ``_draw_block``, a block of steps at a time, the two switch
-    uniforms included under "switching", and each step takes its increment
+    uniforms included under "switching" (drawn in one call with the mark
+    uniforms, see the module docstring), and each step takes its increment
     from ``_apply_step``.  Rate rows are built only for the switch
     candidates, the paths whose first switch uniform falls below
-    1 - exp(-Qbar_k h); the switch law is the same as building every row.
-    "frozen" keeps the regime, and "killed" keeps it too and accumulates the
-    trapezoid rule for int q_k(X(s)) ds.
+    1 - exp(-Qbar_k h), a threshold kept per path and recomputed only for
+    the paths that switched; the switch law is the same as building every
+    row.  "frozen" keeps the regime, and "killed" keeps it too and
+    accumulates the trapezoid rule for int q_k(X(s)) ds.
+
+    Until the first path is censored the step skips the per-path selects
+    that keep a censored path frozen, and ``_outside`` screens the r_max
+    guard with the largest coordinate before it computes any norm; both
+    give the numbers of the full forms.
     ``observe(i, t, x, k, alive)`` sees the batch after step i.
     """
     if regime not in ("switching", "frozen", "killed"):
@@ -475,9 +501,13 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     trunc = RowTruncator(spec.rates, row_tol) if switching or killed else None
 
     # Exact switch pre-screen: q_k(x) <= Qbar_k = tail_bound(k, 0), so only a
-    # path with u1 < 1 - exp(-Qbar_k h) can switch and needs its rate row.
-    qbar = trunc.row_bound(k) * SCREEN_SLACK if switching else None
+    # path with u1 < 1 - exp(-Qbar_k h) can switch and needs its rate row;
+    # the threshold is kept per path and moves only with the path's regime.
+    if switching:
+        qbar = trunc.row_bound(k) * SCREEN_SLACK
+        thresh = -np.expm1(-qbar * h)
     alive = np.ones(n, dtype=bool)
+    all_alive = True   # alive.all(), kept as a bool
     exit_time = np.full(n, np.inf)
     kill_int = np.zeros(n) if killed else None
     q_prev = trunc.row_sums(x, k) if killed else None
@@ -505,35 +535,46 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
             cov0 = np.asarray(spec.small_jump_cov(x[:1], k[:1], eps), dtype=float)
             dropped_var += h * float(np.trace(cov0[0]))
 
-        xn = np.where(alive[:, None], x + dx, x)
+        # a censored path keeps its state
+        xn = np.add(x, dx, out=dx) if all_alive else np.where(alive[:, None], x + dx, x)
 
         kn = k
         if switching:
             u1, u2 = draws.unif
-            cand = np.flatnonzero(alive & (u1 < -np.expm1(-qbar * h)))
+            below = u1 < thresh
+            if not all_alive:
+                below &= alive
+            cand = below.nonzero()[0]
             if cand.size:
-                rows, ls = trunc.rows(x.take(cand, axis=0), k.take(cand), bound=qbar.take(cand))
-                qk = rows.sum(axis=1)
-                do = (u1.take(cand) < -np.expm1(-qk * h)) & (qk > 0.0)
-                if do.any():
-                    fire = cand[do]
-                    cum = np.cumsum(rows[do], axis=1)
-                    tgt = u2[fire] * qk[do]
+                rows, qk, ls = trunc.rows(x.take(cand, axis=0), k.take(cand),
+                                          bound=qbar.take(cand))
+                # a zero row has threshold 0, which no uniform in [0, 1) falls below
+                do = (u1.take(cand) < -np.expm1(-qk * h)).nonzero()[0]
+                if do.size:
+                    fire = cand.take(do)
+                    cum = np.cumsum(rows.take(do, axis=0), axis=1)
+                    tgt = u2.take(fire) * qk.take(do)
                     idx = np.minimum((cum < tgt[:, None]).sum(axis=1), rows.shape[1] - 1)
                     kn = k.copy()
-                    kn[fire] = ls[idx]
-                    qbar[fire] = trunc.row_bound(kn[fire]) * SCREEN_SLACK
+                    kn[fire] = k_fire = ls.take(idx)
+                    qbar[fire] = q_fire = trunc.row_bound(k_fire) * SCREEN_SLACK
+                    thresh[fire] = -np.expm1(-q_fire * h)
                     if record and fire[0] == 0:
                         switch_events.append((t_next, int(k[0]), int(kn[0])))
         elif killed:
             q_new = trunc.row_sums(xn, k)
-            kill_int += np.where(alive, 0.5 * h * (q_prev + q_new), 0.0)
+            step_int = 0.5 * h * (q_prev + q_new)
+            kill_int += step_int if all_alive else np.where(alive, step_int, 0.0)
             q_prev = q_new
 
-        newly = alive & (row_norm(xn) > cfg.r_max)
-        if newly.any():
-            exit_time[newly] = t_next
-            alive &= ~newly
+        newly = _outside(xn, cfg.r_max)
+        if newly is not None:
+            if not all_alive:
+                newly &= alive
+            if newly.any():
+                exit_time[newly] = t_next
+                alive &= ~newly
+                all_alive = False
 
         x, k = xn, kn
         if record:
@@ -548,6 +589,21 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     if record:
         out["record"] = (rec_times, rec_xs, rec_ks, switch_events, jump_events, dropped_var)
     return out
+
+
+def _outside(x: np.ndarray, r_max: float):
+    """``row_norm(x) > r_max`` as a mask, or None when no row can exceed
+    ``r_max``: r_max infinite, or every |x_ij| <= r / (sqrt(d) (1 + 1e-12))
+    with r = min(r_max, 1e150), which bounds each norm below r_max since
+    |x|_2 <= sqrt(d) max_j |x_j|.  The slack covers the rounding of the
+    computed norm, and the cap keeps its squares from overflowing to inf.
+    A NaN fails the screen and goes to the exact test."""
+    if r_max == np.inf:
+        return None
+    screen = min(r_max, 1e150) / (math.sqrt(x.shape[1]) * SCREEN_SLACK)
+    if x.max() <= screen and x.min() >= -screen:
+        return None
+    return row_norm(x) > r_max
 
 
 def _compensator_quadrature(spec: ModelSpec, x: np.ndarray, k: np.ndarray,

@@ -98,3 +98,18 @@ def test_terminal_csv_lines(command, extra, tmp_path, capsys):
         if weighted:
             assert fields[2] == repr(float(fields[2])) and 0.0 <= float(fields[2]) <= 1.0
     assert np.isfinite([float(line.split(",")[0]) for line in lines[1:]]).all()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-0.1", "-inf"])
+def test_invariant_rejects_bad_tv_tol_before_simulating(tol, tmp_path, monkeypatch, capsys):
+    # a NaN tolerance used to run the whole ensemble, then exit 1
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking --tv-tol")
+
+    monkeypatch.setattr(cli.analysis, "estimate_invariant", never)
+    argv = ["invariant", "--model", "example52", "--starts", "0,0,1;1,1,2", "--h", "0.1",
+            "--t-burn", "0.5", "--t-end", "1", "--paths", "8", f"--tv-tol={tol}",
+            "--outdir", str(tmp_path)]
+    assert cli.run(argv) == 2
+    assert "--tv-tol must be nonnegative" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -280,6 +280,23 @@ class TestPositiveFields:
         assert run(["validate", "--model", str(p), "--outdir", str(tmp_path)]) == 2
         assert not (tmp_path / "validate.json").exists()
 
+    @pytest.mark.parametrize("field, bad", [("ellipticity_floor", "abc"),
+                                            ("growth_constant", "[1.0, 2.0]"),
+                                            ("growth_constant", "{a: 1}")])
+    def test_declared_model_constants_not_numbers(self, tmp_path, field, bad):
+        # a string constant used to raise TypeError out of `validate` (exit 1)
+        p = tmp_path / "m.yaml"
+        p.write_text(FULL_YAML.replace(f"  {field}: ", f"  {field}: {bad} #"))
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            load_model_config(p)
+        assert run(["validate", "--model", str(p), "--outdir", str(tmp_path)]) == 2
+        assert not (tmp_path / "validate.json").exists()
+
+    @pytest.mark.parametrize("bad", ["0.1", None, [0.1], 1j])
+    def test_positive_fields_need_real_numbers(self, bad):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            IntegratorConfig(step=bad, horizon=1.0)
+
     def test_infinite_guards_mean_none(self, tmp_path):
         cfg = CouplingConfig(step=0.05, horizon=0.5, r_max=INF, ball_radius=INF,
                              delta0=INF)

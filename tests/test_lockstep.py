@@ -120,10 +120,12 @@ def test_rows_call_tail_bound_once_per_level():
     for _ in range(6):
         x = rng.normal(scale=2.0, size=(40, 2))
         k = rng.integers(1, 7, size=40)
-        rows, ls = warm.rows(x, k)
+        rows, sums, ls = warm.rows(x, k)
         warm.row_bound(k)
-        cold_rows, cold_ls = RowTruncator(base, 1e-9).rows(x, k)
+        cold_rows, cold_sums, cold_ls = RowTruncator(base, 1e-9).rows(x, k)
         assert rows.tobytes() == cold_rows.tobytes()
+        assert sums.tobytes() == cold_sums.tobytes() == rows.sum(axis=1).tobytes()
+        assert not ls.flags.writeable
         assert ls.tobytes() == cold_ls.tobytes()
     # the level grows from 16 to 32 in the first call; (k, 0) is row_bound's
     assert {L for _, L in calls} == {0, 16, 32}

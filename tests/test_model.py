@@ -98,7 +98,7 @@ class TestRowTruncation:
         trunc = RowTruncator(rates, 1e-10)
         xs = np.array([[0.0], [1.0], [-2.0]])
         ks = np.array([1, 2, 5])
-        rows, ls = trunc.rows(xs, ks)
+        rows, _, ls = trunc.rows(xs, ks)
         for i in range(3):
             dense = np.array([0.0 if l == ks[i] else float(rates.rate(xs[i], int(ks[i]), int(l)))
                               for l in ls])

@@ -96,7 +96,7 @@ class TestOneRoutine:
         x = np.array(coords[:spec.d])
         rel_tol = 10.0 ** log_tol
         partial, tail = q_row_truncated(spec.rates, x, k, rel_tol)
-        rows, ls = RowTruncator(spec.rates, rel_tol, l_start=8).rows(x[None], np.array([k]))
+        rows, _, ls = RowTruncator(spec.rates, rel_tol, l_start=8).rows(x[None], np.array([k]))
         dense = np.zeros(len(ls))
         for l, v in partial:
             dense[l - 1] = v
