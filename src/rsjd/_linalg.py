@@ -24,25 +24,25 @@ CLAMP_TOL = 1e-6
 def sqrt_psd_batched(mats: np.ndarray, clamp_tol: float = CLAMP_TOL):
     """Symmetric PSD square roots of a (..., d, d) stack via eigendecomposition.
 
-    Eigenvalues in [-clamp_tol, 0) are clamped to zero (count returned);
-    anything below -clamp_tol raises, since it means the PSD assumption is
-    genuinely violated at some point rather than lost to roundoff.
+    Returns ``(roots, clamped)``.  Eigenvalues in [-clamp_tol, 0) are clamped
+    to zero, and the (..., d) boolean mask ``clamped`` marks them, matrix by
+    matrix; anything below -clamp_tol raises, since it means the PSD
+    assumption is genuinely violated at some point rather than lost to
+    roundoff.
     """
     mats = np.asarray(mats, dtype=float)
     d = mats.shape[-1]
     if d == 1:
         v = mats[..., 0, 0]
-        bad = v < -clamp_tol
-        if np.any(bad):
+        if np.any(v < -clamp_tol):
             raise EllipticityError(
                 f"matrix not PSD: min diagonal {float(np.min(v)):.3e} < -{clamp_tol}")
-        clamped = int(np.count_nonzero((v < 0) & ~bad))
-        return np.sqrt(np.maximum(v, 0.0))[..., None, None], clamped
+        return np.sqrt(np.maximum(v, 0.0))[..., None, None], (v < 0)[..., None]
     w, q = np.linalg.eigh(mats)
     if np.any(w < -clamp_tol):
         raise EllipticityError(
             f"matrix not PSD: min eigenvalue {float(np.min(w)):.3e} < -{clamp_tol}")
-    clamped = int(np.count_nonzero(w < 0))
+    clamped = w < 0
     w = np.maximum(w, 0.0)
     root = np.einsum("...ij,...j,...kj->...ik", q, np.sqrt(w), q)
     return root, clamped

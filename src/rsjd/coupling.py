@@ -19,7 +19,10 @@ X~ - X frozen at each step's start, so the one-step cross-covariance of the
 increments matches lam*(I - 2uu^T) + s_lam(X) s_lam(X~)^T.  Jumps stay
 synchronous and switching uses the basic rate coupling.  Once |X~ - X| drops
 below the coalescence threshold with equal regimes the pair is declared
-coalesced and continues as a single path.
+coalesced and continues as a single path: X~ = X and K~ = K from then on, so
+the engine evaluates the second side's coefficients only at the pairs that
+have not coalesced, and a coalesced pair's second side takes the first
+side's increment, which is what evaluating it would give bit for bit.
 
 Coalescence detection cannot wait for the discrete pair to land exactly on
 the diagonal: the mirror walk crosses zero inside steps but essentially never
@@ -42,8 +45,9 @@ draws from the stream derived from (seed, stream, c), and the chunks run
 through ``simulate._run_batches``, the batch runner of plain ensembles too,
 which merges their outputs in chunk order whatever the thread count.  A
 sweep over several second starts draws once per chunk, and every separation
-sees those draws; block j of the sweep holds the bytes of a one-start
-ensemble with the j-th second start.
+sees those draws; its switch candidates get their rate rows from one call
+per step for all separations whose truncation levels agree.  Block j of the
+sweep holds the bytes of a one-start ensemble with the j-th second start.
 """
 
 from __future__ import annotations
@@ -55,10 +59,11 @@ import numpy as np
 
 from ._csv import write_csv
 from ._linalg import row_norm, sqrt_psd_batched
+from .errors import TruncationError
 from .model import HybridState, ModelSpec, RowTruncator
 from .simulate import (CHUNK_SIZE, SCREEN_SLACK, IntegratorConfig, PathRecord, _apply_step,
-                       _check_positive, _draw_block, _run_batches, _step_draws, _step_setup,
-                       derive_rng)
+                       _check_positive, _draw_block, _outside, _run_batches, _step_draws,
+                       _step_setup, _within, derive_rng)
 
 __all__ = [
     "CouplingConfig",
@@ -142,32 +147,72 @@ def _bridge_crossing_prob(sep0, sep1, r0, r1, sl1, sl2, u, lam: float, h: float)
                         np.exp(-2.0 * np.maximum(cross_num, 0.0) / (abar * h)))
 
 
-def _coupled_switch(trunc: RowTruncator, X, Xt, K, Kt, qbar1, qbar2, cand, u1, u2,
-                    h: float):
-    """One step of the basic coupling of the two rate rows for the candidate
-    pairs ``cand``, one event per step: its total rate sum_l max(q1_l, q2_l)
-    <= Qbar_K + Qbar_Kt screened the candidates.  Returns ``(first, l1,
-    second, l2)``: the pairs whose first side switches and their new regimes,
-    then the same for the second side."""
-    m = cand.size
-    rows_all, _, ls = trunc.rows(np.concatenate([X.take(cand, axis=0), Xt.take(cand, axis=0)]),
-                                 np.concatenate([K[cand], Kt[cand]]),
-                                 bound=np.concatenate([qbar1[cand], qbar2[cand]]))
-    rows1, rows2 = rows_all[:m], rows_all[m:]
+def _pair_rows(trunc: RowTruncator, X, Xt, K, Kt, bound1, bound2, cand):
+    """One ``trunc.rows`` call for the candidate pairs ``cand``: the rows of
+    their first sides, then of their second sides, and the level's regimes."""
+    rows, _, ls = trunc.rows(np.concatenate([X.take(cand, axis=0), Xt.take(cand, axis=0)]),
+                             np.concatenate([K.take(cand), Kt.take(cand)]),
+                             bound=np.concatenate([bound1.take(cand), bound2.take(cand)]))
+    return cand, rows, ls
+
+
+def _switch_rows(truncs, probes: dict, X, Xt, K, Kt, bound1, bound2, cand, block_edges):
+    """The coupled rate rows of the candidate pairs ``cand``, as a list of
+    ``_pair_rows`` results.  Block j of the batch is truncated by
+    ``truncs[j]``, and ``block_edges`` holds the first pair of every block
+    after the first.
+
+    The candidates of all blocks whose truncators stand at one level L make
+    a single ``rows`` call, of ``probes[L]``, a truncator capped at L.  Rows
+    are evaluated and certified row by row, so where that call certifies L
+    each block gets the rows its own call would, and no level moves.  Where
+    it does not, or where L holds one block, each block calls its own
+    truncator, which raises its level as far as its rows need.
+    """
+    parts = np.split(cand, np.searchsorted(cand, block_edges))
+    levels: dict = {}
+    for j, c in enumerate(parts):
+        if c.size:
+            levels.setdefault(truncs[j].level, []).append(j)
+    out = []
+    for L, js in levels.items():
+        if len(js) > 1:
+            probe = probes.get(L)
+            if probe is None:
+                probe = probes[L] = RowTruncator(truncs[0].rates, truncs[0].rel_tol,
+                                                 l_start=L, l_cap=L)
+            try:
+                out.append(_pair_rows(probe, X, Xt, K, Kt, bound1, bound2,
+                                      np.concatenate([parts[j] for j in js])))
+                continue
+            except TruncationError:
+                pass    # some block needs more than L: each goes its own way
+        out.extend(_pair_rows(truncs[j], X, Xt, K, Kt, bound1, bound2, parts[j]) for j in js)
+    return out
+
+
+def _coupled_switch(rows, ls, u1, u2, h: float):
+    """One step of the basic coupling of the two rate rows of m candidate
+    pairs, one event per step: its total rate sum_l max(q1_l, q2_l) <=
+    Qbar_K + Qbar_Kt screened the candidates.  ``rows`` holds the (2m, L)
+    rows of the first sides, then of the second sides, over the regimes
+    ``ls``, and ``u1``/``u2`` the candidates' two switch uniforms.  Returns
+    ``(do, which, l_new)``: the candidates that switch, which part fired (0
+    both sides, 1 the first only, 2 the second only) and the new regime."""
+    m = u1.size
+    rows1, rows2 = rows[:m], rows[m:]
     ml = np.minimum(rows1, rows2)
     al = rows1 - ml
     bl = rows2 - ml
     stot = ml.sum(axis=1) + al.sum(axis=1) + bl.sum(axis=1)
-    do = (u1[cand] < -np.expm1(-stot * h)) & (stot > 0.0)
-    fire = cand[do]
+    do = ((u1 < -np.expm1(-stot * h)) & (stot > 0.0)).nonzero()[0]
     L = rows1.shape[1]
-    allr = np.concatenate([ml[do], al[do], bl[do]], axis=1)
+    allr = np.concatenate([ml.take(do, axis=0), al.take(do, axis=0), bl.take(do, axis=0)],
+                          axis=1)
     cum = np.cumsum(allr, axis=1)
-    tgt = u2[fire] * stot[do]
+    tgt = u2.take(do) * stot.take(do)
     idx = np.minimum((cum < tgt[:, None]).sum(axis=1), 3 * L - 1)
-    which = idx // L
-    l_new = ls[idx % L]
-    return fire[which != 2], l_new[which != 2], fire[which != 1], l_new[which != 1]
+    return do, idx // L, ls.take(idx % L)
 
 
 def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
@@ -179,7 +224,23 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     ``_draw_block`` a block of steps at a time, and each step's draws are
     repeated for every block.  Each block keeps its own rate-row
     truncation level, so block j holds exactly what a batch of its m pairs
-    alone would.
+    alone would.  A step builds the switch candidates' rows with one
+    ``RowTruncator.rows`` call per truncation level that its blocks stand
+    at, or one per block where a level does not hold (``_switch_rows``);
+    the candidates are the pairs whose first switch
+    uniform falls below 1 - exp(-(Qbar_K + Qbar_K~) h), a threshold kept
+    per pair and recomputed only for the pairs whose regime changed.
+
+    Under reflection a coalesced pair is stepped once: ``_apply_step``
+    evaluates the second side only at the pairs that have not coalesced and
+    gives the others the first side's increment, which is the one they
+    would get, and only the live, uncoalesced pairs with equal regimes take
+    the bridge-crossing test.  Until the first pair is censored the step
+    skips the per-pair selects that keep a censored pair frozen, and
+    ``_within`` screens the r_max guard and the ball of tau_R with the
+    largest coordinate before any norm is taken.  Each of these gives the
+    numbers of the full forms.  A pair is censored at the step where either
+    side exceeds r_max or stops being finite (``_outside``).
     """
     n, d = x0.shape
     m = n // blocks
@@ -199,14 +260,17 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     t_meet = np.full(n, np.inf)
     merged = np.zeros(n, dtype=bool)
     alive = np.ones(n, dtype=bool)
+    all_alive = True   # alive.all(), kept as a bool
     exit_time = np.full(n, np.inf)
     n_clamped = 0
 
     truncs = [RowTruncator(spec.rates, row_tol) for _ in range(blocks)]
+    probes: dict = {}   # level -> truncator capped there, for the blocks at that level
     block_edges = m * np.arange(1, blocks)
     # the whole-row bounds do not depend on the truncation level
     qbar1 = truncs[0].row_bound(K) * SCREEN_SLACK
     qbar2 = truncs[0].row_bound(Kt) * SCREEN_SLACK
+    thresh = -np.expm1(-(qbar1 + qbar2) * h)
 
     rec = None
     if record:
@@ -229,10 +293,12 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
         zeta[split] = t
         far = (delta > cfg.delta0) & np.isinf(s_delta0)
         s_delta0[far] = t
-        big = np.maximum(row_norm(X), row_norm(Xt))
-        big = np.maximum(big, np.maximum(K, Kt).astype(float))
-        out = (big > cfg.ball_radius) & np.isinf(tau_r)
-        tau_r[out] = t
+        R = cfg.ball_radius
+        if not (_within(X, R) and _within(Xt, R) and max(K.max(), Kt.max()) <= R):
+            big = np.maximum(row_norm(X), row_norm(Xt))
+            big = np.maximum(big, np.maximum(K, Kt).astype(float))
+            out = (big > R) & np.isinf(tau_r)
+            tau_r[out] = t
 
     scan_marks(0.0)
     if record:
@@ -245,53 +311,86 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
         t_next = (i + 1) * h
         # one set of draws for m pairs, repeated for every block
         draws = draws.repeat(blocks)
+        # the pairs not coalesced, None while none has
+        rows2 = (~merged).nonzero()[0] if reflect and merged.any() else None
         (dX, dXt), refl = _apply_step(
             spec, ((X, K), (Xt, Kt)), h, draws, eps, lam=lam,
-            events=(t_next, (rec["jp1"], rec["jp2"])) if record else None)
+            events=(t_next, (rec["jp1"], rec["jp2"])) if record else None, rows2=rows2)
 
-        Xn = np.where(alive[:, None], X + dX, X)
-        Xtn = np.where(alive[:, None], Xt + dXt, Xt)
+        # a censored pair keeps its state
+        if all_alive:
+            Xn, Xtn = np.add(X, dX, out=dX), np.add(Xt, dXt, out=dXt)
+        else:
+            Xn = np.where(alive[:, None], X + dX, X)
+            Xtn = np.where(alive[:, None], Xt + dXt, Xt)
 
-        # regimes via the basic coupling of the two rate rows, one rows call
-        # per block
+        # regimes via the basic coupling of the two rate rows
         unif = draws.unif
         u1, u2 = unif[0], unif[1]
+        below = u1 < thresh
+        if not all_alive:
+            below &= alive
+        cand = below.nonzero()[0]
         Kn, Ktn = K, Kt
-        cand = np.flatnonzero(alive & (u1 < -np.expm1(-(qbar1 + qbar2) * h)))
         if cand.size:
             Kn, Ktn = K.copy(), Kt.copy()
-            for trunc, c in zip(truncs, np.split(cand, np.searchsorted(cand, block_edges))):
-                if not c.size:
+            for c, rows, ls in _switch_rows(truncs, probes, X, Xt, K, Kt, qbar1, qbar2, cand,
+                                            block_edges):
+                do, which, l_new = _coupled_switch(rows, ls, u1.take(c), u2.take(c), h)
+                if not do.size:
                     continue
-                first, l1, second, l2 = _coupled_switch(trunc, X, Xt, K, Kt, qbar1, qbar2,
-                                                        c, u1, u2, h)
-                Kn[first] = l1
-                Ktn[second] = l2
-                qbar1[first] = trunc.row_bound(l1) * SCREEN_SLACK
-                qbar2[second] = trunc.row_bound(l2) * SCREEN_SLACK
+                fire = c.take(do)
+                one, two = which != 2, which != 1
+                first, second = fire[one], fire[two]
+                Kn[first] = l1 = l_new[one]
+                Ktn[second] = l2 = l_new[two]
+                qbar1[first] = truncs[0].row_bound(l1) * SCREEN_SLACK
+                qbar2[second] = truncs[0].row_bound(l2) * SCREEN_SLACK
+                thresh[fire] = -np.expm1(-(qbar1.take(fire) + qbar2.take(fire)) * h)
                 if record and first.size and first[0] == 0:
                     rec["sw1"].append((t_next, int(K[0]), int(Kn[0])))
                 if record and second.size and second[0] == 0:
                     rec["sw2"].append((t_next, int(Kt[0]), int(Ktn[0])))
 
         if reflect:
-            # within-step meeting via the Brownian-bridge crossing probability
+            # within-step meeting via the Brownian-bridge crossing probability,
+            # for the live, uncoalesced pairs with equal regimes; sl2 and u are
+            # given at the rows rows2
             sl1, sl2, u, clamps = refl
             n_clamped += clamps
-            sep0, sep1 = Xt - X, Xtn - Xn
-            r0 = row_norm(sep0)
-            p_cross = _bridge_crossing_prob(sep0, sep1, r0, row_norm(sep1),
-                                            sl1, sl2, u, lam, h)
-            meet = alive & ~merged & (r0 > 0.0) & (Kn == Ktn) & (unif[2] < p_cross)
-            if meet.any():
-                merged[meet] = True
-                t_meet[meet] = np.minimum(t_meet[meet], t_next)
-                Xtn[meet] = Xn[meet]
+            if rows2 is None:
+                test = Kn == Ktn
+                if not all_alive:
+                    test &= alive
+                at = idx = test.nonzero()[0]
+            else:
+                test = Kn.take(rows2) == Ktn.take(rows2)
+                if not all_alive:
+                    test &= alive.take(rows2)
+                at = test.nonzero()[0]
+                idx = rows2.take(at)
+            if idx.size:
+                sep0 = Xt.take(idx, axis=0) - X.take(idx, axis=0)
+                sep1 = Xtn.take(idx, axis=0) - Xn.take(idx, axis=0)
+                r0 = row_norm(sep0)
+                p_cross = _bridge_crossing_prob(sep0, sep1, r0, row_norm(sep1),
+                                                sl1.take(idx, axis=0), sl2.take(at, axis=0),
+                                                u.take(at, axis=0), lam, h)
+                meet = idx[(r0 > 0.0) & (unif[2].take(idx) < p_cross)]
+                if meet.size:
+                    merged[meet] = True
+                    t_meet[meet] = np.minimum(t_meet[meet], t_next)
+                    Xtn[meet] = Xn[meet]
 
-        newly = alive & ((row_norm(Xn) > cfg.r_max) | (row_norm(Xtn) > cfg.r_max))
-        if newly.any():
-            exit_time[newly] = t_next
-            alive &= ~newly
+        out1, out2 = _outside(Xn, cfg.r_max), _outside(Xtn, cfg.r_max)
+        if out1 is not None or out2 is not None:
+            newly = out2 if out1 is None else out1 if out2 is None else out1 | out2
+            if not all_alive:
+                newly &= alive
+            if newly.any():
+                exit_time[newly] = t_next
+                alive &= ~newly
+                all_alive = False
 
         X, Xt, K, Kt = Xn, Xtn, Kn, Ktn
         scan_marks(t_next)
@@ -422,7 +521,8 @@ def couple_ensemble(spec: ModelSpec, start: HybridState,
 
     A sweep draws once per chunk: chunk c of all S blocks steps as one
     ``_evolve_pair`` batch, which makes each step's draws and maps its marks
-    once for all S blocks and evaluates everything else pair by pair.
+    once for all S blocks, builds the switch candidates' rate rows with one
+    call per truncation level, and evaluates everything else pair by pair.
     Threads only distribute the chunks, so results are independent of the
     thread count.
     """

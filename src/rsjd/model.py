@@ -321,6 +321,12 @@ class RowTruncator:
                     else table[k])
         return vals
 
+    @property
+    def level(self) -> int:
+        """The truncation level L that the next ``rows`` or ``row_sums`` call
+        starts from: ``l_start``, raised by every call that needed more."""
+        return self._level
+
     def row_bound(self, k: np.ndarray) -> np.ndarray:
         """Per-path ``tail_bound(k, 0)``: the bound on the whole row q_k(x),
         uniform in x."""

@@ -92,7 +92,8 @@ class IntegratorConfig:
     ``step``, ``horizon``, ``epsilon`` and ``regime_tol`` must be positive
     and finite, with ``step <= horizon`` and a finite step count
     ``horizon / step``.  ``r_max`` must be positive; paths
-    whose |x| exceeds it are censored, and +inf turns the guard off.
+    whose |x| exceeds it are censored, and so are paths whose state is no
+    longer finite, whatever ``r_max``; +inf turns the norm guard off.
     """
 
     step: float
@@ -135,7 +136,7 @@ class PathRecord:
     """One simulated trajectory on its time grid, with event logs.
 
     ``exited`` is the censoring time if |X| ever exceeded the guard radius
-    (the path is frozen from there on), else None.
+    or X stopped being finite (the path is frozen from there on), else None.
     ``small_jump_var_dropped`` integrates the neglected small-jump variance
     rate along the path under the drop policy (None when not applicable).
     """
@@ -210,6 +211,8 @@ def _step_setup(spec: ModelSpec, cfg: IntegratorConfig):
 
 
 def _sigma_lambda(spec: ModelSpec, x: np.ndarray, k: np.ndarray, lam: float):
+    """The roots s_lam = (a - lam I)^(1/2) at each path, with the mask of
+    clamped eigenvalues (see ``sqrt_psd_batched``)."""
     sig = np.asarray(spec.sigma(x, k), dtype=float)
     a = np.einsum("nij,nkj->nik", sig, sig)
     a -= lam * np.eye(spec.d)
@@ -297,6 +300,24 @@ class StepDraws:
         return StepDraws(rows(self.z), rows(self.z2), rows(self.counts), hit,
                          rows(self.marks), rows(self.zg),
                          None if self.unif is None else np.tile(self.unif, reps))
+
+    def take(self, rows: np.ndarray) -> "StepDraws":
+        """The draws of the paths ``rows``, an increasing index array, as a
+        batch of their own: path i sees path rows[i]'s numbers, and each path
+        keeps its jumps in round order."""
+        def sub(a, axis=0):
+            return None if a is None else a.take(rows, axis=axis)
+
+        hit = marks = None
+        if self.hit is not None:
+            pos = np.full(self.z.shape[0], -1)
+            pos[rows] = np.arange(rows.size)
+            at = pos.take(self.hit)
+            keep = (at >= 0).nonzero()[0]
+            if keep.size:
+                hit, marks = at.take(keep), self.marks.take(keep, axis=0)
+        return StepDraws(sub(self.z), sub(self.z2), sub(self.counts), hit, marks,
+                         sub(self.zg), sub(self.unif, 1))
 
 
 def _draw_buffers(n: int, d: int, steps: int, *, jumps: bool, reflect: bool = False,
@@ -397,7 +418,7 @@ def _step_draws(streams, spec: ModelSpec, h: float, eps, lam_rate, nsteps: int, 
 
 
 def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
-                lam: float | None = None, events=None):
+                lam: float | None = None, events=None, rows2: np.ndarray | None = None):
     """Euler increments of one step for a batch, or for a coupled pair of batches.
 
     ``sides`` is ``((x, k),)`` or ``((X, K), (Xt, Kt))``, each x an (n, d)
@@ -407,62 +428,99 @@ def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
     sqrt(lam) dW2, the second s_lam(X~) dW1 + sqrt(lam) (I - 2uu^T) dW2, with
     u the unit vector along X~ - X.  ``eps`` None means no jumps.
 
+    ``rows2`` (two sides only), an increasing index array, lists the rows of
+    the second side to evaluate; None evaluates them all, and an empty one
+    makes no second-side coefficient call.  Every other row
+    must hold the first side's state (a coalesced pair), and takes the first
+    side's increment: evaluating it would give the same bits, as every
+    coefficient sees the same state and draws, and under reflection u = 0
+    leaves dW2 unmirrored.
+
     The jump coefficient is evaluated once per side over the marks of all
     rounds; ``np.add.at`` adds each path's displacements one round after
     another, one coordinate at a time, so each path's sum runs in the same
     order as one update per round would.
 
     Returns the list of increments, one per side, and under reflection
-    (sl1, sl2, u, clamps) for the bridge-crossing step, else None.
-    ``events`` = (t, logs) appends (t, mark, displacement) to ``logs[s]``
-    for every jump of path 0 of side s.
+    (sl1, sl2, u, clamps) for the bridge-crossing step, else None: sl2 and u
+    at the rows ``rows2`` (None when it is empty), and ``clamps`` the number
+    of eigenvalues clamped in the roots of both sides, a row not evaluated
+    counting its first side's twice.  ``events`` = (t, logs) appends (t, mark, displacement) to
+    ``logs[s]`` for every jump of path 0 of side s.
     """
     sqh = np.sqrt(h)
     refl = None
-    if lam is None:
-        z = draws.z
-        dxs = [np.asarray(spec.drift(x, k), dtype=float) * h
-               + sqh * np.einsum("nij,nj->ni", np.asarray(spec.sigma(x, k), dtype=float), z)
-               for x, k in sides]
-    else:
+    side_draws = [draws] * len(sides)
+    # whether side 2 evaluates path 0, which is then its row 0
+    own0 = rows2 is None or (rows2.size > 0 and rows2[0] == 0)
+    if rows2 is not None:
         (X, K), (Xt, Kt) = sides
-        z1, z2 = draws.z, draws.z2
-        sl1, c1 = _sigma_lambda(spec, X, K, lam)
-        sl2, c2 = _sigma_lambda(spec, Xt, Kt, lam)
-        diff = Xt - X
-        dn = row_norm(diff)
-        u = np.where(dn[:, None] > 0.0, diff / np.where(dn[:, None] > 0.0, dn[:, None], 1.0), 0.0)
-        w2_ref = z2 - 2.0 * u * np.einsum("ni,ni->n", u, z2)[:, None]
+        sides, side_draws = sides[:1], side_draws[:1]
+        if rows2.size:
+            sides += ((Xt.take(rows2, axis=0), Kt.take(rows2)),)
+            side_draws.append(draws.take(rows2))
+    if lam is None:
+        dxs = [np.asarray(spec.drift(x, k), dtype=float) * h
+               + sqh * np.einsum("nij,nj->ni", np.asarray(spec.sigma(x, k), dtype=float), dr.z)
+               for (x, k), dr in zip(sides, side_draws)]
+    else:
         sqlam = np.sqrt(lam)
+        (X, K), d1 = sides[0], side_draws[0]
+        sl1, c1 = _sigma_lambda(spec, X, K, lam)
         dxs = [np.asarray(spec.drift(X, K), dtype=float) * h
-               + sqh * (np.einsum("nij,nj->ni", sl1, z1) + sqlam * z2),
-               np.asarray(spec.drift(Xt, Kt), dtype=float) * h
-               + sqh * (np.einsum("nij,nj->ni", sl2, z1) + sqlam * w2_ref)]
-        refl = (sl1, sl2, u, c1 + c2)
+               + sqh * (np.einsum("nij,nj->ni", sl1, d1.z) + sqlam * d1.z2)]
+        # side 2 first counts side 1's clamps at every row, then its own
+        # in place of side 1's at the rows it evaluates
+        clamps = 2 * np.count_nonzero(c1)
+        sl2 = u = None
+        if len(sides) == 2:
+            (Xt, Kt), d2 = sides[1], side_draws[1]
+            sl2, c2 = _sigma_lambda(spec, Xt, Kt, lam)
+            clamps += np.count_nonzero(c2) - np.count_nonzero(
+                c1 if rows2 is None else c1.take(rows2, axis=0))
+            diff = Xt - (X if rows2 is None else X.take(rows2, axis=0))
+            dn = row_norm(diff)
+            u = np.where(dn[:, None] > 0.0,
+                         diff / np.where(dn[:, None] > 0.0, dn[:, None], 1.0), 0.0)
+            w2_ref = d2.z2 - 2.0 * u * np.einsum("ni,ni->n", u, d2.z2)[:, None]
+            dxs.append(np.asarray(spec.drift(Xt, Kt), dtype=float) * h
+                       + sqh * (np.einsum("nij,nj->ni", sl2, d2.z) + sqlam * w2_ref))
+        refl = (sl1, sl2, u, clamps)
 
+    if events is not None:
+        logged = [True, own0]
+        n_logged = len(events[1][0])
     if eps is not None:
         for (x, k), dx in zip(sides, dxs):
             comp = spec.jump_compensator(x, k, eps) if spec.jump_compensator is not None \
                 else _compensator_quadrature(spec, x, k, eps)
             dx -= np.asarray(comp, dtype=float) * h
-        if draws.hit is not None:
-            hit, marks = draws.hit, draws.marks
+        for s, ((x, k), dr) in enumerate(zip(sides, side_draws)):
+            if dr.hit is None:
+                continue
+            hit, marks = dr.hit, dr.marks
+            disp = np.asarray(spec.jump_coeff(x.take(hit, axis=0), k.take(hit), marks),
+                              dtype=float)
+            # column by column: ufunc.at over a 1-d array takes numpy's fast path
+            for j in range(disp.shape[1]):
+                np.add.at(dxs[s][:, j], hit, disp[:, j])
             # path 0's marks, in round order
-            first = np.flatnonzero(hit == 0) if events is not None else ()
-            for s, (x, k) in enumerate(sides):
-                disp = np.asarray(spec.jump_coeff(x.take(hit, axis=0), k.take(hit), marks),
-                                  dtype=float)
-                # column by column: ufunc.at over a 1-d array takes numpy's fast path
-                for j in range(disp.shape[1]):
-                    np.add.at(dxs[s][:, j], hit, disp[:, j])
-                for i in first:
-                    events[1][s].append((events[0], marks[i].copy(), disp[i].copy()))
+            for i in (np.flatnonzero(hit == 0) if events is not None and logged[s] else ()):
+                events[1][s].append((events[0], marks[i].copy(), disp[i].copy()))
         if draws.zg is not None:
             # a shared draw keeps the substitute synchronous; per-side roots
             # preserve each marginal's covariance exactly
-            for (x, k), dx in zip(sides, dxs):
+            for (x, k), dx, dr in zip(sides, dxs, side_draws):
                 root, _ = sqrt_psd_batched(np.asarray(spec.small_jump_cov(x, k, eps), dtype=float))
-                dx += sqh * np.einsum("nij,nj->ni", root, draws.zg)
+                dx += sqh * np.einsum("nij,nj->ni", root, dr.zg)
+    if rows2 is not None:
+        dx2 = dxs[0].copy()
+        if rows2.size:
+            dx2[rows2] = dxs.pop()
+        dxs.append(dx2)
+    if events is not None and not own0:
+        events[1][1].extend((t, mark.copy(), disp.copy())
+                            for t, mark, disp in events[1][0][n_logged:])
     return dxs, refl
 
 
@@ -484,8 +542,9 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
 
     Until the first path is censored the step skips the per-path selects
     that keep a censored path frozen, and ``_outside`` screens the r_max
-    guard with the largest coordinate before it computes any norm; both
-    give the numbers of the full forms.
+    guard, and the censoring of a non-finite state, with the largest
+    coordinate before it computes any norm; both give the numbers of the
+    full forms.
     ``observe(i, t, x, k, alive)`` sees the batch after step i.
     """
     if regime not in ("switching", "frozen", "killed"):
@@ -538,6 +597,7 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
         # a censored path keeps its state
         xn = np.add(x, dx, out=dx) if all_alive else np.where(alive[:, None], x + dx, x)
 
+        newly = _outside(xn, cfg.r_max)
         kn = k
         if switching:
             u1, u2 = draws.unif
@@ -562,12 +622,18 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
                     if record and fire[0] == 0:
                         switch_events.append((t_next, int(k[0]), int(kn[0])))
         elif killed:
-            q_new = trunc.row_sums(xn, k)
+            # a state that is not finite has no rate row: its path, censored
+            # at this step, keeps its last rate
+            fin = None if newly is None else np.isfinite(xn).all(axis=1)
+            if fin is None or fin.all():
+                q_new = trunc.row_sums(xn, k)
+            else:
+                q_new = q_prev.copy()
+                q_new[fin] = trunc.row_sums(xn[fin], k[fin])
             step_int = 0.5 * h * (q_prev + q_new)
             kill_int += step_int if all_alive else np.where(alive, step_int, 0.0)
             q_prev = q_new
 
-        newly = _outside(xn, cfg.r_max)
         if newly is not None:
             if not all_alive:
                 newly &= alive
@@ -591,19 +657,26 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     return out
 
 
+def _within(x: np.ndarray, r: float) -> bool:
+    """True when the largest coordinate shows every row of x finite with
+    ``row_norm(x) <= r``: every |x_ij| <= min(r, 1e150) / (sqrt(d) (1 +
+    1e-12)), which bounds each norm by r since |x|_2 <= sqrt(d) max_j |x_j|.
+    The slack covers the rounding of the computed norm, and the cap keeps its
+    squares from overflowing to inf.  A NaN or inf fails.  False says
+    nothing: some row may still lie within r."""
+    screen = min(r, 1e150) / (math.sqrt(x.shape[1]) * SCREEN_SLACK)
+    return bool(x.max() <= screen and x.min() >= -screen)
+
+
 def _outside(x: np.ndarray, r_max: float):
-    """``row_norm(x) > r_max`` as a mask, or None when no row can exceed
-    ``r_max``: r_max infinite, or every |x_ij| <= r / (sqrt(d) (1 + 1e-12))
-    with r = min(r_max, 1e150), which bounds each norm below r_max since
-    |x|_2 <= sqrt(d) max_j |x_j|.  The slack covers the rounding of the
-    computed norm, and the cap keeps its squares from overflowing to inf.
-    A NaN fails the screen and goes to the exact test."""
+    """The rows to censor as a mask, or None when there are none (``_within``
+    screens them with one max/min pair): a row with a NaN or infinite
+    coordinate, or with ``row_norm(x) > r_max``."""
+    if _within(x, r_max):
+        return None
     if r_max == np.inf:
-        return None
-    screen = min(r_max, 1e150) / (math.sqrt(x.shape[1]) * SCREEN_SLACK)
-    if x.max() <= screen and x.min() >= -screen:
-        return None
-    return row_norm(x) > r_max
+        return ~np.isfinite(x).all(axis=-1)
+    return ~(row_norm(x) <= r_max)
 
 
 def _compensator_quadrature(spec: ModelSpec, x: np.ndarray, k: np.ndarray,

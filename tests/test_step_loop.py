@@ -21,14 +21,16 @@ from rsjd import (
     Partition,
     RateMatrixSpec,
     estimate_invariant,
+    example51,
     example52,
     simulate_ensemble,
+    simulate_path,
 )
 from rsjd._linalg import row_norm
 from rsjd.analysis import _Occupation
 from rsjd.simulate import _outside
 
-from test_simulate import make_model
+from test_simulate import diag_sigma, make_model
 
 STARTS = (HybridState(np.array([0.0, 0.0]), 1), HybridState(np.array([2.0, -1.5]), 5))
 PART = Partition(lo=(-3.0, -3.0), hi=(3.0, 3.0), bins=(6, 6), k_max=8)
@@ -90,9 +92,45 @@ def test_thresholds_follow_the_regime():
         "b2cf6cbf7edc8605a7f8e223d2b21f35d1a34e07054414d8f821eb79e4bae4b2")
 
 
+def nan_beyond(limit=2.0):
+    """A 1-d Brownian motion with example51's state-dependent switching whose
+    drift is NaN beyond |x| = limit, so that a path leaving [-limit, limit]
+    turns NaN at its next step."""
+    def drift(x, k):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) > limit, np.nan, 0.0)
+
+    return make_model(drift=drift, sigma=diag_sigma(1.0), rates=example51().rates,
+                      ellipticity_floor=1.0)
+
+
+@pytest.mark.parametrize("r_max", [1e6, np.inf])
+@pytest.mark.parametrize("regime", ["switching", "frozen", "killed"])
+def test_nan_states_are_censored(regime, r_max):
+    cfg = IntegratorConfig(step=0.05, horizon=2.0, r_max=r_max)
+    ens = simulate_ensemble(nan_beyond(), HybridState(np.array([0.0]), 1), cfg, 400, 20295,
+                            regime=regime)
+    nan = np.isnan(ens.x[:, 0])
+    assert nan.any() and not nan.all()
+    assert np.all(np.isfinite(ens.exit_time[nan]))
+    assert np.all(np.isinf(ens.exit_time[~nan]))
+    if regime == "killed":
+        # the rate rows are never asked for at a NaN state
+        assert np.all(np.isfinite(ens.weight))
+
+
+@pytest.mark.parametrize("r_max", [1e6, np.inf])
+def test_nan_path_exits_at_its_first_nan(r_max):
+    cfg = IntegratorConfig(step=0.05, horizon=4.0, r_max=r_max)
+    rec = simulate_path(nan_beyond(), HybridState(np.array([0.0]), 1), cfg, 20296)
+    nan = np.isnan(rec.xs[:, 0])
+    assert nan[-1]
+    assert rec.exited == rec.times[np.argmax(nan)]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _exact(x, r_max):
-    return row_norm(x) > r_max
+    return (row_norm(x) > r_max) | ~np.isfinite(x).all(axis=1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -104,8 +142,8 @@ def _screened(x, r_max):
 @pytest.mark.parametrize("d", (1, 2, 3))
 class TestRMaxScreen:
     """``_outside`` screens with the largest coordinate before the exact
-    norm test; whatever the screen decides, the censored set must be
-    ``row_norm(x) > r_max`` exactly."""
+    norm test; whatever the screen decides, the censored set must be the
+    rows with ``row_norm(x) > r_max`` or a non-finite coordinate, exactly."""
 
     def test_norm_below_but_screen_above(self, d):
         # sqrt(d) max|x_i| just above r_max, the norm below it (for d > 1)
@@ -133,9 +171,11 @@ class TestRMaxScreen:
         assert _outside(x, 10.0) is None
 
     def test_infinite_r_max(self, d):
+        # no norm exceeds inf, but an infinite or NaN state is still censored
         x = np.array([[1e308] * d, [np.inf] * d, [np.nan] * d])
-        assert _outside(x, np.inf) is None
-        assert not _exact(x, np.inf).any()
+        assert _screened(x, np.inf).tolist() == [False, True, True]
+        assert _exact(x, np.inf).tolist() == [False, True, True]
+        assert _outside(np.full((3, d), 1e140), np.inf) is None
 
     def test_nan_states(self, d):
         x = np.zeros((5, d))
@@ -145,7 +185,7 @@ class TestRMaxScreen:
         x[4] = -np.inf
         got = _screened(x, 2.0)
         assert got.tobytes() == _exact(x, 2.0).tobytes()
-        assert got.tolist() == [False, False, False, True, True]
+        assert got.tolist() == [False, True, True, True, True]
 
     def test_huge_r_max_squares_overflow(self, d):
         # x_i^2 overflows to inf, so the exact norm is inf > r_max

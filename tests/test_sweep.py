@@ -17,12 +17,14 @@ from rsjd import (
     CouplingConfig,
     HybridState,
     TestFunction,
+    TruncationError,
     couple_ensemble,
     example51,
     example52,
     feller_modulus,
     strong_feller_modulus,
 )
+from rsjd.model import RowTruncator
 from rsjd.simulate import CHUNK_SIZE
 
 N = CHUNK_SIZE + 13
@@ -124,6 +126,38 @@ class TestSweep:
         blocks = sweep.blocks(S)
         for second, block in zip(seconds, blocks):
             alone = couple_ensemble(spec, start, second, cfg, N, 20284)
+            for f in FIELDS:
+                a, b = getattr(alone, f), getattr(block, f)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), f
+
+    @pytest.mark.parametrize("kind", ["basic", "reflection"])
+    def test_blocks_at_different_levels(self, kind, monkeypatch):
+        # the far second start has tiny row sums, so its block needs L = 64
+        # while the near blocks certify at 32; at the first switch step the
+        # near blocks' shared call at 16 fails and every block falls back to
+        # its own truncator
+        spec = example51()
+        start = HybridState(STARTS["example51"], 1)
+        seconds = _second_starts("example51", (0.1, 1e4, 0.025))
+        cfg = CouplingConfig(step=1.0 / 16, horizon=0.5, kind=kind)
+        calls = []
+        rows = RowTruncator.rows
+
+        def spy(self, x, k, bound=None):
+            try:
+                out = rows(self, x, k, bound)
+            except TruncationError:
+                calls.append(None)
+                raise
+            calls.append(out[2].size)
+            return out
+
+        monkeypatch.setattr(RowTruncator, "rows", spy)
+        sweep = couple_ensemble(spec, start, seconds, cfg, len(seconds) * N, 20285)
+        assert None in calls and {32, 64} <= set(calls)
+        for second, block in zip(seconds, sweep.blocks(len(seconds))):
+            alone = couple_ensemble(spec, start, second, cfg, N, 20285)
             for f in FIELDS:
                 a, b = getattr(alone, f), getattr(block, f)
                 assert a.dtype == b.dtype and a.shape == b.shape

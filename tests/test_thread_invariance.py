@@ -3,11 +3,14 @@
 Chunk c always draws from the stream derived from (seed, stream, c), and the
 worker threads only distribute the chunks, so 1, 2 and 3 threads must give
 the same bytes.  n is not a multiple of CHUNK_SIZE, so the last chunk is
-partial and three threads get unequal shares.  The coupled ensemble is a
-three-separation sweep, whose chunks each step all separations together.
+partial and three threads get unequal shares.  The coupled ensembles are
+sweeps of three and four separations, whose chunks each step all
+separations together.
 The packed multi-start ensemble runs batches of unequal width: two starts'
 chunks share the first batch and the third start's chunk runs alone.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,9 +20,11 @@ from rsjd import (
     HybridState,
     IntegratorConfig,
     couple_ensemble,
+    example51,
     example52,
     simulate_ensemble,
 )
+from rsjd.coupling import CoupledEnsemble
 from rsjd.simulate import CHUNK_SIZE
 
 from test_simulate import jump_config
@@ -48,6 +53,21 @@ def test_coupled_ensemble(kind):
                               threads=threads)
         runs.append((ens.x, ens.xt, ens.k, ens.kt, ens.zeta, ens.s_delta0, ens.tau_r,
                      ens.t_meet, ens.coalesced, ens.exit_time))
+    _assert_same_bytes(runs)
+
+
+@pytest.mark.parametrize("kind", ["basic", "reflection"])
+def test_four_separation_sweep(kind):
+    # the far second start puts its block at a higher truncation level than
+    # the others, and the zero separation starts coalesced
+    cfg = CouplingConfig(step=1.0 / 16, horizon=0.25, kind=kind)
+    start = HybridState(np.array([0.0]), 1)
+    seconds = [HybridState(np.array([s]), 1) for s in (0.2, 1e4, 0.0, 0.05)]
+    runs = []
+    for threads in (1, 2):
+        ens = couple_ensemble(example51(), start, seconds, cfg, len(seconds) * N, 36,
+                              threads=threads)
+        runs.append(tuple(getattr(ens, f.name) for f in fields(CoupledEnsemble)))
     _assert_same_bytes(runs)
 
 
