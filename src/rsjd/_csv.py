@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _fields(row) -> str:
-    return ",".join(map(repr, row))
+CHUNK_ROWS = 256   # rows formatted at a time, so the strings held stay bounded
 
 
 def write_csv(path, header, *cols) -> None:
@@ -15,12 +13,19 @@ def write_csv(path, header, *cols) -> None:
     Each column is an (n,) array, one field per line, or an (n, j) array, j
     fields.  A column of integer dtype writes integers; any other writes
     floats as ``repr`` does, the shortest string that reads back to the same
-    double.
+    double.  Rows are written ``CHUNK_ROWS`` at a time: each field becomes
+    strings through one ``map(repr, ...)`` over its values, and each row is
+    one join.
     """
     arrays = [c if np.issubdtype(c.dtype, np.integer) else c.astype(float)
               for c in map(np.asarray, cols)]
-    fmts = [repr if a.ndim == 1 else _fields for a in arrays]
+    n = min((len(a) for a in arrays), default=0)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*(a.tolist() for a in arrays)):
-            fh.write(",".join([f(v) for f, v in zip(fmts, row)]) + "\n")
+        for lo in range(0, n, CHUNK_ROWS):
+            fields = []
+            for a in arrays:
+                chunk = a[lo:lo + CHUNK_ROWS]
+                values = [chunk.tolist()] if chunk.ndim == 1 else chunk.T.tolist()
+                fields.extend(map(repr, v) for v in values)
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")

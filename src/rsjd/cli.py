@@ -577,21 +577,30 @@ COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``rsjd`` argument parser.
 
-    Every subcommand of ``COMMANDS`` is registered, so ``rsjd --help`` and
-    the error for an unknown subcommand list them all.  Only the subcommand
-    named by ``command`` gets its options, or every subcommand when it is
-    None; ``run`` names the one it is about to parse, which spares the
-    building of the other subparsers' options on every call.
+    With ``command`` None, every subcommand of ``COMMANDS`` is registered
+    with its options, so ``rsjd --help`` and the error for an unknown
+    subcommand list them all.  With ``command`` one of ``COMMANDS``, only
+    that subcommand is registered, which spares building the other eleven
+    on every call; ``run`` names the one it is about to parse.  Its
+    subparsers' metavar spells out the full ``{simulate,...,dynkin}`` list,
+    so every usage line reads as in the full parser.  The full parser sets
+    no metavar, as that would change its "invalid choice" message.
     """
     ap = argparse.ArgumentParser(
         prog="rsjd",
         description="Simulation and verification toolkit for regime-switching "
                     "jump diffusions with countably many regimes")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args, handler) in COMMANDS.items():
+    if command is None:
+        sub = ap.add_subparsers(dest="command", required=True)
+        names = list(COMMANDS)
+    else:
+        sub = ap.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}")
+        names = [command]
+    for name in names:
+        help_text, add_args, handler = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_args(p)
+        add_args(p)
         p.set_defaults(func=handler)
     return ap
 

@@ -60,7 +60,14 @@ def _namespace():
 
 
 def _compile(expr: str, args: tuple):
-    code = compile(expr, "<model-config>", "eval")
+    """``expr`` as a function of ``args``; ``ValueError`` when it is not a
+    Python expression string."""
+    if not isinstance(expr, str):
+        raise ValueError(f"expression must be a string, got {expr!r}")
+    try:
+        code = compile(expr, "<model-config>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"invalid expression {expr!r}: {exc.msg}") from None
     base = _namespace()
 
     def fn(*vals):
@@ -104,18 +111,57 @@ def _power_law_measure(exponent: float, epsilon: float) -> JumpMeasureSpec:
     )
 
 
-def load_model_config(path) -> ModelSpec:
-    """Build a ModelSpec from a YAML/JSON config file."""
+def _read_config(path) -> dict:
+    """The mapping of a YAML/JSON config file.  YAML goes through libyaml's
+    ``CSafeLoader`` when PyYAML was built with it, else ``SafeLoader``; both
+    build the same mapping, the C one several times faster."""
     text = Path(path).read_text()
     if str(path).endswith(".json"):
-        raw = json.loads(text)
-    else:
-        import yaml
+        return json.loads(text)
+    import yaml
 
-        raw = yaml.safe_load(text)
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        raise ValueError(f"not valid YAML: {exc}") from None
+
+
+def _field(m: dict, key: str, where: str = "model"):
+    """``m[key]``; ``ValueError`` naming ``where.key`` when it is missing."""
+    try:
+        return m[key]
+    except KeyError:
+        raise ValueError(f"missing key '{where}.{key}'") from None
+
+
+def _expr(m: dict, key: str, args: tuple, where: str = "model"):
+    """The compiled expression ``m[key]``; ``ValueError`` names the key."""
+    expr = _field(m, key, where)
+    try:
+        return _compile(expr, args)
+    except ValueError as exc:
+        raise ValueError(f"'{where}.{key}': {exc}") from None
+
+
+def load_model_config(path) -> ModelSpec:
+    """Build a ModelSpec from a YAML/JSON config file.  A file that cannot be
+    read as a model raises ``ValueError`` naming the file and, where one is
+    at fault, the key."""
+    try:
+        return _build_model(_read_config(path))
+    except ValueError as exc:
+        raise ValueError(f"model config {path}: {exc}") from None
+
+
+def _build_model(raw) -> ModelSpec:
     if not isinstance(raw, dict) or "model" not in raw:
         raise ValueError("config must contain a top-level 'model' mapping")
     m = raw["model"]
+    if not isinstance(m, dict):
+        raise ValueError(f"'model' must be a mapping, got {m!r}")
+    for key in ("jump", "rates"):
+        if m.get(key) and not isinstance(m[key], dict):
+            raise ValueError(f"'model.{key}' must be a mapping, got {m[key]!r}")
 
     if "builtin" in m:
         name = m["builtin"]
@@ -125,9 +171,9 @@ def load_model_config(path) -> ModelSpec:
             return example52(float(m.get("delta", 1.0)))
         raise ValueError(f"unknown builtin '{name}'; available: {', '.join(BUILTINS)}")
 
-    d = int(m["dimension"])
-    drift_fn = _compile(m["drift"], ("x", "k"))
-    sigma_scalar = _compile(m["sigma"], ("x", "k"))
+    d = int(_field(m, "dimension"))
+    drift_fn = _expr(m, "drift", ("x", "k"))
+    sigma_scalar = _expr(m, "sigma", ("x", "k"))
 
     def drift(x, k):
         x = np.asarray(x, dtype=float)
@@ -146,8 +192,9 @@ def load_model_config(path) -> ModelSpec:
         j = m["jump"]
         if j.get("family", "power_law") != "power_law":
             raise ValueError("only the power_law jump family is supported in configs")
-        measure = _power_law_measure(j["exponent"], j.get("epsilon", 0.05))
-        coeff_fn = _compile(j["coeff"], ("x", "k", "u"))
+        measure = _power_law_measure(_field(j, "exponent", "model.jump"),
+                                     j.get("epsilon", 0.05))
+        coeff_fn = _expr(j, "coeff", ("x", "k", "u"), "model.jump")
 
         def jump_coeff(x, k, u):
             x = np.asarray(x, dtype=float)
@@ -158,9 +205,9 @@ def load_model_config(path) -> ModelSpec:
 
     if m.get("rates"):
         r = m["rates"]
-        rate_fn = _compile(r["expr"], ("x", "k", "l"))
-        tail_coeff = _compile(r["tail_coeff"], ("k",))
-        ratio = float(r["tail_ratio"])
+        rate_fn = _expr(r, "expr", ("x", "k", "l"), "model.rates")
+        tail_coeff = _expr(r, "tail_coeff", ("k",), "model.rates")
+        ratio = float(_field(r, "tail_ratio", "model.rates"))
         if not (0.0 < ratio < 1.0):
             raise ValueError("tail_ratio must lie in (0, 1)")
 

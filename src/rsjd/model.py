@@ -227,14 +227,24 @@ def _regime_grid(L: int) -> np.ndarray:
 
 def rate_rows(rates: RateMatrixSpec, x: np.ndarray, k, L: int) -> np.ndarray:
     """Rows q_{k_i, l}(x_i) for l = 1..L as an (n, L) array (x: (n, d),
-    k: (n,)), with the diagonal l == k_i zeroed and negative values clipped."""
+    k: (n,) or one regime shared by every row), with the diagonal l == k_i
+    zeroed and negative values clipped.  The array is always a fresh one:
+    ``rate`` may return a cached or read-only array, which is never written."""
     k = np.asarray(k)
     ls = _regime_grid(L)
     # x gains a broadcast axis so (n, 1, d) states pair with (n, 1) regimes
     # and the (1, L) target grid to produce (n, L) rows
     q = np.asarray(rates.rate(x[..., None, :], k[..., None], ls[None, :]), dtype=float)
-    q = np.where(ls[None, :] == k[..., None], 0.0, q)
-    np.maximum(q, 0.0, out=q)
+    if k.ndim:
+        q = np.where(ls[None, :] == k[..., None], 0.0, q)
+        np.maximum(q, 0.0, out=q)
+        return q
+    # one regime: its diagonal is one column, zeroed after the clip
+    if q.ndim < 2 or q.shape[-1] != L:
+        q = np.broadcast_to(q, np.broadcast_shapes(q.shape, (1, L)))
+    q = np.maximum(q, 0.0)
+    if 1 <= k <= L:
+        q[..., int(k) - 1] = 0.0
     return q
 
 
@@ -366,30 +376,31 @@ class RowTruncator:
         The batch goes through ``rate_rows`` in blocks of ROW_SUM_ENTRIES // L
         consecutive paths, and each block's rows are summed at once.  A block
         whose paths share one regime passes it as a scalar, so the model
-        computes its regime-only factors once per block.  A level that fails
-        on some block is doubled and the batch summed again from its start.
+        computes its regime-only factors once per block; a batch of one
+        regime, as killed mode from one start always is, is recognized once
+        per call.  The sums are certified once per level; a level that fails
+        is doubled and the batch summed again.
         """
         k = np.asarray(k)
         n = k.shape[0]
         s = np.empty(n)
+        shared = n > 0 and bool((k == k[0]).all())
+        kk = k[:1] if shared else k   # the regimes whose tails certify the batch
         L = self._level
         while True:
-            tail = self._tail_bounds(k, L)
             size = max(1, ROW_SUM_ENTRIES // L)
             for lo in range(0, n, size):
                 hi = min(lo + size, n)
-                kb = k[lo:hi]
-                if bool(np.all(kb == kb[0])):
+                kb = kk if shared else k[lo:hi]
+                if shared or bool((kb == kb[0]).all()):
                     kb = kb[0]
                 q = rate_rows(self.rates, x[lo:hi], kb, L)
                 if q.shape[0] == hi - lo:
                     q.sum(axis=-1, out=s[lo:hi])
                 else:   # a row that depends on neither x nor the paths' own k
                     s[lo:hi] = q.sum(axis=-1)
-                tb = tail[lo:hi]
-                if not bool(np.all(tb <= self.rel_tol * (s[lo:hi] + tb))):
-                    break
-            else:
+            tail = self._tail_bounds(kk, L)
+            if bool((tail <= self.rel_tol * (s + tail)).all()):
                 self._level = L
                 return s
             if L >= self.l_cap:

@@ -135,7 +135,9 @@ def integrate(spec: ModelSpec, integrand: Callable, states: tuple, lo: float, hi
         dens = np.broadcast_to(np.asarray(seg.weight(r), dtype=float), r.shape)
         wd = w * dens
         u = (r[:, None] * seg.direction)[None]
-        for start in range(0, n, rows):
+        # a batch of no states still makes one (empty) call, which gives the
+        # integrand's trailing shape
+        for start in range(0, max(n, 1), rows):
             block = [np.asarray(s)[start:start + rows, None] for s in states]
             g = np.moveaxis(np.asarray(integrand(*block, u), dtype=float), 1, -1)
             if acc is None:

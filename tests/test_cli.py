@@ -1,10 +1,16 @@
 """The table-driven parser and the terminal-state CSV of the CLI.
 
-``run`` builds the options of the invoked subcommand only.  Each argv below
-must parse to the same namespace as under the parser that holds every
-subcommand's options, and the top-level help and errors must still see all
-twelve subcommands.
+``run`` registers the invoked subcommand only.  Each argv below must parse
+to the same namespace as under the parser that holds every subcommand, and
+the help, usage and error texts must be byte for byte those of that parser,
+so the top-level help and errors still see all twelve subcommands.
 """
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,3 +119,49 @@ def test_invariant_rejects_bad_tv_tol_before_simulating(tol, tmp_path, monkeypat
     assert cli.run(argv) == 2
     assert "--tv-tol must be nonnegative" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# help, usage and error texts of the parser that registered every subcommand,
+# recorded with COLUMNS=80; the one-subcommand parser must reproduce them
+TEXT = json.loads((Path(__file__).parent / "data" / "cli_text.json").read_text())
+
+
+def _captured(call, argv):
+    """(exit code, stdout, stderr) of ``call(argv)``, a SystemExit counted as
+    ``run`` counts it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = cli.EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def columns(monkeypatch):
+    monkeypatch.setenv("COLUMNS", str(TEXT["columns"]))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != tuple(TEXT["python"]),
+                    reason="the recorded argparse text is that of another Python version")
+@pytest.mark.parametrize("case", TEXT["cases"], ids=lambda c: " ".join(c["argv"]) or "(none)")
+def test_text_is_the_recorded_one(case, columns):
+    assert _captured(cli.run, case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("argv", [c["argv"] for c in TEXT["cases"]],
+                         ids=lambda a: " ".join(a) or "(none)")
+def test_text_is_that_of_the_full_parser(argv, columns):
+    # the same check on any Python version: what ``run`` prints against what
+    # the parser holding every subcommand prints
+    assert _captured(cli.run, argv) == _captured(lambda a: cli.build_parser().parse_args(a),
+                                                 argv)
+
+
+def test_one_subcommand_registered():
+    sub = cli.build_parser("killed")._subparsers._group_actions[0]
+    assert list(sub.choices) == ["killed"]
+    assert sub.metavar == "{" + ",".join(cli.COMMANDS) + "}"
+    full = cli.build_parser()._subparsers._group_actions[0]
+    assert list(full.choices) == list(cli.COMMANDS) and full.metavar is None

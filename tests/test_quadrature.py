@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from rsjd import QuadratureError, TestFunction, apply_generator, example51, example52
 from rsjd import quadrature
+from rsjd.config import load_model_config
 from rsjd.generator import _jump_outer_integral, _small_second_moment
 
+from test_mark_draw import JUMP1D
 from test_simulate import jump_config
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -126,6 +128,17 @@ class TestDispatch:
         blocked = quadrature.integrate(spec, spec.jump_coeff, (xs, ks), 0.01, 1.0, 1e-10)
         for a, b in zip(whole, blocked):
             assert np.allclose(a, b, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("make", [lambda: load_model_config(JUMP1D), example52],
+                             ids=["jump1d", "example52"])
+    def test_no_states(self, make):
+        # a batch of zero states gives empty values of the integrand's
+        # trailing shape; it used to raise TypeError
+        spec = make()
+        xs, ks = np.zeros((0, spec.d)), np.zeros(0, dtype=np.int64)
+        for integrand, shape in ((spec.jump_coeff, (0, spec.d)), (c_squared(spec), (0,))):
+            value, error = quadrature.integrate(spec, integrand, (xs, ks), 0.05, 1.0, 1e-10)
+            assert value.shape == error.shape == shape
 
     def test_rule_is_shared_and_read_only(self):
         r, w = quadrature._rule(0.05, 1.0)

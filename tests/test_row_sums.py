@@ -116,6 +116,93 @@ class TestMatchesRows:
         assert trunc.row_sums(np.zeros((0, 1)), np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
+def _fading_rates():
+    """q_kl(x) = exp(-|x|^2) 2^-l: the row sum shrinks as |x| grows while the
+    tail bound 2^-L stays, so a far state needs a higher level."""
+    return RateMatrixSpec(
+        rate=lambda x, k, l: np.exp(-np.sum(np.asarray(x) ** 2, axis=-1))
+        * 2.0 ** -np.asarray(l, dtype=float),
+        tail_bound=lambda k, L: 2.0 ** -L)
+
+
+class TestOneRegime:
+    """A batch of one regime is found once per call and passed as a scalar;
+    every case must match ``rows(...)[1]`` bit for bit, at the same level."""
+
+    @staticmethod
+    def _check(rates, x, k, l_start=16):
+        ref = RowTruncator(rates, 1e-9, l_start=l_start)
+        got = RowTruncator(rates, 1e-9, l_start=l_start)
+        want = ref.rows(x, k)[1]
+        assert got.row_sums(x, k).tobytes() == want.tobytes()
+        assert got.level == ref.level
+        return got.level
+
+    @pytest.mark.parametrize("k0", [1, 7, 40, 100])
+    def test_shared_regime(self, k0):
+        # 40 lies above the start level but inside the level reached; 100
+        # lies above every level, so no column is the diagonal
+        n = 3 * (ROW_SUM_ENTRIES // 16) + 5
+        x = np.linspace(-1.0, 1.0, n)[:, None]
+        self._check(example51().rates, x, np.full(n, k0))
+        self._check(_fading_rates(), x, np.full(n, k0))
+
+    def test_mixed_regimes(self):
+        n = 2 * (ROW_SUM_ENTRIES // 16) + 3
+        x = np.linspace(-1.0, 1.0, n)[:, None]
+        k = np.where(np.arange(n) % 3 == 0, 2, 40)
+        self._check(example51().rates, x, k)
+        self._check(_fading_rates(), x, k)
+
+    def test_level_raised_mid_batch(self):
+        # the first blocks certify at L = 16; the far states at the end of
+        # the batch need L = 64
+        n = 3 * (ROW_SUM_ENTRIES // 16)
+        x = np.zeros((n, 1))
+        x[-10:] = 2.5
+        assert self._check(_fading_rates(), x, np.full(n, 40)) == 64
+        assert self._check(_fading_rates(), x, np.where(np.arange(n) < n // 2, 3, 40)) == 64
+
+    def test_empty_batch(self):
+        assert self._check(example51().rates, np.zeros((0, 1)), np.zeros(0, dtype=np.int64)) == 16
+
+    @pytest.mark.parametrize("k0", [1, 3])
+    def test_rate_without_target_axis(self, k0):
+        # a config rate that never reads l, such as "0.0 * x[..., 0]", gives
+        # (n, 1) values; its rows still span the L targets
+        rates = RateMatrixSpec(rate=lambda x, k, l: 0.0 * np.asarray(x)[..., 0] - 1.0,
+                               tail_bound=lambda k, L: 0.0)
+        x = np.linspace(-1.0, 1.0, 40)[:, None]
+        self._check(rates, x, np.full(40, k0))
+        assert model.rate_rows(rates, x, k0, 16).shape == (40, 16)
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_cached_rate_array_untouched(self, writeable):
+        # a model may return the same array on every call; neither the
+        # diagonal zeroing nor the clip may write into it
+        cache = {}
+
+        def rate(x, k, l):
+            L = np.shape(l)[-1]
+            if L not in cache:
+                row = 3.0 ** -np.arange(1.0, L + 1)
+                row[1] = -0.5   # clipped to zero
+                row = np.broadcast_to(row, (np.shape(x)[0], L)).copy()
+                row.flags.writeable = writeable
+                cache[L] = (row, row.copy())
+            return cache[L][0]
+
+        rates = RateMatrixSpec(rate=rate, tail_bound=lambda k, L: 0.5 * 3.0 ** -L)
+        n = 50
+        x = np.zeros((n, 1))
+        for k in (np.full(n, 3), np.arange(n) % 4 + 1):
+            self._check(rates, x, k, l_start=32)
+            q = model.rate_rows(rates, x, k[0], 32)
+            assert q[0, k[0] - 1] == 0.0 and q[0, 1] == 0.0
+        for row, copy in cache.values():
+            assert row.tobytes() == copy.tobytes()
+
+
 class TestBlocks:
     def test_one_regime_passed_once(self, monkeypatch):
         # a block of one regime hands the model a scalar k, a mixed block the
