@@ -365,7 +365,8 @@ class _Occupation:
         # the start offsets of the buffered paths, step after step
         self.offsets = np.tile(block * partition.n_cells, self.BLOCK)
 
-    def __call__(self, i: int, t: float, x: np.ndarray, k: np.ndarray, alive: np.ndarray):
+    def __call__(self, i: int, t: float, x: np.ndarray, k: np.ndarray, alive: np.ndarray,
+                 draws):
         if t < self.t_burn - 1e-12:
             return
         window = 0 if t < self.mid else 1

@@ -378,10 +378,7 @@ def _cmd_g_function(args) -> int:
           and float(d2.max()) <= 1e-10 and (Gf.alpha > 0.0 or Gf.alpha_boundary))
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "g_function.csv", "w") as fh:
-        fh.write("r,G,Gprime\n")
-        for r, v, dv in zip(Gf.rs, Gf.values, Gf.deriv):
-            fh.write(f"{r!r},{v!r},{dv!r}\n")
+    write_csv(out / "g_function.csv", ["r", "G", "Gprime"], Gf.rs, Gf.values, Gf.deriv)
     result = {"alpha": Gf.alpha, "alpha_boundary": Gf.alpha_boundary,
               "min_increment": float(d1.min()), "max_second_difference": float(d2.max()),
               "G_at_1": float(Gf.values[-1]), "ok": ok}
@@ -403,10 +400,7 @@ def _cmd_f_function(args) -> int:
               and float(d2.max()) <= 1e-10)
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "f_function.csv", "w") as fh:
-        fh.write("r,F\n")
-        for r, v in zip(rgrid, vals):
-            fh.write(f"{r!r},{v!r}\n")
+    write_csv(out / "f_function.csv", ["r", "F"], rgrid, vals)
     result = {"F_at_inf": float(Ff.f_tab[-1]), "max_second_difference": float(d2.max()),
               "ok": ok}
     _emit(out, "f-function", _cfg_dict(args), result,

@@ -34,6 +34,7 @@ conventions).  This is a research tool: configs are trusted input.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 from pathlib import Path
@@ -61,14 +62,24 @@ def _namespace():
 
 def _compile(expr: str, args: tuple):
     """``expr`` as a function of ``args``; ``ValueError`` when it is not a
-    Python expression string."""
+    Python expression string or reads a name that is neither an argument nor
+    in the namespace."""
     if not isinstance(expr, str):
         raise ValueError(f"expression must be a string, got {expr!r}")
     try:
-        code = compile(expr, "<model-config>", "eval")
+        tree = ast.parse(expr, "<model-config>", "eval")
     except SyntaxError as exc:
         raise ValueError(f"invalid expression {expr!r}: {exc.msg}") from None
     base = _namespace()
+    nodes = list(ast.walk(tree))
+    # names the expression binds itself: lambda, comprehension and := targets
+    bound = {n.arg for n in nodes if isinstance(n, ast.arg)}
+    bound |= {n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+    unknown = {n.id for n in nodes if isinstance(n, ast.Name)} - bound - base.keys() - set(args)
+    if unknown:
+        raise ValueError(f"unknown name {', '.join(sorted(unknown))} in {expr!r}; "
+                         f"arguments: {', '.join(args)}")
+    code = compile(tree, "<model-config>", "eval")
 
     def fn(*vals):
         local = dict(base)

@@ -62,8 +62,8 @@ from ._linalg import row_norm, sqrt_psd_batched
 from .errors import TruncationError
 from .model import HybridState, ModelSpec, RowTruncator
 from .simulate import (CHUNK_SIZE, SCREEN_SLACK, IntegratorConfig, PathRecord, _apply_step,
-                       _check_positive, _draw_block, _outside, _run_batches, _step_draws,
-                       _step_setup, _within, derive_rng)
+                       _check_positive, _draw_block, _outside, _PathLog, _run_batches,
+                       _step_draws, _step_setup, _within, derive_rng)
 
 __all__ = [
     "CouplingConfig",
@@ -216,7 +216,7 @@ def _coupled_switch(rows, ls, u1, u2, h: float):
 
 
 def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
-                 rng: np.random.Generator, *, blocks: int = 1, record: bool = False):
+                 rng: np.random.Generator, *, blocks: int = 1, observe=None):
     """Advance an (n, d) batch of coupled pairs over the full grid.
 
     The batch is ``blocks`` equal blocks of m = n / blocks pairs that all see
@@ -240,9 +240,10 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     ``_within`` screens the r_max guard and the ball of tau_R with the
     largest coordinate before any norm is taken.  Each of these gives the
     numbers of the full forms.  A pair is censored at the step where either
-    side exceeds r_max or stops being finite (``_outside``).
+    side exceeds r_max or stops being finite (``_outside``).  ``observe``
+    holds one ``_evolve`` step observer per side.
     """
-    n, d = x0.shape
+    n = x0.shape[0]
     m = n // blocks
     reflect = cfg.kind == "reflection"
     lam = _resolve_lambda(spec, cfg) if reflect else None
@@ -272,15 +273,6 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     qbar2 = truncs[0].row_bound(Kt) * SCREEN_SLACK
     thresh = -np.expm1(-(qbar1 + qbar2) * h)
 
-    rec = None
-    if record:
-        rec = {
-            "times": h * np.arange(nsteps + 1),
-            "x1": np.empty((nsteps + 1, d)), "k1": np.empty(nsteps + 1, dtype=np.int64),
-            "x2": np.empty((nsteps + 1, d)), "k2": np.empty(nsteps + 1, dtype=np.int64),
-            "sw1": [], "sw2": [], "jp1": [], "jp2": [],
-        }
-
     def scan_marks(t):
         delta = row_norm(Xt - X)
         met = (delta < eta) & (K == Kt) & np.isinf(t_meet)
@@ -301,9 +293,9 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
             tau_r[out] = t
 
     scan_marks(0.0)
-    if record:
-        rec["x1"][0], rec["k1"][0] = X[0], K[0]
-        rec["x2"][0], rec["k2"][0] = Xt[0], Kt[0]
+    if observe is not None:
+        observe[0](0, 0.0, X, K, alive, None)
+        observe[1](0, 0.0, Xt, Kt, alive, None)
 
     step_draws = _step_draws(((rng, 0, m),), spec, h, eps, lam_rate, nsteps, reflect=reflect,
                              gaussian=gaussian, n_unif=3 if reflect else 2)
@@ -313,9 +305,8 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
         draws = draws.repeat(blocks)
         # the pairs not coalesced, None while none has
         rows2 = (~merged).nonzero()[0] if reflect and merged.any() else None
-        (dX, dXt), refl = _apply_step(
-            spec, ((X, K), (Xt, Kt)), h, draws, eps, lam=lam,
-            events=(t_next, (rec["jp1"], rec["jp2"])) if record else None, rows2=rows2)
+        (dX, dXt), refl = _apply_step(spec, ((X, K), (Xt, Kt)), h, draws, eps, lam=lam,
+                                      rows2=rows2)
 
         # a censored pair keeps its state
         if all_alive:
@@ -347,10 +338,6 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
                 qbar1[first] = truncs[0].row_bound(l1) * SCREEN_SLACK
                 qbar2[second] = truncs[0].row_bound(l2) * SCREEN_SLACK
                 thresh[fire] = -np.expm1(-(qbar1.take(fire) + qbar2.take(fire)) * h)
-                if record and first.size and first[0] == 0:
-                    rec["sw1"].append((t_next, int(K[0]), int(Kn[0])))
-                if record and second.size and second[0] == 0:
-                    rec["sw2"].append((t_next, int(Kt[0]), int(Ktn[0])))
 
         if reflect:
             # within-step meeting via the Brownian-bridge crossing probability,
@@ -394,19 +381,16 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
 
         X, Xt, K, Kt = Xn, Xtn, Kn, Ktn
         scan_marks(t_next)
-        if record:
-            rec["x1"][i + 1], rec["k1"][i + 1] = X[0], K[0]
-            rec["x2"][i + 1], rec["k2"][i + 1] = Xt[0], Kt[0]
+        if observe is not None:
+            observe[0](i + 1, t_next, X, K, alive, draws)
+            observe[1](i + 1, t_next, Xt, Kt, alive, draws)
 
-    out = {
+    return {
         "x": X, "xt": Xt, "k": K, "kt": Kt,
         "zeta": zeta, "s_delta0": s_delta0, "tau_r": tau_r, "t_meet": t_meet,
         "coalesced": merged, "exit_time": exit_time, "eta": eta,
         "n_clamped": n_clamped,
     }
-    if record:
-        out["record"] = rec
-    return out
 
 
 @dataclass
@@ -480,17 +464,11 @@ def couple(spec: ModelSpec, start: HybridState, start2: HybridState,
     spec.check_state(start2)
     if start.k != start2.k:
         raise ValueError("coupled starts must share the initial regime")
-    rng = derive_rng(seed, 0, 0)
-    out = _evolve_pair(spec, start.x[None, :], start2.x[None, :],
-                       np.array([start.k]), np.array([start2.k]), cfg, rng, record=True)
-    rec = out["record"]
-    exited = out["exit_time"][0]
-    exited = None if not np.isfinite(exited) else float(exited)
-    p1 = PathRecord(rec["times"], rec["x1"], rec["k1"], rec["sw1"], rec["jp1"], seed,
-                    exited=exited)
-    p2 = PathRecord(rec["times"], rec["x2"], rec["k2"], rec["sw2"], rec["jp2"], seed,
-                    exited=exited)
-    delta = np.linalg.norm(rec["x2"] - rec["x1"], axis=1)
+    logs = (_PathLog(), _PathLog())
+    out = _evolve_pair(spec, start.x[None, :], start2.x[None, :], np.array([start.k]),
+                       np.array([start2.k]), cfg, derive_rng(seed, 0, 0), observe=logs)
+    p1, p2 = (log.record(spec, cfg, seed, out["exit_time"][0], dropped=False) for log in logs)
+    delta = np.linalg.norm(p2.xs - p1.xs, axis=1)
     marks = {
         "tau_R": float(out["tau_r"][0]),
         "S_delta0": float(out["s_delta0"][0]),
@@ -498,7 +476,7 @@ def couple(spec: ModelSpec, start: HybridState, start2: HybridState,
         "T": float(out["t_meet"][0]),
         "T_tilde": float(out["t_meet"][0]),
     }
-    return CoupledPathRecord(rec["times"], p1, p2, delta, marks,
+    return CoupledPathRecord(p1.times, p1, p2, delta, marks,
                              bool(out["coalesced"][0]), seed,
                              n_eig_clamped=int(out["n_clamped"]))
 

@@ -135,8 +135,10 @@ def derive_rng(seed: int, *spawn_key: int) -> np.random.Generator:
 class PathRecord:
     """One simulated trajectory on its time grid, with event logs.
 
-    ``exited`` is the censoring time if |X| ever exceeded the guard radius
-    or X stopped being finite (the path is frozen from there on), else None.
+    ``switch_events`` holds (t, from, to) at each grid time t where the
+    regime changed.  ``exited`` is the censoring time if |X| ever exceeded
+    the guard radius or X stopped being finite (the path is frozen from
+    there on), else None.
     ``small_jump_var_dropped`` integrates the neglected small-jump variance
     rate along the path under the drop policy (None when not applicable).
     """
@@ -418,7 +420,7 @@ def _step_draws(streams, spec: ModelSpec, h: float, eps, lam_rate, nsteps: int, 
 
 
 def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
-                lam: float | None = None, events=None, rows2: np.ndarray | None = None):
+                lam: float | None = None, rows2: np.ndarray | None = None):
     """Euler increments of one step for a batch, or for a coupled pair of batches.
 
     ``sides`` is ``((x, k),)`` or ``((X, K), (Xt, Kt))``, each x an (n, d)
@@ -445,14 +447,11 @@ def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
     (sl1, sl2, u, clamps) for the bridge-crossing step, else None: sl2 and u
     at the rows ``rows2`` (None when it is empty), and ``clamps`` the number
     of eigenvalues clamped in the roots of both sides, a row not evaluated
-    counting its first side's twice.  ``events`` = (t, logs) appends (t, mark, displacement) to
-    ``logs[s]`` for every jump of path 0 of side s.
+    counting its first side's twice.
     """
     sqh = np.sqrt(h)
     refl = None
     side_draws = [draws] * len(sides)
-    # whether side 2 evaluates path 0, which is then its row 0
-    own0 = rows2 is None or (rows2.size > 0 and rows2[0] == 0)
     if rows2 is not None:
         (X, K), (Xt, Kt) = sides
         sides, side_draws = sides[:1], side_draws[:1]
@@ -487,26 +486,19 @@ def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
                        + sqh * (np.einsum("nij,nj->ni", sl2, d2.z) + sqlam * w2_ref))
         refl = (sl1, sl2, u, clamps)
 
-    if events is not None:
-        logged = [True, own0]
-        n_logged = len(events[1][0])
     if eps is not None:
         for (x, k), dx in zip(sides, dxs):
             comp = spec.jump_compensator(x, k, eps) if spec.jump_compensator is not None \
                 else _compensator_quadrature(spec, x, k, eps)
             dx -= np.asarray(comp, dtype=float) * h
-        for s, ((x, k), dr) in enumerate(zip(sides, side_draws)):
+        for (x, k), dx, dr in zip(sides, dxs, side_draws):
             if dr.hit is None:
                 continue
-            hit, marks = dr.hit, dr.marks
-            disp = np.asarray(spec.jump_coeff(x.take(hit, axis=0), k.take(hit), marks),
+            disp = np.asarray(spec.jump_coeff(x.take(dr.hit, axis=0), k.take(dr.hit), dr.marks),
                               dtype=float)
             # column by column: ufunc.at over a 1-d array takes numpy's fast path
             for j in range(disp.shape[1]):
-                np.add.at(dxs[s][:, j], hit, disp[:, j])
-            # path 0's marks, in round order
-            for i in (np.flatnonzero(hit == 0) if events is not None and logged[s] else ()):
-                events[1][s].append((events[0], marks[i].copy(), disp[i].copy()))
+                np.add.at(dx[:, j], dr.hit, disp[:, j])
         if draws.zg is not None:
             # a shared draw keeps the substitute synchronous; per-side roots
             # preserve each marginal's covariance exactly
@@ -518,15 +510,11 @@ def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
         if rows2.size:
             dx2[rows2] = dxs.pop()
         dxs.append(dx2)
-    if events is not None and not own0:
-        events[1][1].extend((t, mark.copy(), disp.copy())
-                            for t, mark, disp in events[1][0][n_logged:])
     return dxs, refl
 
 
 def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConfig,
-            streams, *, regime: str = "switching", record: bool = False,
-            observe: Callable | None = None):
+            streams, *, regime: str = "switching", observe: Callable | None = None):
     """Advance an (n, d) batch over the full grid.  Core of every simulator.
 
     ``streams`` holds the batch's ``(rng, lo, hi)`` segments.  The draws
@@ -545,18 +533,17 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     guard, and the censoring of a non-finite state, with the largest
     coordinate before it computes any norm; both give the numbers of the
     full forms.
-    ``observe(i, t, x, k, alive)`` sees the batch after step i.
+    ``observe(i, t, x, k, alive, draws)`` sees the batch after step i, with
+    ``draws`` the ``StepDraws`` of that step (None at i = 0).
     """
     if regime not in ("switching", "frozen", "killed"):
         raise ValueError(f"regime must be 'switching', 'frozen' or 'killed', not {regime!r}")
     switching = regime == "switching"
     killed = regime == "killed"
-    n, d = x0.shape
+    n = x0.shape[0]
     x = x0.astype(float).copy()
     k = k0.astype(np.int64).copy()
     nsteps, h, eps, lam_rate, gaussian, row_tol = _step_setup(spec, cfg)
-    count_dropped = (record and eps is not None and not gaussian
-                     and spec.small_jump_cov is not None)
     trunc = RowTruncator(spec.rates, row_tol) if switching or killed else None
 
     # Exact switch pre-screen: q_k(x) <= Qbar_k = tail_bound(k, 0), so only a
@@ -570,29 +557,14 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     exit_time = np.full(n, np.inf)
     kill_int = np.zeros(n) if killed else None
     q_prev = trunc.row_sums(x, k) if killed else None
-
-    dropped_var = 0.0
-    rec_times = rec_xs = rec_ks = None
-    switch_events: list = []
-    jump_events: list = []
-    if record:
-        rec_times = h * np.arange(nsteps + 1)
-        rec_xs = np.empty((nsteps + 1, d))
-        rec_ks = np.empty(nsteps + 1, dtype=np.int64)
-        rec_xs[0] = x[0]
-        rec_ks[0] = k[0]
     if observe is not None:
-        observe(0, 0.0, x, k, alive)
+        observe(0, 0.0, x, k, alive, None)
 
     step_draws = _step_draws(streams, spec, h, eps, lam_rate, nsteps, gaussian=gaussian,
                              n_unif=2 if switching else 0)
     for i, draws in enumerate(step_draws):
         t_next = (i + 1) * h
-        (dx,), _ = _apply_step(spec, ((x, k),), h, draws, eps,
-                               events=(t_next, (jump_events,)) if record else None)
-        if count_dropped:
-            cov0 = np.asarray(spec.small_jump_cov(x[:1], k[:1], eps), dtype=float)
-            dropped_var += h * float(np.trace(cov0[0]))
+        (dx,), _ = _apply_step(spec, ((x, k),), h, draws, eps)
 
         # a censored path keeps its state
         xn = np.add(x, dx, out=dx) if all_alive else np.where(alive[:, None], x + dx, x)
@@ -619,8 +591,6 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
                     kn[fire] = k_fire = ls.take(idx)
                     qbar[fire] = q_fire = trunc.row_bound(k_fire) * SCREEN_SLACK
                     thresh[fire] = -np.expm1(-q_fire * h)
-                    if record and fire[0] == 0:
-                        switch_events.append((t_next, int(k[0]), int(kn[0])))
         elif killed:
             # a state that is not finite has no rate row: its path, censored
             # at this step, keeps its last rate
@@ -643,17 +613,12 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
                 all_alive = False
 
         x, k = xn, kn
-        if record:
-            rec_xs[i + 1] = x[0]
-            rec_ks[i + 1] = k[0]
         if observe is not None:
-            observe(i + 1, t_next, x, k, alive)
+            observe(i + 1, t_next, x, k, alive, draws)
 
     out = {"x": x, "k": k, "exit_time": exit_time}
     if killed:
         out["weight"] = np.exp(-kill_int)
-    if record:
-        out["record"] = (rec_times, rec_xs, rec_ks, switch_events, jump_events, dropped_var)
     return out
 
 
@@ -691,19 +656,66 @@ def _compensator_quadrature(spec: ModelSpec, x: np.ndarray, k: np.ndarray,
     return value
 
 
+class _PathLog:
+    """Step observer that records path 0 of a batch, for a ``PathRecord``.
+
+    Each call keeps path 0's time, state and regime, and the marks of its
+    large jumps in the step, in round order.  ``record`` builds the events
+    after the run: a switch event (t, from, to) at every step where the
+    regime changed, and a jump event (t, mark, displacement) per jump, the
+    displacement c(x, k, u) at the state where its step started.  The step
+    engines make the same c calls, so the displacements are theirs bit for
+    bit.  A switch whose drawn target is the current regime leaves no event.
+    """
+
+    def __init__(self):
+        self.ts, self.xs, self.ks = [], [], []
+        self.jumps = []   # (i, marks) for each step i in which path 0 jumped
+
+    def __call__(self, i, t, x, k, alive, draws):
+        self.ts.append(t)
+        self.xs.append(x[0].copy())
+        self.ks.append(int(k[0]))
+        if draws is not None and draws.hit is not None:
+            mine = (draws.hit == 0).nonzero()[0]
+            if mine.size:
+                self.jumps.append((i, draws.marks.take(mine, axis=0)))
+
+    def record(self, spec: ModelSpec, cfg: IntegratorConfig, seed: int, exit_time: float, *,
+               dropped: bool) -> PathRecord:
+        """The ``PathRecord`` of the observed path, censored at ``exit_time``
+        if finite; with ``dropped``, its ``small_jump_var_dropped`` is h
+        sum_i tr small_jump_cov(xs_i, ks_i) over the steps i, in step order,
+        under the drop policy."""
+        xs, ks = np.array(self.xs), np.array(self.ks, dtype=np.int64)
+        switches = (ks[1:] != ks[:-1]).nonzero()[0] + 1
+        jumps = []
+        if self.jumps:
+            at = np.repeat([i for i, _ in self.jumps], [u.shape[0] for _, u in self.jumps])
+            marks = np.concatenate([u for _, u in self.jumps])
+            disp = np.asarray(spec.jump_coeff(xs[at - 1], ks[at - 1], marks), dtype=float)
+            jumps = [(self.ts[i], u, c) for i, u, c in zip(at.tolist(), marks, disp)]
+        rec = PathRecord(np.array(self.ts), xs, ks,
+                         [(self.ts[i], int(ks[i - 1]), int(ks[i])) for i in switches.tolist()],
+                         jumps, seed, exited=float(exit_time) if np.isfinite(exit_time) else None)
+        if dropped and cfg.small_jump_policy == "drop" and spec.has_jumps:
+            _, h, eps, *_ = _step_setup(spec, cfg)
+            rec.small_jump_var_dropped = 0.0
+            if spec.small_jump_cov is not None:
+                cov = np.asarray(spec.small_jump_cov(xs[:-1], ks[:-1], eps), dtype=float)
+                for v in np.trace(cov, axis1=1, axis2=2).tolist():
+                    rec.small_jump_var_dropped += h * v
+        return rec
+
+
 def _recorded_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig, seed: int,
                    regime: str = "switching"):
     """One fully recorded path: (PathRecord, raw ``_evolve`` output)."""
     spec.check_state(start)
+    log = _PathLog()
     out = _evolve(spec, start.x[None, :], np.array([start.k]), cfg,
-                  ((derive_rng(seed, 0, 0), 0, 1),), regime=regime, record=True)
-    times, xs, ks, sw, jp, dropped = out["record"]
-    exited = out["exit_time"][0]
-    rec = PathRecord(times, xs, ks, sw, jp, seed,
-                     exited=None if not np.isfinite(exited) else float(exited),
-                     small_jump_var_dropped=(dropped if cfg.small_jump_policy == "drop"
-                                             and spec.has_jumps else None))
-    return rec, out
+                  ((derive_rng(seed, 0, 0), 0, 1),), regime=regime, observe=log)
+    return log.record(spec, cfg, seed, out["exit_time"][0], dropped=True), out
 
 
 def simulate_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig,
@@ -755,9 +767,10 @@ def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState
     ``regime`` is "switching", "frozen" or "killed" (see the module
     docstring); only "killed" fills ``weight``.  ``observer(block)`` is
     called once per batch, with ``block`` the start index of each of the
-    batch's paths, and returns a callable ``(i, t, x, k, alive)`` that sees
-    the batch after every step i; the callables, in batch order, come back
-    in ``observers``.
+    batch's paths, and returns a callable ``(i, t, x, k, alive, draws)``
+    that sees the batch after every step i, with ``draws`` the step's
+    ``StepDraws`` (None at i = 0), which hold only during the call; the
+    callables, in batch order, come back in ``observers``.
     """
     starts = [start] if isinstance(start, HybridState) else list(start)
     if not starts:

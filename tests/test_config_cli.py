@@ -11,6 +11,7 @@ from rsjd import (
     example51,
     simulate_path,
 )
+from rsjd.analysis import build_F, build_G
 from rsjd.cli import run
 from rsjd.config import load_model_config, resolve_model
 
@@ -145,6 +146,26 @@ class TestCli:
     def test_f_function_invariants(self, tmp_path):
         assert run(["f-function", "--outdir", str(tmp_path)]) == 0
 
+    def test_gauge_tables_read_back(self, tmp_path):
+        # both tables used to hold the repr of np.float64, "np.float64(0.0)"
+        assert run(["g-function", "--kappa", "1", "--lam", "1", "--outdir", str(tmp_path)]) == 0
+        assert run(["f-function", "--outdir", str(tmp_path)]) == 0
+
+        def table(name):
+            head, *rows = (tmp_path / name).read_text().splitlines()
+            return head, np.array([[float(v) for v in row.split(",")] for row in rows])
+
+        def g(r):
+            return r ** -0.3333333333333333
+
+        gf, ff, rgrid = build_G(1.0, 1.0, g), build_F(g), np.linspace(0.0, 20.0, 2001)
+        head, got = table("g_function.csv")
+        assert head == "r,G,Gprime"
+        assert got.tobytes() == np.column_stack([gf.rs, gf.values, gf.deriv]).tobytes()
+        head, got = table("f_function.csv")
+        assert head == "r,F"
+        assert got.tobytes() == np.column_stack([rgrid, ff.tabulate_r(rgrid)]).tobytes()
+
     def test_lyapunov_small_grid(self, tmp_path):
         code = run(["lyapunov", "--model", "example52:1.0", "--grid=-5:5:5",
                     "--kmax", "5", "--outdir", str(tmp_path)])
@@ -262,9 +283,12 @@ class TestPositiveFields:
         ["f-function", "--r-max-tab=nan"],
         ["f-function", "--r-max-tab=inf"],
         ["f-function", "--r-max-tab=0"],
+        ["g-function", "--kappa=1", "--lam=1", "--g", "foo(r)"],
+        ["f-function", "--g", "r + y"],
     ])
     def test_gauge_inputs(self, tmp_path, argv):
-        # before the check, nan exited 1 and --lam inf wrote a table
+        # before the check, nan exited 1 and --lam inf wrote a table; an
+        # unknown name in --g raised NameError
         assert run(argv + ["--outdir", str(tmp_path)]) == 2
         assert not list(tmp_path.iterdir())
 

@@ -93,6 +93,10 @@ MALFORMED = {
                            "missing key 'model.rates.tail_ratio'"),
     "bad-jump-coeff": (FULL_YAML.replace('"u * x / (sqrt(2.0) * k[..., None])"', '"u *"'),
                        "'model.jump.coeff': invalid expression"),
+    "unknown-function": (DRIFT_ONLY_YAML.replace('"0.0 * x[..., 0]"', '"foo(x)"'),
+                         "'model.sigma': unknown name foo in 'foo\\(x\\)'"),
+    "unknown-variable": (FULL_YAML.replace("l*norm2(x)", "l*norm2(y)"),
+                         "'model.rates.expr': unknown name y in"),
     "model-not-a-mapping": ("model: 3\n", "'model' must be a mapping"),
     "rates-not-a-mapping": (DRIFT_ONLY_YAML + "  rates: 3\n", "'model.rates' must be a mapping"),
 }
@@ -109,6 +113,14 @@ def test_malformed_config_is_an_input_error(case, tmp_path, loader, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: model config ") and str(p) in err
     assert not (tmp_path / "validate.json").exists()
+
+
+def test_names_bound_in_the_expression(tmp_path):
+    # only the names an expression reads without binding them must exist
+    p = tmp_path / "m.yaml"
+    p.write_text(DRIFT_ONLY_YAML.replace('"-x"', '"(lambda y: -y)(x) + [z for z in [0.0]][0]"'))
+    spec = load_model_config(p)
+    assert spec.drift(np.array([[2.0]]), np.array([1])).tolist() == [[-2.0]]
 
 
 def test_malformed_json_names_the_file(tmp_path):
