@@ -202,9 +202,18 @@ def strong_feller_modulus(spec: ModelSpec, f, x, xt_sequence, k: int, t: float,
     return out
 
 
-def _check_target(t: float, target_radius: float) -> None:
+def _check_target(t: float, center, target_radius: float, d: int) -> np.ndarray:
+    """The ball center as a float array of d coordinates; ``ValueError`` when
+    a coordinate is not finite (no distance to it compares below the radius,
+    so the ball could never be hit), or the radius or time is not positive."""
     if not (target_radius > 0 and t > 0):
         raise ValueError("need a positive target radius and time")
+    a = np.asarray(center, dtype=float)
+    if a.shape != (d,):
+        raise ValueError(f"target center needs {d} coordinates, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"target center must be finite, got {a.tolist()}")
+    return a
 
 
 def _clopper_pearson_lower95(s: int, n: int) -> float:
@@ -233,10 +242,9 @@ def estimate_transition(spec: ModelSpec, start: HybridState, t: float, target_ce
     ``keep_terminal`` stashes the last batch's terminal states under
     extra["_terminal"] for CSV export.
     """
-    _check_target(t, target_radius)
+    a = _check_target(t, target_center, target_radius, spec.d)
     if target_regime < 1:
         raise ValueError(f"target_regime must be >= 1 (regimes are 1-based), got {target_regime}")
-    a = np.asarray(target_center, dtype=float)
     cfg = replace(cfg, horizon=t)
     total_n = 0
     total_hits = 0
@@ -271,8 +279,7 @@ def estimate_killed_subtransition(spec: ModelSpec, start: HybridState, t: float,
                                   keep_terminal: bool = False) -> EstimatorResult:
     """Weighted estimate of the killed sub-transition: the regime is frozen at
     its start value and each path carries exp(-int_0^t q_k(X(s)) ds)."""
-    _check_target(t, target_radius)
-    a = np.asarray(target_center, dtype=float)
+    a = _check_target(t, target_center, target_radius, spec.d)
     ens = simulate_ensemble(spec, start, replace(cfg, horizon=t), n_paths, seed,
                             threads=threads, regime="killed")
     vals = np.where(np.linalg.norm(ens.x - a, axis=1) < target_radius, ens.weight, 0.0)

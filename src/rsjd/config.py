@@ -37,6 +37,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +63,9 @@ def _namespace():
 
 def _compile(expr: str, args: tuple):
     """``expr`` as a function of ``args``; ``ValueError`` when it is not a
-    Python expression string or reads a name that is neither an argument nor
-    in the namespace."""
+    Python expression string, reads a name that is neither an argument nor
+    in the namespace, or reads an attribute that a namespace module lacks
+    (``np.foo``, ``np.linalg.foo``)."""
     if not isinstance(expr, str):
         raise ValueError(f"expression must be a string, got {expr!r}")
     try:
@@ -79,6 +81,9 @@ def _compile(expr: str, args: tuple):
     if unknown:
         raise ValueError(f"unknown name {', '.join(sorted(unknown))} in {expr!r}; "
                          f"arguments: {', '.join(args)}")
+    for node in nodes:
+        if isinstance(node, ast.Attribute):
+            _check_attribute(node, base, bound | set(args), expr)
     code = compile(tree, "<model-config>", "eval")
 
     def fn(*vals):
@@ -87,6 +92,25 @@ def _compile(expr: str, args: tuple):
         return eval(code, {"__builtins__": {}}, local)
 
     return fn
+
+
+def _check_attribute(node: ast.Attribute, base: dict, local: set, expr: str) -> None:
+    """Resolve the attribute chain ``node`` from its root name while each link
+    is a module of the namespace; ``ValueError`` names a missing link.  A
+    chain on an argument or on a non-module value is left to run time."""
+    chain = []
+    while isinstance(node, ast.Attribute):
+        chain.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name) or node.id in local or node.id not in base:
+        return
+    obj, path = base[node.id], node.id
+    for attr in reversed(chain):
+        if not isinstance(obj, types.ModuleType):
+            return
+        if not hasattr(obj, attr):
+            raise ValueError(f"unknown attribute {path}.{attr} in {expr!r}")
+        obj, path = getattr(obj, attr), f"{path}.{attr}"
 
 
 def _power_law_measure(exponent: float, epsilon: float) -> JumpMeasureSpec:
@@ -189,7 +213,7 @@ def _build_model(raw) -> ModelSpec:
     def drift(x, k):
         x = np.asarray(x, dtype=float)
         k = np.asarray(k, dtype=float)
-        return np.broadcast_to(np.asarray(drift_fn(x, k), dtype=float), x.shape).copy()
+        return _fresh(drift_fn(x, k), x.shape, (x, k))
 
     def sigma(x, k):
         x = np.asarray(x, dtype=float)
@@ -212,7 +236,7 @@ def _build_model(raw) -> ModelSpec:
             k = np.asarray(k, dtype=float)
             u = np.asarray(u, dtype=float)
             shape = np.broadcast_shapes(x.shape[:-1], k.shape, u.shape[:-1]) + (d,)
-            return np.broadcast_to(np.asarray(coeff_fn(x, k, u), dtype=float), shape).copy()
+            return _fresh(coeff_fn(x, k, u), shape, (x, k, u))
 
     if m.get("rates"):
         r = m["rates"]
@@ -250,6 +274,18 @@ def _build_model(raw) -> ModelSpec:
         regime_tol=float(m.get("regime_tol", 1e-9)),
         name=m.get("name", "config-model"),
     )
+
+
+def _fresh(value, shape: tuple, args: tuple) -> np.ndarray:
+    """An expression's ``value`` as a float array of ``shape`` that no caller
+    shares: the value itself when it already is a new array of that shape
+    (the usual result of numpy arithmetic), else a broadcast copy.  The
+    mark-quadrature fallback calls a jump coefficient on every step, where
+    the copy of an (n, m, d) result costs as much as the arithmetic."""
+    out = np.asarray(value, dtype=float)
+    if out.shape == shape and out.flags.owndata and all(out is not a for a in args):
+        return out
+    return np.broadcast_to(out, shape).copy()
 
 
 def _optional_float(m: dict, key: str) -> float | None:

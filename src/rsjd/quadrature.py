@@ -18,6 +18,15 @@ the value and their difference, plus a round-off allowance, is the per-state
 error estimate.  A state whose estimate exceeds the tolerance raises
 ``QuadratureError``.
 
+Everything but the integrand is fixed by the measure and the interval, so
+``_plan`` builds it once per (measure, ``jump_radial``, lo, hi) and shares it
+read-only: the marks of all segments in one array, and each segment's weight
+rows already multiplied by its density.  ``integrate`` then makes one
+integrand call per block of states over every segment's nodes, and slices the
+result per segment.  ``BLOCK`` bounds the (state, node) pairs of one segment
+in a call: a call takes BLOCK // (nodes per segment) states, at least one, so
+it holds about ``BLOCK`` pairs per segment.
+
 ``quad_reference`` computes the same integrals with ``scipy.integrate.quad``
 over the same segments.  It is the independent cross-check for validation
 and tests, never a fallback.
@@ -32,14 +41,14 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError
-from .model import ModelSpec
+from .model import JumpMeasureSpec, ModelSpec
 
 __all__ = ["Segment", "segments", "integrate", "quad_reference"]
 
 PANEL_RATIO = 2.0     # hi/lo of every panel above the origin
 ORDERS = (8, 12)      # Gauss-Legendre nodes per panel: error-estimate order, value order
 ORIGIN_DEPTH = 120    # with lo == 0 the innermost panel is [0, hi * 2^-120]
-BLOCK = 1 << 13       # (state, node) pairs per integrand call; bounds memory
+BLOCK = 1 << 13       # (state, node) pairs per segment in one integrand call; bounds memory
 # round-off allowance per unit of int |g| nu: summation over up to a few
 # thousand nodes and a few ulps in the integrand
 ROUNDING = 32.0 * np.finfo(float).eps
@@ -62,11 +71,14 @@ class Segment(NamedTuple):
 
 def segments(spec: ModelSpec) -> tuple:
     """The mark-measure dispatch: the segments of ``spec``'s jump measure."""
-    meas = spec.jump_measure
+    return _segments(spec.jump_measure, spec.jump_radial)
+
+
+def _segments(meas: JumpMeasureSpec, radial: bool) -> tuple:
     if meas.mark_dim == 1:
         return tuple(Segment(np.array([s]), lambda r, s=s: meas.density(s * r[:, None]))
                      for s in (1.0, -1.0))
-    if meas.mark_dim == 2 and spec.jump_radial:
+    if meas.mark_dim == 2 and radial:
         e = np.array([1.0, 0.0])
         if meas.radial_density is not None:
             return (Segment(e, meas.radial_density),)
@@ -108,6 +120,37 @@ def _rule(lo: float, hi: float):
     return r, w
 
 
+class _Plan(NamedTuple):
+    """What ``integrate`` needs besides the integrand, for one measure and
+    interval: ``marks`` (1, m_total, mark_dim), the ``size`` nodes of every
+    segment in turn, and per segment ``(span, weights, mass)`` -- its slice
+    of the marks, its density-weighted weight rows (size, 3) and the absolute
+    value of the value-order row (size,)."""
+
+    marks: np.ndarray
+    size: int
+    parts: tuple
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(meas: JumpMeasureSpec, radial: bool, lo: float, hi: float) -> _Plan:
+    """The plan of ``integrate`` on [lo, hi).  Cached on the measure itself,
+    which compares and hashes by its fields, so measures that differ in any
+    field never share a plan; the arrays are read-only because all callers
+    share them."""
+    r, w = _rule(lo, hi)
+    marks, parts = [], []
+    for i, seg in enumerate(_segments(meas, radial)):
+        wd = w * np.broadcast_to(np.asarray(seg.weight(r), dtype=float), r.shape)
+        mass = np.abs(wd[0])
+        wd.flags.writeable = mass.flags.writeable = False
+        marks.append(r[:, None] * seg.direction)
+        parts.append((slice(i * r.size, (i + 1) * r.size), wd.T, mass))
+    u = np.concatenate(marks)[None]
+    u.flags.writeable = False
+    return _Plan(u, r.size, tuple(parts))
+
+
 def integrate(spec: ModelSpec, integrand: Callable, states: tuple, lo: float, hi: float,
               tol: float):
     """int_{lo <= |u| < hi} integrand(*states_i, u) nu(du) for every state row i.
@@ -115,9 +158,10 @@ def integrate(spec: ModelSpec, integrand: Callable, states: tuple, lo: float, hi
     ``states`` is a tuple of arrays with a common leading axis N, for example
     (x, k).  The integrand receives each of them with a new axis after the
     first ((n, 1, ...), so (n, 1, d) for x and (n, 1) for k) together with
-    marks u of shape (1, m, mark_dim), and returns (n, m) or (n, m, ...) --
-    the broadcasting convention of ``jump_coeff`` and ``TestFunction.fn``.
-    Rows are fed in blocks of at most ``BLOCK`` (state, node) pairs.
+    marks u of shape (1, m, mark_dim), the nodes of every segment, and returns
+    (n, m) or (n, m, ...) -- the broadcasting convention of ``jump_coeff`` and
+    ``TestFunction.fn``.  Rows are fed in blocks of at most ``BLOCK`` (state,
+    node) pairs per segment.
 
     Returns ``(value, error)``, each (N,) or (N, ...): the higher-order value
     and the per-state error estimate |higher - lower order| plus
@@ -127,23 +171,26 @@ def integrate(spec: ModelSpec, integrand: Callable, states: tuple, lo: float, hi
     Raises ``QuadratureError`` when an estimate exceeds
     max(100 tol, 1e-6 (1 + |value|)) or is not finite.
     """
-    r, w = _rule(lo, hi)
+    plan = _plan(spec.jump_measure, spec.jump_radial, lo, hi)
+    states = [np.asarray(s) for s in states]
     n = len(states[0])
-    rows = max(1, BLOCK // r.size)
+    rows = max(1, BLOCK // plan.size)
     acc = None
-    for seg in segments(spec):
-        dens = np.broadcast_to(np.asarray(seg.weight(r), dtype=float), r.shape)
-        wd = w * dens
-        u = (r[:, None] * seg.direction)[None]
-        # a batch of no states still makes one (empty) call, which gives the
-        # integrand's trailing shape
-        for start in range(0, max(n, 1), rows):
-            block = [np.asarray(s)[start:start + rows, None] for s in states]
-            g = np.moveaxis(np.asarray(integrand(*block, u), dtype=float), 1, -1)
-            if acc is None:
-                acc = np.zeros((4, n) + g.shape[1:-1])
-            acc[:3, start:start + len(g)] += np.moveaxis(g @ wd.T, -1, 0)
-            acc[3, start:start + len(g)] += np.abs(g) @ np.abs(wd[0])
+    # a batch of no states still makes one (empty) call, which gives the
+    # integrand's trailing shape
+    for start in range(0, max(n, 1), rows):
+        g = np.asarray(integrand(*(s[start:start + rows, None] for s in states), plan.marks),
+                       dtype=float)
+        # node axis last: (n, ..., m), and each segment's sums come back (3, n, ...)
+        g = g.transpose(0, *range(2, g.ndim), 1)
+        back = (g.ndim - 1, *range(g.ndim - 1))
+        if acc is None:
+            acc = np.zeros((4, n) + g.shape[1:-1])
+        block = acc[:, start:start + rows]
+        g_abs = np.abs(g)
+        for span, weights, mass in plan.parts:
+            block[:3] += (g[..., span] @ weights).transpose(back)
+            block[3] += g_abs[..., span] @ mass
     value, low, inner, mass = acc
     error = np.abs(value - low) + np.abs(inner) + ROUNDING * mass
     _require(value, error, tol, lo, hi)

@@ -235,7 +235,7 @@ def crit_8_coupling_drift(threads):
                          ball_radius=10.0, delta0=1.0)
     rep_bm = verify_coupling_drift(bm, G0, [(np.array([0.0]), np.array([0.3]), 1),
                                             (np.array([0.2]), np.array([0.45]), 1)],
-                                   1e-3, 200000, cfg, SEED + 8)
+                                   1e-3, 200000, cfg, SEED + 8, threads=threads)
     payload["brownian_oracle"] = rep_bm.to_dict()
 
     spec = example51()
@@ -245,7 +245,8 @@ def crit_8_coupling_drift(threads):
                            ball_radius=R, delta0=1.0)
     pairs = [(np.array([x]), np.array([x + 0.05]), 1)
              for x in (-2.0, -1.0, 0.0, 1.0, 1.95)]
-    rep_51 = verify_coupling_drift(spec, Gf, pairs, 2e-4, 1000000, cfg51, SEED + 9)
+    rep_51 = verify_coupling_drift(spec, Gf, pairs, 2e-4, 1000000, cfg51, SEED + 9,
+                                   threads=threads)
     payload["example51"] = rep_51.to_dict()
     return rep_bm.ok and rep_51.ok, payload
 
@@ -338,7 +339,8 @@ def crit_12_dynkin(threads):
     t_small = 2.0 ** -8
     for i, (name, spec, x, k, eps, f) in enumerate(suite):
         cfg = IntegratorConfig(step=2.0 ** -14, horizon=1.0, epsilon=eps)
-        res = dynkin_check(spec, f, x, k, t_small, 100000, cfg, SEED + 120 + i)
+        res = dynkin_check(spec, f, x, k, t_small, 100000, cfg, SEED + 120 + i,
+                           threads=threads)
         ok = ok and res.z_score <= 4.0
         payload[f"{name}/{f.label}"] = {"lhs": res.lhs, "rhs": res.rhs,
                                         "z": res.z_score}

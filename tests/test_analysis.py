@@ -171,6 +171,21 @@ class TestKilledEstimator:
             estimate_killed_subtransition(example51(), HybridState(np.array([0.0]), 1), t,
                                           np.array([0.0]), radius, 16, cfg, 1)
 
+    @pytest.mark.parametrize("center, match", [
+        ([np.nan], "must be finite"), ([np.inf], "must be finite"),
+        ([-np.inf], "must be finite"), ([0.0, 0.0], "needs 1 coordinates"),
+        (0.0, "needs 1 coordinates")])
+    @pytest.mark.parametrize("estimator", ["killed", "transition"])
+    def test_bad_center_rejected(self, center, match, estimator):
+        cfg = IntegratorConfig(step=1.0 / 32, horizon=1.0)
+        start = HybridState(np.array([0.0]), 1)
+        with pytest.raises(ValueError, match=match):
+            if estimator == "killed":
+                estimate_killed_subtransition(example51(), start, 0.25, center, 1.0, 16,
+                                              cfg, 1)
+            else:
+                estimate_transition(example51(), start, 0.25, center, 1.0, 1, 16, cfg, 1)
+
     def test_censored_paths_reported(self):
         spec = example51()
         cfg = IntegratorConfig(step=1.0 / 64, horizon=1.0, r_max=0.5)

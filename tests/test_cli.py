@@ -106,6 +106,22 @@ def test_terminal_csv_lines(command, extra, tmp_path, capsys):
     assert np.isfinite([float(line.split(",")[0]) for line in lines[1:]]).all()
 
 
+@pytest.mark.parametrize("command, ball", [
+    ("irreducible", ["--target", "nan,1", "--regime", "2"]),
+    ("irreducible", ["--target", "inf,1", "--regime", "2"]),
+    ("killed", ["--ball", "nan,1"]),
+    ("killed", ["--ball", "0,0,1"]),
+])
+def test_bad_ball_center_exits_2(command, ball, tmp_path, capsys):
+    # a NaN center used to be hit by no path: killed printed "ok" with every
+    # estimate 0 and irreducible exited 1, as if the check had run
+    assert cli.run([command, "--model", "example51", "--start", "0,1", *ball,
+                    "--t", "0.25", "--h", "0.0625", "--n", "8", "--seed", "5",
+                    "--outdir", str(tmp_path)]) == cli.EXIT_INPUT_ERROR
+    assert "target center" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("tol", ["nan", "-0.1", "-inf"])
 def test_invariant_rejects_bad_tv_tol_before_simulating(tol, tmp_path, monkeypatch, capsys):
     # a NaN tolerance used to run the whole ensemble, then exit 1

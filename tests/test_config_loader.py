@@ -97,6 +97,11 @@ MALFORMED = {
                          "'model.sigma': unknown name foo in 'foo\\(x\\)'"),
     "unknown-variable": (FULL_YAML.replace("l*norm2(x)", "l*norm2(y)"),
                          "'model.rates.expr': unknown name y in"),
+    "unknown-attribute": (DRIFT_ONLY_YAML.replace('"-x"', '"np.foo(x)"'),
+                          "'model.drift': unknown attribute np.foo in 'np.foo\\(x\\)'"),
+    "unknown-submodule-attribute": (
+        FULL_YAML.replace('"u * x / (sqrt(2.0) * k[..., None])"', '"u * np.linalg.foo(x)"'),
+        "'model.jump.coeff': unknown attribute np.linalg.foo in"),
     "model-not-a-mapping": ("model: 3\n", "'model' must be a mapping"),
     "rates-not-a-mapping": (DRIFT_ONLY_YAML + "  rates: 3\n", "'model.rates' must be a mapping"),
 }
@@ -121,6 +126,36 @@ def test_names_bound_in_the_expression(tmp_path):
     p.write_text(DRIFT_ONLY_YAML.replace('"-x"', '"(lambda y: -y)(x) + [z for z in [0.0]][0]"'))
     spec = load_model_config(p)
     assert spec.drift(np.array([[2.0]]), np.array([1])).tolist() == [[-2.0]]
+
+
+def test_attribute_chains_that_resolve(tmp_path):
+    # module chains are resolved at load time; attributes of arguments and of
+    # non-module values are left to evaluation
+    p = tmp_path / "m.yaml"
+    p.write_text(DRIFT_ONLY_YAML.replace(
+        '"-x"', '"-x * np.linalg.norm(x, axis=-1)[..., None] + 0.0 * x.real + np.pi.real"'))
+    spec = load_model_config(p)
+    assert spec.drift(np.array([[2.0]]), np.array([1])).tolist() == [[np.pi - 4.0]]
+
+
+@pytest.mark.parametrize("drift, coeff", [("x", "x"), ("x[...]", "u"), ("x + 0.0", "u * x"),
+                                           ("0.0 * x[..., 0, None]", "u[..., 0, None]"),
+                                           ("1.0", "0.5 * abs(u[..., 0, None]) * x")])
+def test_coefficients_never_share_memory(drift, coeff, tmp_path):
+    # a coefficient's result is returned as is only when it is a new array of
+    # the full shape; an argument, a view of one, or a broadcast is copied
+    p = tmp_path / "m.yaml"
+    p.write_text(FULL_YAML.replace('"-x/(2*k[..., None]**2)"', f'"{drift}"')
+                 .replace('"u * x / (sqrt(2.0) * k[..., None])"', f'"{coeff}"'))
+    spec = load_model_config(p)
+    x = np.array([[0.5], [-2.0]])
+    k = np.array([1, 3])
+    u = np.array([[[0.25]], [[-0.5]]])
+    for out, args in ((spec.drift(x, k), (x, k)),
+                      (spec.jump_coeff(x[:, None], k[:, None], u), (x, k, u))):
+        assert out.flags.writeable and out.flags.owndata
+        assert not any(np.shares_memory(out, a) for a in args)
+    assert spec.jump_coeff(x[:, None], k[:, None], u).shape == (2, 1, 1)
 
 
 def test_malformed_json_names_the_file(tmp_path):

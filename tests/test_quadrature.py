@@ -1,6 +1,7 @@
 """The batched mark-quadrature rule against closed forms and against
 scipy's adaptive quadrature over the same segments."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +170,89 @@ class TestDispatch:
         with pytest.raises(QuadratureError, match="1 of 2"):
             quadrature.integrate(spec, g, (np.array([[0.0], [2.0]]), np.array([1, 1])),
                                  0.1, 1.0, 1e-10)
+
+
+# sha256 of value.tobytes() + error.tobytes() of ``integrate`` before the
+# plan existed, at the states of ``TestPlan.test_values_unchanged``; the
+# c^2 integrals are matmuls of shape (rows, m) @ (m, 3), whose last bits
+# depend on the rows per call, so BLOCK 8192 (3 rows) differs from 1000 (1 row)
+PLAN_DIGESTS = {
+    ("jump1d", "comp"): {None: "b41252598962e3b4d9227902c356151d99d9ab80026d837f34de06116825487a"},
+    ("jump1d", "small"): {
+        8192: "395ca3b72b49290b3c2471f0d62629ebde99589e276e0ca31d41e19269e8c702",
+        None: "4c9c078516368f90e351aea6e450720eed3e2612f9c42b32e99e511d7d82c2ba"},
+    ("example51", "comp"): {
+        None: "43fdb15766626a3d2c9e549b46c264d538bf5f4100908c3ee9d60f3d46477add"},
+    ("example51", "small"): {
+        8192: "01a147723a176bdceb916e57987dc21177eff2fd32921e0cff59289d2f5941fd",
+        None: "7ce6ec7d771070f458d14b6cd757606979ba9ab1d7248101bf2caa837ec31e94"},
+}
+
+
+class TestPlan:
+    def test_values_unchanged(self, monkeypatch):
+        specs = {"jump1d": load_model_config(JUMP1D),
+                 "example51": replace(example51(), jump_compensator=None)}
+        xs = np.linspace(-3.0, 3.0, 37)[:, None]
+        ks = np.arange(37) % 5 + 1
+        for block in (1 << 13, 1000, 100, 1):
+            monkeypatch.setattr(quadrature, "BLOCK", block)
+            for name, spec in specs.items():
+                for part, integrand, lo, hi in (("comp", spec.jump_coeff, 0.05, 1.0),
+                                                ("small", c_squared(spec), 0.0, 0.05)):
+                    value, error = quadrature.integrate(spec, integrand, (xs, ks), lo, hi,
+                                                        1e-10)
+                    digest = hashlib.sha256(value.tobytes() + error.tobytes()).hexdigest()
+                    want = PLAN_DIGESTS[name, part]
+                    assert digest == want.get(block, want[None]), (name, part, block)
+
+    def test_shared_and_read_only(self):
+        spec = load_model_config(JUMP1D)
+        plan = quadrature._plan(spec.jump_measure, spec.jump_radial, 0.05, 1.0)
+        assert quadrature._plan(spec.jump_measure, spec.jump_radial, 0.05, 1.0) is plan
+        r = quadrature._rule(0.05, 1.0)[0]
+        assert plan.marks.shape == (1, 2 * r.size, 1)
+        arrays = [plan.marks] + [a for _, weights, mass in plan.parts for a in (weights, mass)]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.0
+
+    def test_keyed_on_the_measure_fields(self, tmp_path):
+        # equal fields share a plan whatever the object; a changed field never does
+        a = jump_config(tmp_path / "a.yaml", 1.5)
+        b = jump_config(tmp_path / "b.yaml", 2.5)
+        ma = a.jump_measure
+        plan = quadrature._plan(ma, False, 0.05, 1.0)
+        assert quadrature._plan(replace(ma), False, 0.05, 1.0) is plan
+        other = quadrature._plan(b.jump_measure, False, 0.05, 1.0)
+        assert other is not plan
+        np.testing.assert_array_equal(other.marks, plan.marks)
+        assert not np.array_equal(other.parts[0][1], plan.parts[0][1])
+        for changed in (replace(ma, density=b.jump_measure.density),
+                        replace(ma, radius_max=2.0), replace(ma, epsilon=0.1)):
+            assert quadrature._plan(changed, False, 0.05, 1.0) is not plan
+        assert quadrature._plan(ma, False, 0.05, 0.5) is not plan
+
+    def test_example52_deltas_do_not_share(self):
+        xs, ks = np.array([[1.0, -2.0]]), np.array([2])
+        for delta in (1.0, 1.3, 1.0, 1.3):
+            spec = example52(delta)
+            value, _ = quadrature.integrate(spec, spec.jump_coeff, (xs, ks), 0.05, 1.0, 1e-10)
+            exact = spec.jump_compensator(xs, ks, 0.05)
+            assert np.allclose(value, exact, rtol=1e-12, atol=0.0), delta
+
+    def test_many_short_lived_measures(self, tmp_path):
+        # more measures than the cache holds, each dropped after use: every
+        # integral is its own exponent's, whatever object ids get reused
+        p = tmp_path / "m.yaml"
+        xs, ks = np.array([[1.0]]), np.array([1])
+        for i in range(2 * quadrature._plan.cache_info().maxsize):
+            exponent = (1.5, 2.0, 2.5)[i % 3]
+            spec = jump_config(p, exponent)
+            value, _ = quadrature.integrate(spec, spec.jump_coeff, (xs, ks), 0.05, 1.0, 1e-10)
+            exact = 0.5 * 2.0 * power_moment(2.0 - exponent, 0.05)
+            assert np.allclose(value, exact, rtol=1e-12, atol=0.0), exponent
+            del spec
 
 
 def f_gauss_fn(x, k):
