@@ -11,6 +11,7 @@ entry is what a run with that separation alone would give.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -848,10 +849,18 @@ def modulus_probe(spec: ModelSpec, k: int, pairs, rel_tol: float = 1e-10,
     return {key: np.asarray(v) for key, v in out.items()}
 
 
+def _check_threshold(threshold, name: str = "threshold") -> None:
+    """Raise ``ValueError`` unless ``threshold`` is a finite real >= 0: an
+    infinite one passes every estimate, and NaN none."""
+    if not (isinstance(threshold, numbers.Real) and 0.0 <= threshold < np.inf):
+        raise ValueError(f"{name} must be finite and nonnegative, got {threshold!r}")
+
+
 def trend_ok(results: Sequence[EstimatorResult], threshold: float) -> tuple:
     """Finite-sample reading of 'the estimates tend to zero': along the
     sequence they are nonincreasing up to twice the combined stderr, and the
-    last lies below the absolute threshold."""
+    last lies below the absolute threshold, a finite real >= 0."""
+    _check_threshold(threshold)
     ests = [r.estimate for r in results]
     ses = [r.stderr for r in results]
     mono = all(ests[i + 1] <= ests[i] + 2.0 * (ses[i] + ses[i + 1])

@@ -51,15 +51,24 @@ def _parse_ball(text: str):
     return np.array(parts[:-1]), parts[-1]
 
 
-def _parse_grid(text: str):
-    lo, hi, n = text.split(":")
-    return float(lo), float(hi), int(n)
+def _parse_grid(text: str, option: str):
+    """The grid 'lo:hi:n' of ``option``: finite bounds and n >= 1 points."""
+    try:
+        lo, hi, n = text.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ValueError(f"{option} must read lo:hi:n, got {text!r}") from None
+    if not (np.isfinite(lo) and np.isfinite(hi) and n >= 1):
+        raise ValueError(f"{option} needs finite bounds and at least one point, got {text!r}")
+    return lo, hi, n
 
 
 def _probe_grid(text: str, kmax: int, d: int):
-    """Probe arrays (xs, ks) for the grid 'lo:hi:n' on every axis times the
-    regimes 1..kmax, point-major: each grid point with all its regimes."""
-    lo, hi, npts = _parse_grid(text)
+    """Probe arrays (xs, ks) for the ``--grid`` 'lo:hi:n' on every axis times
+    the regimes 1..kmax, point-major: each grid point with all its regimes."""
+    lo, hi, npts = _parse_grid(text, "--grid")
+    if kmax < 1:
+        raise ValueError(f"--kmax must be at least 1, got {kmax}")
     mesh = np.meshgrid(*[np.linspace(lo, hi, npts)] * d, indexing="ij")
     xs_space = np.stack([mm.ravel() for mm in mesh], axis=-1)
     ks = np.arange(1, kmax + 1)
@@ -210,6 +219,7 @@ def _cmd_couple(args) -> int:
 
 
 def _trend_command(args, kind: str) -> int:
+    analysis._check_threshold(args.threshold, "--threshold")
     spec = resolve_model(args.model)
     x = np.array([float(v) for v in args.x.split(",")])
     xts = [x + float(s) * np.eye(spec.d)[0] for s in args.separations.split(",")]
@@ -275,6 +285,7 @@ def _cmd_killed(args) -> int:
     spec = resolve_model(args.model)
     start = _parse_state(args.start)
     center, radius = _parse_ball(args.ball)
+    lo, hi, npts = _parse_grid(args.m_grid, "--m-grid")
     cfg = _icfg(args, args.t)
     killed = analysis.estimate_killed_subtransition(spec, start, args.t, center, radius,
                                                     args.n, cfg, args.seed,
@@ -294,7 +305,6 @@ def _cmd_killed(args) -> int:
     p_frozen = float(np.mean(hits))
     se_frozen = float(np.sqrt(max(p_frozen * (1 - p_frozen), 1e-300) / args.n))
 
-    lo, hi, npts = _parse_grid(args.m_grid)
     xs = np.linspace(lo, hi, npts)
     grid = np.zeros((npts, spec.d))
     grid[:, 0] = xs
@@ -321,8 +331,7 @@ def _cmd_killed(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
-    if not args.tv_tol >= 0.0:   # NaN fails too
-        raise ValueError(f"--tv-tol must be nonnegative, got {args.tv_tol!r}")
+    analysis._check_threshold(args.tv_tol, "--tv-tol")
     spec = resolve_model(args.model)
     starts = [_parse_state(s) for s in args.starts.split(";")]
     lo, hi = (float(v) for v in args.box.split(":"))
@@ -420,6 +429,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_dynkin(args) -> int:
+    analysis._check_threshold(args.z_max, "--z-max")
     spec = resolve_model(args.model)
     x = np.array([float(v) for v in args.x.split(",")])
     f = _named_function(args.f, spec.d)

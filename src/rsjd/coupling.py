@@ -60,8 +60,8 @@ import numpy as np
 from ._csv import write_csv
 from ._linalg import row_norm, sqrt_psd_batched
 from .errors import TruncationError
-from .model import HybridState, ModelSpec, RowTruncator
-from .simulate import (CHUNK_SIZE, SCREEN_SLACK, IntegratorConfig, PathRecord, _apply_step,
+from .model import HybridState, ModelSpec, RegimeTable, RowTruncator
+from .simulate import (CHUNK_SIZE, IntegratorConfig, PathRecord, _apply_step,
                        _check_positive, _draw_block, _outside, _PathLog, _run_batches,
                        _step_draws, _step_setup, _within, derive_rng)
 
@@ -147,19 +147,19 @@ def _bridge_crossing_prob(sep0, sep1, r0, r1, sl1, sl2, u, lam: float, h: float)
                         np.exp(-2.0 * np.maximum(cross_num, 0.0) / (abar * h)))
 
 
-def _pair_rows(trunc: RowTruncator, X, Xt, K, Kt, bound1, bound2, cand):
+def _pair_rows(trunc: RowTruncator, X, Xt, K, Kt, screen: RegimeTable, cand):
     """One ``trunc.rows`` call for the candidate pairs ``cand``: the rows of
     their first sides, then of their second sides, and the level's regimes."""
     rows, _, ls = trunc.rows(np.concatenate([X.take(cand, axis=0), Xt.take(cand, axis=0)]),
-                             np.concatenate([K.take(cand), Kt.take(cand)]),
-                             bound=np.concatenate([bound1.take(cand), bound2.take(cand)]))
+                             np.concatenate([K.take(cand), Kt.take(cand)]), bound=screen)
     return cand, rows, ls
 
 
-def _switch_rows(truncs, probes: dict, X, Xt, K, Kt, bound1, bound2, cand, block_edges):
+def _switch_rows(truncs, probes: dict, X, Xt, K, Kt, screen: RegimeTable, cand, block_edges):
     """The coupled rate rows of the candidate pairs ``cand``, as a list of
     ``_pair_rows`` results.  Block j of the batch is truncated by
-    ``truncs[j]``, and ``block_edges`` holds the first pair of every block
+    ``truncs[j]``, ``screen`` checks every row against its regime's
+    whole-row bound, and ``block_edges`` holds the first pair of every block
     after the first.
 
     The candidates of all blocks whose truncators stand at one level L make
@@ -182,12 +182,12 @@ def _switch_rows(truncs, probes: dict, X, Xt, K, Kt, bound1, bound2, cand, block
                 probe = probes[L] = RowTruncator(truncs[0].rates, truncs[0].rel_tol,
                                                  l_start=L, l_cap=L)
             try:
-                out.append(_pair_rows(probe, X, Xt, K, Kt, bound1, bound2,
+                out.append(_pair_rows(probe, X, Xt, K, Kt, screen,
                                       np.concatenate([parts[j] for j in js])))
                 continue
             except TruncationError:
                 pass    # some block needs more than L: each goes its own way
-        out.extend(_pair_rows(truncs[j], X, Xt, K, Kt, bound1, bound2, parts[j]) for j in js)
+        out.extend(_pair_rows(truncs[j], X, Xt, K, Kt, screen, parts[j]) for j in js)
     return out
 
 
@@ -229,7 +229,8 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     at, or one per block where a level does not hold (``_switch_rows``);
     the candidates are the pairs whose first switch
     uniform falls below 1 - exp(-(Qbar_K + Qbar_K~) h), a threshold kept
-    per pair and recomputed only for the pairs whose regime changed.
+    per pair and recomputed only for the pairs whose regimes changed, from
+    the whole-row bounds of a ``RegimeTable``, which also checks the rows.
 
     Under reflection a coalesced pair is stepped once: ``_apply_step``
     evaluates the second side only at the pairs that have not coalesced and
@@ -269,9 +270,8 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     probes: dict = {}   # level -> truncator capped there, for the blocks at that level
     block_edges = m * np.arange(1, blocks)
     # the whole-row bounds do not depend on the truncation level
-    qbar1 = truncs[0].row_bound(K) * SCREEN_SLACK
-    qbar2 = truncs[0].row_bound(Kt) * SCREEN_SLACK
-    thresh = -np.expm1(-(qbar1 + qbar2) * h)
+    screen = RegimeTable(truncs[0], h)
+    thresh = -np.expm1(-(screen.bound(K) + screen.bound(Kt)) * h)
 
     def scan_marks(t):
         delta = row_norm(Xt - X)
@@ -325,19 +325,17 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
         Kn, Ktn = K, Kt
         if cand.size:
             Kn, Ktn = K.copy(), Kt.copy()
-            for c, rows, ls in _switch_rows(truncs, probes, X, Xt, K, Kt, qbar1, qbar2, cand,
+            for c, rows, ls in _switch_rows(truncs, probes, X, Xt, K, Kt, screen, cand,
                                             block_edges):
                 do, which, l_new = _coupled_switch(rows, ls, u1.take(c), u2.take(c), h)
                 if not do.size:
                     continue
                 fire = c.take(do)
                 one, two = which != 2, which != 1
-                first, second = fire[one], fire[two]
-                Kn[first] = l1 = l_new[one]
-                Ktn[second] = l2 = l_new[two]
-                qbar1[first] = truncs[0].row_bound(l1) * SCREEN_SLACK
-                qbar2[second] = truncs[0].row_bound(l2) * SCREEN_SLACK
-                thresh[fire] = -np.expm1(-(qbar1.take(fire) + qbar2.take(fire)) * h)
+                Kn[fire[one]] = l_new[one]
+                Ktn[fire[two]] = l_new[two]
+                thresh[fire] = -np.expm1(-(screen.bound(Kn.take(fire))
+                                           + screen.bound(Ktn.take(fire))) * h)
 
         if reflect:
             # within-step meeting via the Brownian-bridge crossing probability,

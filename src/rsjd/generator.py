@@ -19,6 +19,7 @@ bracket.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -374,6 +375,13 @@ def apply_generator_batch(spec: ModelSpec, f, xs, ks, **gen_kwargs) -> Generator
 # Lyapunov drift certificates
 
 
+def _check_finite(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite real number: an
+    infinite tolerance or constant makes every margin pass, and NaN none."""
+    if not (isinstance(value, numbers.Real) and np.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LyapunovCertificate:
     """Dissipation certificate A V <= -alpha * rate + beta * 1_{box x regimes}.
@@ -390,6 +398,10 @@ class LyapunovCertificate:
     rate_fn: Callable[..., np.ndarray] | None = None
     box: tuple | None = None
     regimes: tuple | None = None
+
+    def __post_init__(self):
+        for name in ("alpha", "beta"):
+            _check_finite(name, getattr(self, name))
 
     def indicator(self, x, k):
         """1_{box x regimes} at x: (..., d), k: (...); a float at one point."""
@@ -499,6 +511,7 @@ def check_lyapunov(spec: ModelSpec, cert: LyapunovCertificate, xs, ks,
     memory; evaluation failures are collected per point instead of aborting
     the sweep.
     """
+    _check_finite("tol", tol)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ks = np.asarray(ks, dtype=int)
     if xs.shape[0] != ks.shape[0]:

@@ -48,6 +48,11 @@ __all__ = [
 # ROW_SUM_ENTRIES // L paths (512 at L = 32) stays in cache; the sums do not
 # depend on it
 ROW_SUM_ENTRIES = 16384
+# relative slack on the whole-row bound Qbar_k of the switch screen, so that
+# round-off in a row sum can never drop a switch that should fire, and on the
+# r_max screen of the step loops, so that round-off in a norm can never hide
+# a crossing
+SCREEN_SLACK = 1.0 + 1e-12
 
 
 def _check_positive(name: str, value, *, finite: bool) -> None:
@@ -236,8 +241,12 @@ def rate_rows(rates: RateMatrixSpec, x: np.ndarray, k, L: int) -> np.ndarray:
     # and the (1, L) target grid to produce (n, L) rows
     q = np.asarray(rates.rate(x[..., None, :], k[..., None], ls[None, :]), dtype=float)
     if k.ndim:
-        q = np.where(ls[None, :] == k[..., None], 0.0, q)
-        np.maximum(q, 0.0, out=q)
+        # the clip makes the fresh array, whose diagonal is then zeroed
+        shape = k.shape + (L,)
+        if q.shape != shape:
+            q = np.broadcast_to(q, shape)
+        q = np.maximum(q, 0.0)
+        q[ls == k[..., None]] = 0.0
         return q
     # one regime: its diagonal is one column, zeroed after the clip
     if q.ndim < 2 or q.shape[-1] != L:
@@ -284,7 +293,10 @@ class RowTruncator:
     ``row_sums`` returns only the row sums, the q_k(x) that killed mode
     needs, certified the same way without holding the (n, L) array.  L
     starts at the integer ``l_start`` >= 1 and doubles up to the integer
-    ``l_cap`` >= ``l_start``.
+    ``l_cap`` >= ``l_start``.  Each ``tail_bound(k, L)`` is called once, for
+    a regime k that some row asked for, and kept in a dense table per L;
+    ``RegimeTable`` keeps the switch screen's thresholds per regime on top
+    of ``row_bound``.
     """
 
     def __init__(self, rates: RateMatrixSpec, rel_tol: float,
@@ -342,12 +354,27 @@ class RowTruncator:
         uniform in x."""
         return self._tail_bounds(k, 0)
 
-    def rows(self, x: np.ndarray, k: np.ndarray, bound: np.ndarray | None = None):
+    def _certifies(self, k: np.ndarray, s: np.ndarray, L: int) -> bool:
+        """Whether the tails at level L certify the row sums ``s`` of the
+        regimes ``k``: tail <= rel_tol * (s + tail) on every row.  The table
+        of L answers with one ``take``; an entry not yet asked for, and a
+        regime above the table, read NaN there and fail the test, and only
+        then does ``_tail_bounds`` fill in the tails and decide."""
+        table = self._table.get(L)
+        if table is not None:
+            tail = table.take(k, mode="clip")
+            if (tail <= self.rel_tol * (s + tail)).all():
+                return True
+        tail = self._tail_bounds(k, L)
+        return bool((tail <= self.rel_tol * (s + tail)).all())
+
+    def rows(self, x: np.ndarray, k: np.ndarray, bound: RegimeTable | None = None):
         """Return ``(rows, sums, ls)`` with rows[i, j] = q_{k_i, ls_j}(x_i),
         diagonal zeroed, ``sums = rows.sum(axis=1)`` and ``ls`` the read-only
         ``_regime_grid`` 1..L.
 
-        With ``bound`` (per path), a row whose sum exceeds it raises
+        With ``bound``, a ``RegimeTable`` over the same rates, a row whose sum
+        exceeds its regime's ``bound.bound(k)`` (``bound.holds``) raises
         ``TruncationError``: the model broke its declared row bound.
         """
         k = np.asarray(k)
@@ -355,11 +382,11 @@ class RowTruncator:
         while True:
             q = rate_rows(self.rates, x, k, L)
             s = q.sum(axis=-1)
-            tail = self._tail_bounds(k, L)
-            if (tail <= self.rel_tol * (s + tail)).all():
+            if self._certifies(k, s, L):
                 self._level = L
-                if bound is not None and (s > bound).any():
-                    i = int(np.argmax(s - bound))
+                if bound is not None and not bound.holds(k, s):
+                    b = bound.bound(k)
+                    i = int(np.argmax(s - b))
                     raise TruncationError(
                         f"rate row sum {s[i]!r} (k={int(k[i])}) exceeds the declared "
                         f"whole-row bound tail_bound(k, 0)")
@@ -399,14 +426,67 @@ class RowTruncator:
                     q.sum(axis=-1, out=s[lo:hi])
                 else:   # a row that depends on neither x nor the paths' own k
                     s[lo:hi] = q.sum(axis=-1)
-            tail = self._tail_bounds(kk, L)
-            if bool((tail <= self.rel_tol * (s + tail)).all()):
+            if self._certifies(kk, s, L):
                 self._level = L
                 return s
             if L >= self.l_cap:
                 raise TruncationError(
                     f"rate rows not summable to rel_tol={self.rel_tol} within L={self.l_cap}")
             L *= 2
+
+
+class RegimeTable:
+    """The switch screen of the step loops for one step size h, by regime.
+
+    A regime k has the whole-row bound ``bound(k) = tail_bound(k, 0) *
+    SCREEN_SLACK``, read through ``trunc.row_bound`` and its dense table,
+    and the screen threshold ``-expm1(-bound(k) h)``, kept here in
+    ``thresholds``.  As q_k(x) <= Qbar_k, only a path whose first switch
+    uniform falls below its regime's threshold can switch.  The threshold is
+    the element-wise formula, so a value looked up has the bits that
+    computing it path by path gives.
+
+    ``thresholds`` fills lazily and is sized as the truncator's tables are:
+    a regime's ``tail_bound(k, 0)`` is called only when a path is looked up
+    in it, the table covers regimes 0..level, NaN marks an entry not yet
+    filled, and the slot after the last is never filled, so a lookup with
+    ``mode="clip"`` of a regime above the table reads NaN too.  Every NaN
+    sends the lookup to the formula.
+    """
+
+    def __init__(self, trunc: RowTruncator, h: float):
+        self.trunc = trunc
+        self.h = h
+        self.thresholds = np.full(1, np.nan)
+
+    def bound(self, k: np.ndarray) -> np.ndarray:
+        """Per-path whole-row bounds tail_bound(k, 0) * SCREEN_SLACK."""
+        return self.trunc.row_bound(k) * SCREEN_SLACK
+
+    def holds(self, k: np.ndarray, s: np.ndarray) -> bool:
+        """Whether no row sum ``s`` exceeds its regime's ``bound(k)``.  The
+        truncator's table answers with one ``take``; an entry not yet filled,
+        and a regime above the table, read NaN there and fail the test, and
+        only then is ``bound(k)`` computed."""
+        tails = self.trunc._table.get(0)
+        if tails is not None and (s <= tails.take(k, mode="clip") * SCREEN_SLACK).all():
+            return True
+        return not (s > self.bound(k)).any()
+
+    def threshold(self, k: np.ndarray) -> np.ndarray:
+        """Per-path screen thresholds -expm1(-bound(k) h), a new array."""
+        t = self.thresholds.take(k, mode="clip")
+        if not np.isnan(t).any():
+            return t
+        k = np.asarray(k)
+        t = -np.expm1(-self.bound(k) * self.h)
+        top = self.trunc.level + 1
+        if self.thresholds.size <= top:
+            self.thresholds = np.concatenate(
+                [self.thresholds, np.full(top + 1 - self.thresholds.size, np.nan)])
+        near = k < top
+        self.thresholds[k[near]] = t[near]
+        return t
 
 
 # ---------------------------------------------------------------------------

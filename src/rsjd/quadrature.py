@@ -170,6 +170,12 @@ def integrate(spec: ModelSpec, integrand: Callable, states: tuple, lo: float, hi
     converges, so its whole contribution is added to the estimate too.
     Raises ``QuadratureError`` when an estimate exceeds
     max(100 tol, 1e-6 (1 + |value|)) or is not finite.
+
+    An (n, m) integrand's sums go through one (rows, m) @ (m, 3) product
+    per block, whose last bits depend on the number of rows: a state's value
+    can differ in the last bits with the number of states that share its
+    block, so one call over a grid and one call per point of it need not
+    agree bit for bit.
     """
     plan = _plan(spec.jump_measure, spec.jump_radial, lo, hi)
     states = [np.asarray(s) for s in states]

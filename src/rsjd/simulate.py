@@ -60,7 +60,8 @@ import numpy as np
 from . import quadrature
 from ._csv import write_csv
 from ._linalg import row_norm, sqrt_psd_batched
-from .model import HybridState, ModelSpec, RowTruncator, _check_positive
+from .model import (SCREEN_SLACK, HybridState, ModelSpec, RegimeTable, RowTruncator,
+                    _check_positive)
 
 __all__ = [
     "IntegratorConfig",
@@ -78,10 +79,6 @@ CHUNK_SIZE = 4096  # fixed chunk width; part of the determinism contract
 # DRAW_PATH_STEPS // n steps at a time, at least one; the numbers do not
 # depend on it
 DRAW_PATH_STEPS = 8192
-# relative slack on the whole-row bound Qbar_k, so that round-off in a row sum
-# can never drop a switch that should fire, and on the r_max screen of
-# ``_outside``, so that round-off in a norm can never hide a crossing
-SCREEN_SLACK = 1.0 + 1e-12
 COMP_QUAD_TOL = 1e-10  # tolerance of the fallback compensator quadrature
 
 
@@ -449,22 +446,23 @@ def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
     of eigenvalues clamped in the roots of both sides, a row not evaluated
     counting its first side's twice.
     """
-    sqh = np.sqrt(h)
+    sqh = math.sqrt(h)
     refl = None
-    side_draws = [draws] * len(sides)
-    if rows2 is not None:
+    # (x, k, draws) of every side that is evaluated
+    if rows2 is None:
+        sides = [(x, k, draws) for x, k in sides]
+    else:
         (X, K), (Xt, Kt) = sides
-        sides, side_draws = sides[:1], side_draws[:1]
+        sides = [(X, K, draws)]
         if rows2.size:
-            sides += ((Xt.take(rows2, axis=0), Kt.take(rows2)),)
-            side_draws.append(draws.take(rows2))
+            sides.append((Xt.take(rows2, axis=0), Kt.take(rows2), draws.take(rows2)))
     if lam is None:
         dxs = [np.asarray(spec.drift(x, k), dtype=float) * h
                + sqh * np.einsum("nij,nj->ni", np.asarray(spec.sigma(x, k), dtype=float), dr.z)
-               for (x, k), dr in zip(sides, side_draws)]
+               for x, k, dr in sides]
     else:
-        sqlam = np.sqrt(lam)
-        (X, K), d1 = sides[0], side_draws[0]
+        sqlam = math.sqrt(lam)
+        X, K, d1 = sides[0]
         sl1, c1 = _sigma_lambda(spec, X, K, lam)
         dxs = [np.asarray(spec.drift(X, K), dtype=float) * h
                + sqh * (np.einsum("nij,nj->ni", sl1, d1.z) + sqlam * d1.z2)]
@@ -473,7 +471,7 @@ def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
         clamps = 2 * np.count_nonzero(c1)
         sl2 = u = None
         if len(sides) == 2:
-            (Xt, Kt), d2 = sides[1], side_draws[1]
+            Xt, Kt, d2 = sides[1]
             sl2, c2 = _sigma_lambda(spec, Xt, Kt, lam)
             clamps += np.count_nonzero(c2) - np.count_nonzero(
                 c1 if rows2 is None else c1.take(rows2, axis=0))
@@ -487,23 +485,21 @@ def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
         refl = (sl1, sl2, u, clamps)
 
     if eps is not None:
-        for (x, k), dx in zip(sides, dxs):
+        for (x, k, dr), dx in zip(sides, dxs):
             comp = spec.jump_compensator(x, k, eps) if spec.jump_compensator is not None \
                 else _compensator_quadrature(spec, x, k, eps)
             dx -= np.asarray(comp, dtype=float) * h
-        for (x, k), dx, dr in zip(sides, dxs, side_draws):
-            if dr.hit is None:
-                continue
-            disp = np.asarray(spec.jump_coeff(x.take(dr.hit, axis=0), k.take(dr.hit), dr.marks),
-                              dtype=float)
-            # column by column: ufunc.at over a 1-d array takes numpy's fast path
-            for j in range(disp.shape[1]):
-                np.add.at(dx[:, j], dr.hit, disp[:, j])
-        if draws.zg is not None:
-            # a shared draw keeps the substitute synchronous; per-side roots
-            # preserve each marginal's covariance exactly
-            for (x, k), dx, dr in zip(sides, dxs, side_draws):
-                root, _ = sqrt_psd_batched(np.asarray(spec.small_jump_cov(x, k, eps), dtype=float))
+            if dr.hit is not None:
+                disp = np.asarray(spec.jump_coeff(x.take(dr.hit, axis=0), k.take(dr.hit),
+                                                  dr.marks), dtype=float)
+                # column by column: ufunc.at over a 1-d array takes numpy's fast path
+                for j in range(disp.shape[1]):
+                    np.add.at(dx[:, j], dr.hit, disp[:, j])
+            if dr.zg is not None:
+                # a shared draw keeps the substitute synchronous; per-side roots
+                # preserve each marginal's covariance exactly
+                root, _ = sqrt_psd_batched(np.asarray(spec.small_jump_cov(x, k, eps),
+                                                      dtype=float))
                 dx += sqh * np.einsum("nij,nj->ni", root, dr.zg)
     if rows2 is not None:
         dx2 = dxs[0].copy()
@@ -523,10 +519,12 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     uniforms, see the module docstring), and each step takes its increment
     from ``_apply_step``.  Rate rows are built only for the switch
     candidates, the paths whose first switch uniform falls below
-    1 - exp(-Qbar_k h), a threshold kept per path and recomputed only for
-    the paths that switched; the switch law is the same as building every
-    row.  "frozen" keeps the regime, and "killed" keeps it too and
-    accumulates the trapezoid rule for int q_k(X(s)) ds.
+    1 - exp(-Qbar_k h); the switch law is the same as building every row.
+    The threshold is kept per path, and a path that switched takes its new
+    regime's threshold from a ``RegimeTable``, which also gives the
+    whole-row bound that ``rows`` checks each candidate's row against.
+    "frozen" keeps the regime, and "killed" keeps it too and accumulates
+    the trapezoid rule for int q_k(X(s)) ds.
 
     Until the first path is censored the step skips the per-path selects
     that keep a censored path frozen, and ``_outside`` screens the r_max
@@ -550,8 +548,8 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     # path with u1 < 1 - exp(-Qbar_k h) can switch and needs its rate row;
     # the threshold is kept per path and moves only with the path's regime.
     if switching:
-        qbar = trunc.row_bound(k) * SCREEN_SLACK
-        thresh = -np.expm1(-qbar * h)
+        screen = RegimeTable(trunc, h)
+        thresh = screen.threshold(k)
     alive = np.ones(n, dtype=bool)
     all_alive = True   # alive.all(), kept as a bool
     exit_time = np.full(n, np.inf)
@@ -578,19 +576,17 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
                 below &= alive
             cand = below.nonzero()[0]
             if cand.size:
-                rows, qk, ls = trunc.rows(x.take(cand, axis=0), k.take(cand),
-                                          bound=qbar.take(cand))
+                rows, qk, ls = trunc.rows(x.take(cand, axis=0), k.take(cand), bound=screen)
                 # a zero row has threshold 0, which no uniform in [0, 1) falls below
                 do = (u1.take(cand) < -np.expm1(-qk * h)).nonzero()[0]
                 if do.size:
                     fire = cand.take(do)
-                    cum = np.cumsum(rows.take(do, axis=0), axis=1)
+                    cum = rows.take(do, axis=0).cumsum(axis=1)
                     tgt = u2.take(fire) * qk.take(do)
                     idx = np.minimum((cum < tgt[:, None]).sum(axis=1), rows.shape[1] - 1)
                     kn = k.copy()
                     kn[fire] = k_fire = ls.take(idx)
-                    qbar[fire] = q_fire = trunc.row_bound(k_fire) * SCREEN_SLACK
-                    thresh[fire] = -np.expm1(-q_fire * h)
+                    thresh[fire] = screen.threshold(k_fire)
         elif killed:
             # a state that is not finite has no rate row: its path, censored
             # at this step, keeps its last rate
@@ -635,7 +631,7 @@ def _within(x: np.ndarray, r: float) -> bool:
 
 def _outside(x: np.ndarray, r_max: float):
     """The rows to censor as a mask, or None when there are none (``_within``
-    screens them with one max/min pair): a row with a NaN or infinite
+    screens them with the batch's largest and smallest coordinates): a row with a NaN or infinite
     coordinate, or with ``row_norm(x) > r_max``."""
     if _within(x, r_max):
         return None

@@ -365,3 +365,10 @@ class TestTrend:
         assert not ok
         ok, _ = trend_ok([res(0.1, 0.001), res(0.05, 0.001), res(0.08, 0.001)], 0.05)
         assert not ok
+
+    @pytest.mark.parametrize("threshold", [float("inf"), float("nan"), -1e-3, "0.1", None])
+    def test_threshold_must_be_finite_and_nonnegative(self, threshold):
+        # an infinite threshold made every last estimate lie below it
+        res = [EstimatorResult(1.0, 0.1, (0.8, 1.2), 10)]
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            trend_ok(res, threshold)

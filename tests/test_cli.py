@@ -122,9 +122,10 @@ def test_bad_ball_center_exits_2(command, ball, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("tol", ["nan", "-0.1", "-inf"])
+@pytest.mark.parametrize("tol", ["nan", "-0.1", "-inf", "inf"])
 def test_invariant_rejects_bad_tv_tol_before_simulating(tol, tmp_path, monkeypatch, capsys):
-    # a NaN tolerance used to run the whole ensemble, then exit 1
+    # a NaN tolerance used to run the whole ensemble, then exit 1; an
+    # infinite one passed every start
     def never(*args, **kwargs):
         raise AssertionError("simulated before checking --tv-tol")
 
@@ -133,7 +134,57 @@ def test_invariant_rejects_bad_tv_tol_before_simulating(tol, tmp_path, monkeypat
             "--t-burn", "0.5", "--t-end", "1", "--paths", "8", f"--tv-tol={tol}",
             "--outdir", str(tmp_path)]
     assert cli.run(argv) == 2
-    assert "--tv-tol must be nonnegative" in capsys.readouterr().err
+    assert "--tv-tol must be finite and nonnegative" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+FELLER = ["feller", "--model", "example51", "--x", "0", "--k", "1", "--separations", "0.2,0.1",
+          "--t", "0.05", "--n", "64"]
+LYAPUNOV = ["lyapunov", "--model", "example52", "--grid=-5:5:3", "--kmax", "2"]
+KILLED = ["killed", "--model", "example51", "--start", "0,1", "--ball", "0,1", "--t", "0.25",
+          "--h", "0.0625", "--n", "8"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # feller passed with trend_ok=True at an infinite threshold (exit 0), and
+    # failed as a check at NaN (exit 1)
+    (FELLER + ["--threshold", "inf"], "--threshold must be finite and nonnegative"),
+    (FELLER + ["--threshold", "nan"], "--threshold must be finite and nonnegative"),
+    (FELLER + ["--threshold", "-0.5"], "--threshold must be finite and nonnegative"),
+    (["strong-feller", *FELLER[1:], "--threshold", "inf"], "--threshold must be finite"),
+    # lyapunov "held" at an infinite tolerance or beta, and failed at NaN
+    (LYAPUNOV + ["--tol", "inf"], "tol must be finite"),
+    (LYAPUNOV + ["--tol", "nan"], "tol must be finite"),
+    (LYAPUNOV + ["--beta", "inf"], "beta must be finite"),
+    (LYAPUNOV + ["--alpha=-inf"], "alpha must be finite"),
+    # a NaN grid bound was reported as a violated certificate (exit 1)
+    (["lyapunov", "--model", "example52", "--grid=-5:nan:3", "--kmax", "2"],
+     "--grid needs finite bounds"),
+    (["validate", "--model", "example52", "--grid=-inf:5:3"], "--grid needs finite bounds"),
+    (["validate", "--model", "example52", "--grid=-5:5"], "--grid must read lo:hi:n"),
+    # no regimes: numpy's "zero-size array to reduction operation maximum"
+    (["lyapunov", "--model", "example52", "--grid=-5:5:3", "--kmax", "0"],
+     "--kmax must be at least 1"),
+    # a NaN --m-grid bound doubled L to 2^20 and exited 1; zero points exited
+    # 2 with numpy's "zero-size array" message
+    (KILLED + ["--m-grid=nan:20:11"], "--m-grid needs finite bounds"),
+    (KILLED + ["--m-grid=-20:20:0"], "--m-grid needs finite bounds and at least one point"),
+    # dynkin passed every z-score at an infinite --z-max (exit 0)
+    (["dynkin", "--model", "example52", "--x", "0.5,0.5", "--n", "64", "--z-max", "inf"],
+     "--z-max must be finite and nonnegative"),
+    (["dynkin", "--model", "example52", "--x", "0.5,0.5", "--n", "64", "--z-max", "nan"],
+     "--z-max must be finite and nonnegative"),
+])
+def test_vacuous_check_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before checking the options")
+
+    for name in ("feller_modulus", "strong_feller_modulus", "estimate_killed_subtransition"):
+        monkeypatch.setattr(cli.analysis, name, never)
+    monkeypatch.setattr(cli, "validate_model", never)
+    monkeypatch.setattr(cli, "dynkin_check", never)
+    assert cli.run([*argv, "--outdir", str(tmp_path)]) == cli.EXIT_INPUT_ERROR
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -158,6 +158,18 @@ class TestLyapunov:
         rep = check_lyapunov(spec, cert, xs, np.ones(9, dtype=int))
         assert rep.ok and rep.max_margin <= 0.0
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "tol"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_constants_must_be_finite(self, field, bad):
+        # an infinite tol or beta made every margin pass, and NaN none
+        spec = example52(1.0)
+        consts = {"alpha": 1.0 / 6.0, "beta": 2.5, "tol": 1e-6, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cert = LyapunovCertificate(V=spec.default_lyapunov, alpha=consts["alpha"],
+                                       beta=consts["beta"])
+            check_lyapunov(spec, cert, np.zeros((1, 2)), np.ones(1, dtype=int),
+                           tol=consts["tol"])
+
     def test_example52_small_grid(self):
         spec = example52(1.0)
         cert = LyapunovCertificate(V=spec.default_lyapunov, alpha=1.0 / 6.0, beta=2.5)
