@@ -334,6 +334,8 @@ def _cmd_invariant(args) -> int:
     analysis._check_threshold(args.tv_tol, "--tv-tol")
     spec = resolve_model(args.model)
     starts = [_parse_state(s) for s in args.starts.split(";")]
+    if len(starts) < 2:
+        raise ValueError("--starts needs at least two states to compare")
     lo, hi = (float(v) for v in args.box.split(":"))
     part = analysis.Partition(lo=(lo,) * spec.d, hi=(hi,) * spec.d,
                               bins=(args.bins,) * spec.d, k_max=args.kmax)

@@ -315,7 +315,7 @@ def _generator(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
 
     if not f.k_independent:
         levels, tails = _regime_levels(f, spec.rates, xs, ks, tail_tol, l_cap)
-        for L in np.unique(levels).tolist():
+        for L in sorted(set(levels.tolist())):
             idx = np.flatnonzero(levels == L)
             q = rate_rows(spec.rates, xs[idx], ks[idx], L)
             x = np.broadcast_to(xs[idx, None, :], (len(idx), L, xs.shape[1]))

@@ -147,10 +147,10 @@ class RateMatrixSpec:
     screen for switches, so it must be valid at L = 0; a built row whose sum
     exceeds it raises ``TruncationError``, and so does a NaN, infinite or
     negative tail.  The optional closed form ``row_sum(x, k)`` of q_k(x) is an
-    oracle for tests only: killed mode takes ``RowTruncator.row_sums``, the
-    sums of its truncated rows, as the closed form differs at round-off and
-    would move the killed weights.  ``kappa0``, when given, must be positive
-    and finite.
+    oracle for tests only: a killed run's survival weight takes
+    ``RowTruncator.row_sums``, the sums of its truncated rows, as the closed
+    form differs at round-off and would move the weights.  ``kappa0``, when
+    given, must be positive and finite.
     """
 
     rate: Callable[..., np.ndarray]
@@ -290,8 +290,8 @@ class RowTruncator:
     Used by the integrators: ``rows`` produces rows as an (n, L) array over
     the common regime grid 1..L, with L grown adaptively until the uniform
     tail bound is below ``rel_tol`` relative to every row sum in the batch.
-    ``row_sums`` returns only the row sums, the q_k(x) that killed mode
-    needs, certified the same way without holding the (n, L) array.  L
+    ``row_sums`` returns only the row sums, the q_k(x) of a killed run's
+    survival weight, certified the same way without the (n, L) array.  L
     starts at the integer ``l_start`` >= 1 and doubles up to the integer
     ``l_cap`` >= ``l_start``.  Each ``tail_bound(k, L)`` is called once, for
     a regime k that some row asked for, and kept in a dense table per L;
@@ -333,7 +333,7 @@ class RowTruncator:
         vals = table.take(k, mode="clip")
         missing = np.isnan(vals)
         if missing.any():
-            for kk in np.unique(k[missing]).tolist():
+            for kk in sorted(set(k[missing].tolist())):
                 v = self._tails.get((kk, L))
                 if v is None:
                     v = self._tails[kk, L] = certified_tail(self.rates, kk, L)
@@ -404,7 +404,7 @@ class RowTruncator:
         consecutive paths, and each block's rows are summed at once.  A block
         whose paths share one regime passes it as a scalar, so the model
         computes its regime-only factors once per block; a batch of one
-        regime, as killed mode from one start always is, is recognized once
+        regime, as a killed run from one start always is, is recognized once
         per call.  The sums are certified once per level; a level that fails
         is doubled and the batch summed again.
         """

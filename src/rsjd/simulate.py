@@ -1,10 +1,10 @@
 """Time stepping for the hybrid system: Euler-Maruyama with compensated jumps
 plus per-step regime switching.
 
-Every simulator takes a ``regime`` mode: "switching" (the full process,
-steps 1-5 below), "frozen" (the regime never moves: the process X^(k) of
-one fixed regime, steps 1-4) or "killed" (the frozen process plus the
-survival weight exp(-int q_k(X(s)) ds) of the killed sub-transition).
+An ensemble takes a ``regime`` mode: "switching" (the full process, steps
+1-5 below), "frozen" (the regime never moves: the process X^(k) of one
+fixed regime, steps 1-4) or "killed" (frozen, with a step observer that
+sums the survival weight exp(-int q_k(X(s)) ds) of the killed process).
 
 One step of size h from state (x, k):
 
@@ -510,52 +510,44 @@ def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
 
 
 def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConfig,
-            streams, *, regime: str = "switching", observe: Callable | None = None):
+            streams, *, switching: bool = True, observers: Sequence[Callable] = ()):
     """Advance an (n, d) batch over the full grid.  Core of every simulator.
 
     ``streams`` holds the batch's ``(rng, lo, hi)`` segments.  The draws
     come from ``_draw_block``, a block of steps at a time, the two switch
-    uniforms included under "switching" (drawn in one call with the mark
+    uniforms included under ``switching`` (drawn in one call with the mark
     uniforms, see the module docstring), and each step takes its increment
     from ``_apply_step``.  Rate rows are built only for the switch
     candidates, the paths whose first switch uniform falls below
     1 - exp(-Qbar_k h); the switch law is the same as building every row.
     The threshold is kept per path, and a path that switched takes its new
     regime's threshold from a ``RegimeTable``, which also gives the
-    whole-row bound that ``rows`` checks each candidate's row against.
-    "frozen" keeps the regime, and "killed" keeps it too and accumulates
-    the trapezoid rule for int q_k(X(s)) ds.
+    whole-row bound that ``rows`` checks each candidate's row against;
+    without ``switching`` the regime never moves.
 
     Until the first path is censored the step skips the per-path selects
     that keep a censored path frozen, and ``_outside`` screens the r_max
     guard, and the censoring of a non-finite state, with the largest
     coordinate before it computes any norm; both give the numbers of the
     full forms.
-    ``observe(i, t, x, k, alive, draws)`` sees the batch after step i, with
-    ``draws`` the ``StepDraws`` of that step (None at i = 0).
+    ``observers`` each see the batch after step i, in order, as ``(i, t, x,
+    k, alive, draws)``, with ``draws`` that step's ``StepDraws`` (None at i = 0).
     """
-    if regime not in ("switching", "frozen", "killed"):
-        raise ValueError(f"regime must be 'switching', 'frozen' or 'killed', not {regime!r}")
-    switching = regime == "switching"
-    killed = regime == "killed"
-    n = x0.shape[0]
     x = x0.astype(float).copy()
     k = k0.astype(np.int64).copy()
     nsteps, h, eps, lam_rate, gaussian, row_tol = _step_setup(spec, cfg)
-    trunc = RowTruncator(spec.rates, row_tol) if switching or killed else None
 
     # Exact switch pre-screen: q_k(x) <= Qbar_k = tail_bound(k, 0), so only a
     # path with u1 < 1 - exp(-Qbar_k h) can switch and needs its rate row;
     # the threshold is kept per path and moves only with the path's regime.
     if switching:
+        trunc = RowTruncator(spec.rates, row_tol)
         screen = RegimeTable(trunc, h)
         thresh = screen.threshold(k)
-    alive = np.ones(n, dtype=bool)
+    alive = np.ones(len(x0), dtype=bool)
     all_alive = True   # alive.all(), kept as a bool
-    exit_time = np.full(n, np.inf)
-    kill_int = np.zeros(n) if killed else None
-    q_prev = trunc.row_sums(x, k) if killed else None
-    if observe is not None:
+    exit_time = np.full(len(x0), np.inf)
+    for observe in observers:
         observe(0, 0.0, x, k, alive, None)
 
     step_draws = _step_draws(streams, spec, h, eps, lam_rate, nsteps, gaussian=gaussian,
@@ -587,18 +579,6 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
                     kn = k.copy()
                     kn[fire] = k_fire = ls.take(idx)
                     thresh[fire] = screen.threshold(k_fire)
-        elif killed:
-            # a state that is not finite has no rate row: its path, censored
-            # at this step, keeps its last rate
-            fin = None if newly is None else np.isfinite(xn).all(axis=1)
-            if fin is None or fin.all():
-                q_new = trunc.row_sums(xn, k)
-            else:
-                q_new = q_prev.copy()
-                q_new[fin] = trunc.row_sums(xn[fin], k[fin])
-            step_int = 0.5 * h * (q_prev + q_new)
-            kill_int += step_int if all_alive else np.where(alive, step_int, 0.0)
-            q_prev = q_new
 
         if newly is not None:
             if not all_alive:
@@ -609,13 +589,10 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
                 all_alive = False
 
         x, k = xn, kn
-        if observe is not None:
+        for observe in observers:
             observe(i + 1, t_next, x, k, alive, draws)
 
-    out = {"x": x, "k": k, "exit_time": exit_time}
-    if killed:
-        out["weight"] = np.exp(-kill_int)
-    return out
+    return {"x": x, "k": k, "exit_time": exit_time}
 
 
 def _within(x: np.ndarray, r: float) -> bool:
@@ -704,20 +681,48 @@ class _PathLog:
         return rec
 
 
+class _Survival:
+    """Step observer for the survival weight exp(-int q_k(X(s)) ds) of a frozen
+    batch: the trapezoid rule, where step i adds 0.5 h (q(x_i) + q(x_{i+1})) to
+    each path alive at its start, and a state that is not finite keeps its last rate."""
+
+    def __init__(self, spec: ModelSpec, cfg: IntegratorConfig):
+        _, self.h, *_, row_tol = _step_setup(spec, cfg)
+        self.trunc = RowTruncator(spec.rates, row_tol)
+        self.alive, self.integral = None, 0.0   # alive at the step's start, None while all are
+
+    def __call__(self, i, t, x, k, alive, draws):
+        if self.alive is None and alive.all():   # a non-finite state would be censored
+            q, now = self.trunc.row_sums(x, k), None
+        else:
+            fin = np.isfinite(x).all(axis=1)
+            q, now = self.q.copy(), alive.copy()
+            q[fin] = self.trunc.row_sums(x[fin], k[fin])
+        if i:
+            step = 0.5 * self.h * (self.q + q)
+            self.integral += step if self.alive is None else np.where(self.alive, step, 0.0)
+        self.q, self.alive = q, now
+
+    @property
+    def weight(self) -> np.ndarray:
+        return np.exp(-self.integral)
+
+
 def _recorded_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig, seed: int,
-                   regime: str = "switching"):
-    """One fully recorded path: (PathRecord, raw ``_evolve`` output)."""
+                   *observers: Callable, switching: bool = True) -> PathRecord:
+    """One fully recorded path; ``observers`` see its steps after the log."""
     spec.check_state(start)
     log = _PathLog()
     out = _evolve(spec, start.x[None, :], np.array([start.k]), cfg,
-                  ((derive_rng(seed, 0, 0), 0, 1),), regime=regime, observe=log)
-    return log.record(spec, cfg, seed, out["exit_time"][0], dropped=True), out
+                  ((derive_rng(seed, 0, 0), 0, 1),), switching=switching,
+                  observers=(log, *observers))
+    return log.record(spec, cfg, seed, out["exit_time"][0], dropped=True)
 
 
 def simulate_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig,
                   seed: int) -> PathRecord:
     """Simulate a single trajectory with full grid and event recording."""
-    return _recorded_path(spec, start, cfg, seed)[0]
+    return _recorded_path(spec, start, cfg, seed)
 
 
 def simulate_killed_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig,
@@ -725,8 +730,9 @@ def simulate_killed_path(spec: ModelSpec, start: HybridState, cfg: IntegratorCon
     """Simulate the frozen-regime path and its survival weight
     exp(-int_0^T q_k(X(s)) ds), the sub-probability reweighting for the
     killed process.  Returns (PathRecord, weight)."""
-    rec, out = _recorded_path(spec, start, cfg, seed, regime="killed")
-    return rec, float(out["weight"][0])
+    survival = _Survival(spec, cfg)
+    rec = _recorded_path(spec, start, cfg, seed, survival, switching=False)
+    return rec, float(survival.weight[0])
 
 
 def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState],
@@ -761,13 +767,16 @@ def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState
     numbers.
 
     ``regime`` is "switching", "frozen" or "killed" (see the module
-    docstring); only "killed" fills ``weight``.  ``observer(block)`` is
+    docstring); only "killed" fills ``weight``, from a ``_Survival``
+    observer called after the caller's.  ``observer(block)`` is
     called once per batch, with ``block`` the start index of each of the
     batch's paths, and returns a callable ``(i, t, x, k, alive, draws)``
     that sees the batch after every step i, with ``draws`` the step's
     ``StepDraws`` (None at i = 0), which hold only during the call; the
     callables, in batch order, come back in ``observers``.
     """
+    if regime not in ("switching", "frozen", "killed"):
+        raise ValueError(f"regime must be 'switching', 'frozen' or 'killed', not {regime!r}")
     starts = [start] if isinstance(start, HybridState) else list(start)
     if not starts:
         raise ValueError("need at least one start")
@@ -798,8 +807,12 @@ def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState
         blk = block[lo:hi]
         if observer is not None:
             observers[b] = observer(blk)
-        return slice(lo, hi), _evolve(spec, x_start[blk], k_start[blk], cfg, streams,
-                                      regime=regime, observe=observers[b])
+        survival = _Survival(spec, cfg) if regime == "killed" else None
+        out = _evolve(spec, x_start[blk], k_start[blk], cfg, streams,
+                      switching=regime == "switching",
+                      observers=[ob for ob in (observers[b], survival) if ob is not None])
+        out["weight"] = None if survival is None else survival.weight   # merged when killed
+        return slice(lo, hi), out
 
     names = ("x", "k", "exit_time") + (("weight",) if regime == "killed" else ())
     return EnsembleResult(**_run_batches(work, len(batches), threads, n_paths, names),

@@ -138,6 +138,21 @@ def test_invariant_rejects_bad_tv_tol_before_simulating(tol, tmp_path, monkeypat
     assert not list(tmp_path.iterdir())
 
 
+def test_invariant_needs_two_starts(tmp_path, monkeypatch, capsys):
+    # one start printed "max pairwise TV=0.0000": with no pair, the check
+    # between starts passed without comparing anything
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking --starts")
+
+    monkeypatch.setattr(cli.analysis, "estimate_invariant", never)
+    argv = ["invariant", "--model", "example52", "--starts", "0,0,1", "--h", "0.1",
+            "--t-burn", "0.5", "--t-end", "1", "--paths", "8", "--box=-3:3",
+            "--outdir", str(tmp_path)]
+    assert cli.run(argv) == cli.EXIT_INPUT_ERROR
+    assert "--starts needs at least two states" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 FELLER = ["feller", "--model", "example51", "--x", "0", "--k", "1", "--separations", "0.2,0.1",
           "--t", "0.05", "--n", "64"]
 LYAPUNOV = ["lyapunov", "--model", "example52", "--grid=-5:5:3", "--kmax", "2"]

@@ -1,4 +1,6 @@
-"""Import guard: scipy and yaml load only where a command uses them.
+"""Import guard: scipy and yaml load only where a command uses them, and
+``numpy.ma`` (which ``np.unique`` imports on its first call) not at all in
+the commands below.
 
 Each check runs in a fresh interpreter, since this test session has long
 since imported both.
@@ -15,11 +17,12 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 LOADED = ("json.dumps(sorted(m for m in sys.modules "
-          "if m.split('.')[0] in ('scipy', 'yaml')))")
+          "if m.split('.')[0] in ('scipy', 'yaml') or m.split('.')[:2] == ['numpy', 'ma']))")
 
 
 def loaded_after(code: str, cwd) -> set:
-    """The scipy/yaml modules a fresh interpreter holds after running ``code``."""
+    """The scipy, yaml and numpy.ma modules a fresh interpreter holds after
+    running ``code``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", f"import json, sys\n{code}\nprint({LOADED})"],
                          cwd=cwd, env=env, capture_output=True, text=True, check=True)

@@ -262,7 +262,7 @@ class TestPositiveFields:
         assert not (tmp_path / "strong-feller.json").exists()
         assert run(["irreducible", "--model", "example51", "--start", "0,1", "--target", "0,1",
                     "--regime", "2", "--t=inf", "--outdir", str(tmp_path)]) == 2
-        assert run(["invariant", "--model", "example51", "--starts", "0,1", "--t-end=inf",
+        assert run(["invariant", "--model", "example51", "--starts", "0,1;1,1", "--t-end=inf",
                     "--outdir", str(tmp_path)]) == 2
 
     def test_step_count(self, tmp_path):
