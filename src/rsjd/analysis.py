@@ -129,7 +129,7 @@ def estimate_semigroup(spec: ModelSpec, f, start: HybridState, t: float, n_paths
     return _mean_result(alive_vals, n_censored=int(cen.sum()), extra=extra)
 
 
-def _coupled_diff_result(spec, f, ens, t, bound) -> EstimatorResult:
+def _coupled_diff_result(f, ens, t, bound) -> EstimatorResult:
     vals1 = np.asarray(f.fn(ens.x, ens.k), dtype=float)
     vals2 = np.asarray(f.fn(ens.xt, ens.kt), dtype=float)
     cen = np.isfinite(ens.exit_time)
@@ -165,7 +165,7 @@ def _modulus_sweep(spec: ModelSpec, f, x, xt_sequence, k: int, t: float, n_paths
     ens = couple_ensemble(spec, HybridState(np.asarray(x, dtype=float), k), seconds,
                           replace(cfg, horizon=t), len(seconds) * n_paths, seed,
                           threads=threads, stream=0)
-    return [_coupled_diff_result(spec, f, block, t, f.bound)
+    return [_coupled_diff_result(f, block, t, f.bound)
             for block in ens.blocks(len(seconds))]
 
 
@@ -641,7 +641,10 @@ def reflection_cross_covariance(spec: ModelSpec, x, xt, k: int, h: float, n: int
     E[dX dX~^T] = [lam (I - 2uu^T) + s_lam(x) s_lam(x~)^T] h.  Jumps are
     excluded: they are synchronous and carry their own (separate) cross term,
     while this test isolates the engineered Brownian cross-covariance.
+    ``n`` must be at least 2, for the sample standard deviation.
     """
+    if n < 2:
+        raise ValueError(f"the stderr needs at least two samples, got n={n}")
     x = np.asarray(x, dtype=float)
     xt = np.asarray(xt, dtype=float)
     if np.allclose(x, xt):
@@ -715,8 +718,11 @@ def verify_coupling_drift(spec: ModelSpec, Gf: GFunction, pairs, h_small: float,
     the allowance combining the Taylor scale 2 lambda_R sqrt(4 lambda_R h)/r0
     and the early-stopping deficit 2 lambda_R p_cross.  Pair separations must
     respect the gauge's validity range alpha (skipped when alpha degenerated
-    to 0) and delta0.
+    to 0) and delta0, and ``n_paths`` must be at least 2, for the sample
+    standard deviation.
     """
+    if n_paths < 2:
+        raise ValueError(f"the stderr needs at least two paths, got n_paths={n_paths}")
     step_cfg = replace(cfg, kind="reflection", step=h_small, horizon=h_small)
     lam = _resolve_lambda(spec, step_cfg)
     limit = cfg.delta0 if Gf.alpha_boundary else min(Gf.alpha, cfg.delta0)

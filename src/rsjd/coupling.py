@@ -45,9 +45,11 @@ draws from the stream derived from (seed, stream, c), and the chunks run
 through ``simulate._run_batches``, the batch runner of plain ensembles too,
 which merges their outputs in chunk order whatever the thread count.  A
 sweep over several second starts draws once per chunk, and every separation
-sees those draws; its switch candidates get their rate rows from one call
-per step for all separations whose truncation levels agree.  Block j of the
-sweep holds the bytes of a one-start ensemble with the j-th second start.
+sees those draws.  Each separation keeps its own ``RowTruncator``, and the
+switch candidates get their rate rows from one ``rows(x, k, level=L)`` call
+per step for all separations at level L, which builds at exactly L and
+moves no level.  Block j of the sweep holds the bytes of a one-start
+ensemble with the j-th second start.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import numpy as np
 from ._csv import write_csv
 from ._linalg import row_norm, sqrt_psd_batched
 from .errors import TruncationError
-from .model import HybridState, ModelSpec, RegimeTable, RowTruncator
+from .model import HybridState, ModelSpec, RowTruncator
 from .simulate import (CHUNK_SIZE, IntegratorConfig, PathRecord, _apply_step,
                        _check_positive, _draw_block, _outside, _PathLog, _run_batches,
                        _step_draws, _step_setup, _within, derive_rng)
@@ -147,27 +149,28 @@ def _bridge_crossing_prob(sep0, sep1, r0, r1, sl1, sl2, u, lam: float, h: float)
                         np.exp(-2.0 * np.maximum(cross_num, 0.0) / (abar * h)))
 
 
-def _pair_rows(trunc: RowTruncator, X, Xt, K, Kt, screen: RegimeTable, cand):
-    """One ``trunc.rows`` call for the candidate pairs ``cand``: the rows of
-    their first sides, then of their second sides, and the level's regimes."""
+def _pair_rows(trunc: RowTruncator, X, Xt, K, Kt, cand, level: int | None = None):
+    """One ``trunc.rows`` call for the candidate pairs ``cand``, at ``level``
+    if given: the rows of their first sides, then of their second sides, and
+    the level's regimes."""
     rows, _, ls = trunc.rows(np.concatenate([X.take(cand, axis=0), Xt.take(cand, axis=0)]),
-                             np.concatenate([K.take(cand), Kt.take(cand)]), bound=screen)
+                             np.concatenate([K.take(cand), Kt.take(cand)]), level=level)
     return cand, rows, ls
 
 
-def _switch_rows(truncs, probes: dict, X, Xt, K, Kt, screen: RegimeTable, cand, block_edges):
+def _switch_rows(truncs, X, Xt, K, Kt, cand, block_edges):
     """The coupled rate rows of the candidate pairs ``cand``, as a list of
     ``_pair_rows`` results.  Block j of the batch is truncated by
-    ``truncs[j]``, ``screen`` checks every row against its regime's
-    whole-row bound, and ``block_edges`` holds the first pair of every block
+    ``truncs[j]``, and ``block_edges`` holds the first pair of every block
     after the first.
 
     The candidates of all blocks whose truncators stand at one level L make
-    a single ``rows`` call, of ``probes[L]``, a truncator capped at L.  Rows
-    are evaluated and certified row by row, so where that call certifies L
-    each block gets the rows its own call would, and no level moves.  Where
-    it does not, or where L holds one block, each block calls its own
-    truncator, which raises its level as far as its rows need.
+    a single ``rows`` call at exactly L, on the truncator of the group's
+    first block, which neither raises nor keeps a level.  Rows are evaluated
+    and certified row by row, so where that call certifies L each block gets
+    the rows its own call would.  Where it does not, or where L holds one
+    block, each block calls its own truncator, which raises its level as far
+    as its rows need.
     """
     parts = np.split(cand, np.searchsorted(cand, block_edges))
     levels: dict = {}
@@ -177,17 +180,13 @@ def _switch_rows(truncs, probes: dict, X, Xt, K, Kt, screen: RegimeTable, cand, 
     out = []
     for L, js in levels.items():
         if len(js) > 1:
-            probe = probes.get(L)
-            if probe is None:
-                probe = probes[L] = RowTruncator(truncs[0].rates, truncs[0].rel_tol,
-                                                 l_start=L, l_cap=L)
             try:
-                out.append(_pair_rows(probe, X, Xt, K, Kt, screen,
-                                      np.concatenate([parts[j] for j in js])))
+                out.append(_pair_rows(truncs[js[0]], X, Xt, K, Kt,
+                                      np.concatenate([parts[j] for j in js]), level=L))
                 continue
             except TruncationError:
                 pass    # some block needs more than L: each goes its own way
-        out.extend(_pair_rows(truncs[j], X, Xt, K, Kt, screen, parts[j]) for j in js)
+        out.extend(_pair_rows(truncs[j], X, Xt, K, Kt, parts[j]) for j in js)
     return out
 
 
@@ -222,15 +221,16 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     The batch is ``blocks`` equal blocks of m = n / blocks pairs that all see
     the same numbers: the draws are made once for m pairs from ``rng``, by
     ``_draw_block`` a block of steps at a time, and each step's draws are
-    repeated for every block.  Each block keeps its own rate-row
-    truncation level, so block j holds exactly what a batch of its m pairs
-    alone would.  A step builds the switch candidates' rows with one
-    ``RowTruncator.rows`` call per truncation level that its blocks stand
-    at, or one per block where a level does not hold (``_switch_rows``);
-    the candidates are the pairs whose first switch
-    uniform falls below 1 - exp(-(Qbar_K + Qbar_K~) h), a threshold kept
-    per pair and recomputed only for the pairs whose regimes changed, from
-    the whole-row bounds of a ``RegimeTable``, which also checks the rows.
+    repeated for every block.  Each block keeps its own ``RowTruncator``
+    and so its own truncation level, and block j holds exactly what a batch
+    of its m pairs alone would.  A step builds the switch candidates' rows
+    with one ``rows`` call per truncation level that its blocks stand at,
+    or one per block where a level does not hold (``_switch_rows``); the
+    candidates are the pairs whose first switch uniform falls below
+    1 - exp(-(Qbar_K + Qbar_K~) h), a threshold kept per pair and
+    recomputed only for the pairs whose regimes changed, from the whole-row
+    bounds ``screen_bound`` of the first block's truncator, which every
+    ``rows`` call checks its rows against.
 
     Under reflection a coalesced pair is stepped once: ``_apply_step``
     evaluates the second side only at the pairs that have not coalesced and
@@ -267,11 +267,10 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     n_clamped = 0
 
     truncs = [RowTruncator(spec.rates, row_tol) for _ in range(blocks)]
-    probes: dict = {}   # level -> truncator capped there, for the blocks at that level
     block_edges = m * np.arange(1, blocks)
     # the whole-row bounds do not depend on the truncation level
-    screen = RegimeTable(truncs[0], h)
-    thresh = -np.expm1(-(screen.bound(K) + screen.bound(Kt)) * h)
+    bound = truncs[0].screen_bound
+    thresh = -np.expm1(-(bound(K) + bound(Kt)) * h)
 
     def scan_marks(t):
         delta = row_norm(Xt - X)
@@ -325,8 +324,7 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
         Kn, Ktn = K, Kt
         if cand.size:
             Kn, Ktn = K.copy(), Kt.copy()
-            for c, rows, ls in _switch_rows(truncs, probes, X, Xt, K, Kt, screen, cand,
-                                            block_edges):
+            for c, rows, ls in _switch_rows(truncs, X, Xt, K, Kt, cand, block_edges):
                 do, which, l_new = _coupled_switch(rows, ls, u1.take(c), u2.take(c), h)
                 if not do.size:
                     continue
@@ -334,8 +332,7 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
                 one, two = which != 2, which != 1
                 Kn[fire[one]] = l_new[one]
                 Ktn[fire[two]] = l_new[two]
-                thresh[fire] = -np.expm1(-(screen.bound(Kn.take(fire))
-                                           + screen.bound(Ktn.take(fire))) * h)
+                thresh[fire] = -np.expm1(-(bound(Kn.take(fire)) + bound(Ktn.take(fire))) * h)
 
         if reflect:
             # within-step meeting via the Brownian-bridge crossing probability,
@@ -386,7 +383,7 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     return {
         "x": X, "xt": Xt, "k": K, "kt": Kt,
         "zeta": zeta, "s_delta0": s_delta0, "tau_r": tau_r, "t_meet": t_meet,
-        "coalesced": merged, "exit_time": exit_time, "eta": eta,
+        "coalesced": merged, "exit_time": exit_time,
         "n_clamped": n_clamped,
     }
 

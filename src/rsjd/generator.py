@@ -29,7 +29,7 @@ from . import quadrature
 from ._csv import write_csv
 from ._linalg import row_norm, sum_last
 from .errors import TruncationError
-from .model import HybridState, ModelSpec, certified_tail, rate_rows
+from .model import L_CAP, HybridState, ModelSpec, certified_tail, rate_rows
 
 __all__ = [
     "TestFunction",
@@ -263,8 +263,7 @@ def _hessian_sup_estimate(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: 
 # Generator evaluation
 
 
-def _regime_levels(f: TestFunction, rates, xs: np.ndarray, ks: np.ndarray, tail_tol: float,
-                   l_cap: int):
+def _regime_levels(f: TestFunction, rates, xs: np.ndarray, ks: np.ndarray, tail_tol: float):
     """Truncation level L of the regime sum at every point and its certified
     tail: L doubles from 16 until the tail is below ``tail_tol``."""
     if f.regime_tail is None and not f.bounded:
@@ -285,15 +284,14 @@ def _regime_levels(f: TestFunction, rates, xs: np.ndarray, ks: np.ndarray, tail_
         levels[todo[done]] = L
         tails[todo[done]] = tail[done]
         todo = todo[~done]
-        if todo.size and L >= l_cap:
-            raise TruncationError(f"regime sum tail not below {tail_tol} within L={l_cap}")
+        if todo.size and L >= L_CAP:
+            raise TruncationError(f"regime sum tail not below {tail_tol} within L={L_CAP}")
         L *= 2
     return levels, tails
 
 
 def _generator(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
-               quad_tol: float = 1e-9, small_cutoff: float = 1e-5, tail_tol: float = 1e-10,
-               l_cap: int = 1 << 20):
+               quad_tol: float = 1e-9, small_cutoff: float = 1e-5, tail_tol: float = 1e-10):
     """Generator values and brackets at every point of the batch; raises on
     the first failure anywhere in it."""
     f0 = np.broadcast_to(np.asarray(f.fn(xs, ks), dtype=float), ks.shape)
@@ -314,7 +312,7 @@ def _generator(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
         bracket += quad_err + 0.5 * sup_h * small2
 
     if not f.k_independent:
-        levels, tails = _regime_levels(f, spec.rates, xs, ks, tail_tol, l_cap)
+        levels, tails = _regime_levels(f, spec.rates, xs, ks, tail_tol)
         for L in sorted(set(levels.tolist())):
             idx = np.flatnonzero(levels == L)
             q = rate_rows(spec.rates, xs[idx], ks[idx], L)
@@ -327,8 +325,7 @@ def _generator(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
 
 
 def apply_generator(spec: ModelSpec, f, x, k: int, quad_tol: float = 1e-9,
-                    small_cutoff: float = 1e-5, tail_tol: float = 1e-10,
-                    l_cap: int = 1 << 20) -> GeneratorValue:
+                    small_cutoff: float = 1e-5, tail_tol: float = 1e-10) -> GeneratorValue:
     """Evaluate the generator at (x, k), returning [value +/- bracket].
 
     ``small_cutoff`` splits the mark integral (it is independent of any
@@ -340,7 +337,7 @@ def apply_generator(spec: ModelSpec, f, x, k: int, quad_tol: float = 1e-9,
     and folded into the bracket.
     """
     value, bracket = _generator(spec, as_test_function(f), np.asarray(x, dtype=float)[None],
-                                np.array([int(k)]), quad_tol, small_cutoff, tail_tol, l_cap)
+                                np.array([int(k)]), quad_tol, small_cutoff, tail_tol)
     return GeneratorValue(float(value[0]), float(bracket[0]))
 
 
@@ -564,12 +561,15 @@ def dynkin_check(spec: ModelSpec, f, x, k: int, t_small: float, n_paths: int,
 
     The z-score divides the discrepancy by Monte Carlo noise plus an explicit
     allowance: the generator bracket, a bound on the simulator's dropped
-    small-jump bias, and a first-order-in-(t, h) Taylor term.
+    small-jump bias, and a first-order-in-(t, h) Taylor term.  ``n_paths``
+    must be at least 2, for the sample standard deviation.
     """
     from dataclasses import replace
 
     from .simulate import _step_setup, simulate_ensemble
 
+    if n_paths < 2:
+        raise ValueError(f"the stderr needs at least two paths, got n_paths={n_paths}")
     f = as_test_function(f)
     x = np.asarray(x, dtype=float)
     gen = apply_generator(spec, f, x, k, **gen_kwargs)

@@ -53,6 +53,8 @@ ROW_SUM_ENTRIES = 16384
 # r_max screen of the step loops, so that round-off in a norm can never hide
 # a crossing
 SCREEN_SLACK = 1.0 + 1e-12
+# the largest truncation level L that any rate row or regime sum may need
+L_CAP = 1 << 20
 
 
 def _check_positive(name: str, value, *, finite: bool) -> None:
@@ -142,15 +144,16 @@ class RateMatrixSpec:
     ``rate(x, k, l)`` must be nonnegative for l != k; its value at l == k is
     never used (callers mask the diagonal).  ``tail_bound(k, L)`` must bound
     sum_{l>L, l!=k} q_kl(x) uniformly in x and tend to 0 as L grows; it is the
-    certificate that makes row truncation sound.  The integrators also use
-    ``tail_bound(k, 0)`` as the uniform bound on the whole row q_k(x) when they
-    screen for switches, so it must be valid at L = 0; a built row whose sum
-    exceeds it raises ``TruncationError``, and so does a NaN, infinite or
-    negative tail.  The optional closed form ``row_sum(x, k)`` of q_k(x) is an
-    oracle for tests only: a killed run's survival weight takes
-    ``RowTruncator.row_sums``, the sums of its truncated rows, as the closed
-    form differs at round-off and would move the weights.  ``kappa0``, when
-    given, must be positive and finite.
+    certificate that makes row truncation sound.  ``tail_bound(k, 0)`` is the
+    uniform bound on the whole row q_k(x), which the integrators screen for
+    switches with, so it must be valid at L = 0: every ``RowTruncator.rows``
+    call checks the whole-row bound, and a row whose sum exceeds it raises
+    ``TruncationError``, as does a NaN, infinite or negative tail.  The
+    optional closed form ``row_sum(x, k)`` of q_k(x) is an oracle for tests
+    only: a killed run's survival weight takes ``RowTruncator.row_sums``, the
+    sums of its truncated rows, as the closed form differs at round-off and
+    would move the weights.  ``kappa0``, when given, must be positive and
+    finite.
     """
 
     rate: Callable[..., np.ndarray]
@@ -269,8 +272,7 @@ def certified_tail(rates: RateMatrixSpec, k: int, L: int) -> float:
     return tail
 
 
-def q_row_truncated(rates: RateMatrixSpec, x, k: int, rel_tol: float,
-                    l_start: int = 8, l_cap: int = 1 << 20):
+def q_row_truncated(rates: RateMatrixSpec, x, k: int, rel_tol: float, l_start: int = 8):
     """Truncate the rate row q_k.(x) with a certified tail.
 
     Returns ``(partial, tail)`` where ``partial`` lists the nonzero
@@ -278,39 +280,36 @@ def q_row_truncated(rates: RateMatrixSpec, x, k: int, rel_tol: float,
     certified to satisfy tail <= rel_tol * (sum(partial) + tail).
     """
     k = int(k)
-    q, _, ls = RowTruncator(rates, rel_tol, l_start, l_cap).rows(
+    q, _, ls = RowTruncator(rates, rel_tol, l_start).rows(
         np.asarray(x, dtype=float)[None], np.array([k]))
     partial = [(int(l), float(v)) for l, v in zip(ls, q[0]) if v > 0.0]
     return partial, certified_tail(rates, k, len(ls))
 
 
 class RowTruncator:
-    """Batched rate-row evaluation with a cached, certified truncation level.
+    """Batched rate-row evaluation with a cached, certified truncation level:
+    the one owner of per-regime row state.
 
     Used by the integrators: ``rows`` produces rows as an (n, L) array over
     the common regime grid 1..L, with L grown adaptively until the uniform
-    tail bound is below ``rel_tol`` relative to every row sum in the batch.
+    tail bound is below ``rel_tol`` relative to every row sum in the batch,
+    and checks every row against its regime's whole-row bound
+    ``screen_bound``, which also sets the switch screen of the step loops.
     ``row_sums`` returns only the row sums, the q_k(x) of a killed run's
     survival weight, certified the same way without the (n, L) array.  L
-    starts at the integer ``l_start`` >= 1 and doubles up to the integer
-    ``l_cap`` >= ``l_start``.  Each ``tail_bound(k, L)`` is called once, for
-    a regime k that some row asked for, and kept in a dense table per L;
-    ``RegimeTable`` keeps the switch screen's thresholds per regime on top
-    of ``row_bound``.
+    starts at the integer ``l_start`` >= 1 and doubles up to ``L_CAP``.  Each
+    ``tail_bound(k, L)`` is called once, for a regime k that some row asked
+    for, and kept in a dense table per L.
     """
 
-    def __init__(self, rates: RateMatrixSpec, rel_tol: float,
-                 l_start: int = 16, l_cap: int = 1 << 20):
+    def __init__(self, rates: RateMatrixSpec, rel_tol: float, l_start: int = 16):
         if not 0.0 < rel_tol < np.inf:
             raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (l_start, l_cap)):
-            raise ValueError(f"l_start and l_cap must be integers, got {l_start!r} and {l_cap!r}")
-        if not 1 <= l_start <= l_cap:
-            raise ValueError(f"need 1 <= l_start <= l_cap, got l_start={l_start}, l_cap={l_cap}")
+        if not (isinstance(l_start, (int, np.integer)) and not isinstance(l_start, bool)
+                and 1 <= l_start <= L_CAP):
+            raise ValueError(f"l_start must be an integer in 1..{L_CAP}, got {l_start!r}")
         self.rates = rates
         self.rel_tol = float(rel_tol)
-        self.l_cap = int(l_cap)
         self._level = int(l_start)
         self._tails: dict = {}   # (k, L) -> certified tail
         self._table: dict = {}   # L -> tails of regimes 0..max(L, level), NaN = not yet asked
@@ -354,6 +353,12 @@ class RowTruncator:
         uniform in x."""
         return self._tail_bounds(k, 0)
 
+    def screen_bound(self, k: np.ndarray) -> np.ndarray:
+        """Per-path ``row_bound(k) * SCREEN_SLACK``, the bound that every row
+        of ``rows`` is checked against; a step loop's switch screen is
+        -expm1(-screen_bound(k) h)."""
+        return self.row_bound(k) * SCREEN_SLACK
+
     def _certifies(self, k: np.ndarray, s: np.ndarray, L: int) -> bool:
         """Whether the tails at level L certify the row sums ``s`` of the
         regimes ``k``: tail <= rel_tol * (s + tail) on every row.  The table
@@ -368,32 +373,45 @@ class RowTruncator:
         tail = self._tail_bounds(k, L)
         return bool((tail <= self.rel_tol * (s + tail)).all())
 
-    def rows(self, x: np.ndarray, k: np.ndarray, bound: RegimeTable | None = None):
+    def _check_screen_bound(self, k: np.ndarray, s: np.ndarray) -> None:
+        """Raise ``TruncationError`` when a row sum ``s`` exceeds its regime's
+        ``screen_bound(k)``.  The level-0 table answers with one ``take``, as
+        ``_certifies`` does, and only a NaN there computes the bounds."""
+        tails = self._table.get(0)
+        if tails is not None and (s <= tails.take(k, mode="clip") * SCREEN_SLACK).all():
+            return
+        b = self.screen_bound(k)
+        if (s > b).any():
+            i = int(np.argmax(s - b))
+            raise TruncationError(f"rate row sum {float(s[i])!r} (k={int(k[i])}) exceeds the "
+                                  f"declared whole-row bound tail_bound(k, 0)")
+
+    def rows(self, x: np.ndarray, k: np.ndarray, level: int | None = None):
         """Return ``(rows, sums, ls)`` with rows[i, j] = q_{k_i, ls_j}(x_i),
         diagonal zeroed, ``sums = rows.sum(axis=1)`` and ``ls`` the read-only
         ``_regime_grid`` 1..L.
 
-        With ``bound``, a ``RegimeTable`` over the same rates, a row whose sum
-        exceeds its regime's ``bound.bound(k)`` (``bound.holds``) raises
-        ``TruncationError``: the model broke its declared row bound.
+        Without ``level``, L starts at ``self.level`` and doubles until the
+        rows certify, and the truncator keeps the L reached.  With ``level``,
+        the rows are built at exactly that L, which is neither raised nor
+        kept, and ``TruncationError`` says it does not certify.  Every row is
+        checked against its regime's whole-row bound ``screen_bound(k)``; a
+        row sum above it raises ``TruncationError``: the model broke its
+        declared row bound.
         """
         k = np.asarray(k)
-        L = self._level
+        L = self._level if level is None else level
         while True:
             q = rate_rows(self.rates, x, k, L)
             s = q.sum(axis=-1)
             if self._certifies(k, s, L):
-                self._level = L
-                if bound is not None and not bound.holds(k, s):
-                    b = bound.bound(k)
-                    i = int(np.argmax(s - b))
-                    raise TruncationError(
-                        f"rate row sum {s[i]!r} (k={int(k[i])}) exceeds the declared "
-                        f"whole-row bound tail_bound(k, 0)")
+                if level is None:
+                    self._level = L
+                self._check_screen_bound(k, s)
                 return q, s, _regime_grid(L)
-            if L >= self.l_cap:
+            if level is not None or L >= L_CAP:
                 raise TruncationError(
-                    f"rate rows not summable to rel_tol={self.rel_tol} within L={self.l_cap}")
+                    f"rate rows not summable to rel_tol={self.rel_tol} within L={L}")
             L *= 2
 
     def row_sums(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -429,64 +447,10 @@ class RowTruncator:
             if self._certifies(kk, s, L):
                 self._level = L
                 return s
-            if L >= self.l_cap:
+            if L >= L_CAP:
                 raise TruncationError(
-                    f"rate rows not summable to rel_tol={self.rel_tol} within L={self.l_cap}")
+                    f"rate rows not summable to rel_tol={self.rel_tol} within L={L}")
             L *= 2
-
-
-class RegimeTable:
-    """The switch screen of the step loops for one step size h, by regime.
-
-    A regime k has the whole-row bound ``bound(k) = tail_bound(k, 0) *
-    SCREEN_SLACK``, read through ``trunc.row_bound`` and its dense table,
-    and the screen threshold ``-expm1(-bound(k) h)``, kept here in
-    ``thresholds``.  As q_k(x) <= Qbar_k, only a path whose first switch
-    uniform falls below its regime's threshold can switch.  The threshold is
-    the element-wise formula, so a value looked up has the bits that
-    computing it path by path gives.
-
-    ``thresholds`` fills lazily and is sized as the truncator's tables are:
-    a regime's ``tail_bound(k, 0)`` is called only when a path is looked up
-    in it, the table covers regimes 0..level, NaN marks an entry not yet
-    filled, and the slot after the last is never filled, so a lookup with
-    ``mode="clip"`` of a regime above the table reads NaN too.  Every NaN
-    sends the lookup to the formula.
-    """
-
-    def __init__(self, trunc: RowTruncator, h: float):
-        self.trunc = trunc
-        self.h = h
-        self.thresholds = np.full(1, np.nan)
-
-    def bound(self, k: np.ndarray) -> np.ndarray:
-        """Per-path whole-row bounds tail_bound(k, 0) * SCREEN_SLACK."""
-        return self.trunc.row_bound(k) * SCREEN_SLACK
-
-    def holds(self, k: np.ndarray, s: np.ndarray) -> bool:
-        """Whether no row sum ``s`` exceeds its regime's ``bound(k)``.  The
-        truncator's table answers with one ``take``; an entry not yet filled,
-        and a regime above the table, read NaN there and fail the test, and
-        only then is ``bound(k)`` computed."""
-        tails = self.trunc._table.get(0)
-        if tails is not None and (s <= tails.take(k, mode="clip") * SCREEN_SLACK).all():
-            return True
-        return not (s > self.bound(k)).any()
-
-    def threshold(self, k: np.ndarray) -> np.ndarray:
-        """Per-path screen thresholds -expm1(-bound(k) h), a new array."""
-        t = self.thresholds.take(k, mode="clip")
-        if not np.isnan(t).any():
-            return t
-        k = np.asarray(k)
-        t = -np.expm1(-self.bound(k) * self.h)
-        top = self.trunc.level + 1
-        if self.thresholds.size <= top:
-            self.thresholds = np.concatenate(
-                [self.thresholds, np.full(top + 1 - self.thresholds.size, np.nan)])
-        near = k < top
-        self.thresholds[k[near]] = t[near]
-        return t
 
 
 # ---------------------------------------------------------------------------

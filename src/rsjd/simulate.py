@@ -60,8 +60,7 @@ import numpy as np
 from . import quadrature
 from ._csv import write_csv
 from ._linalg import row_norm, sqrt_psd_batched
-from .model import (SCREEN_SLACK, HybridState, ModelSpec, RegimeTable, RowTruncator,
-                    _check_positive)
+from .model import SCREEN_SLACK, HybridState, ModelSpec, RowTruncator, _check_positive
 
 __all__ = [
     "IntegratorConfig",
@@ -520,8 +519,8 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     from ``_apply_step``.  Rate rows are built only for the switch
     candidates, the paths whose first switch uniform falls below
     1 - exp(-Qbar_k h); the switch law is the same as building every row.
-    The threshold is kept per path, and a path that switched takes its new
-    regime's threshold from a ``RegimeTable``, which also gives the
+    The threshold is kept per path, and a path that switched computes its
+    new regime's threshold from the truncator's ``screen_bound``, the
     whole-row bound that ``rows`` checks each candidate's row against;
     without ``switching`` the regime never moves.
 
@@ -542,8 +541,7 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
     # the threshold is kept per path and moves only with the path's regime.
     if switching:
         trunc = RowTruncator(spec.rates, row_tol)
-        screen = RegimeTable(trunc, h)
-        thresh = screen.threshold(k)
+        thresh = -np.expm1(-trunc.screen_bound(k) * h)
     alive = np.ones(len(x0), dtype=bool)
     all_alive = True   # alive.all(), kept as a bool
     exit_time = np.full(len(x0), np.inf)
@@ -568,7 +566,7 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
                 below &= alive
             cand = below.nonzero()[0]
             if cand.size:
-                rows, qk, ls = trunc.rows(x.take(cand, axis=0), k.take(cand), bound=screen)
+                rows, qk, ls = trunc.rows(x.take(cand, axis=0), k.take(cand))
                 # a zero row has threshold 0, which no uniform in [0, 1) falls below
                 do = (u1.take(cand) < -np.expm1(-qk * h)).nonzero()[0]
                 if do.size:
@@ -578,7 +576,7 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
                     idx = np.minimum((cum < tgt[:, None]).sum(axis=1), rows.shape[1] - 1)
                     kn = k.copy()
                     kn[fire] = k_fire = ls.take(idx)
-                    thresh[fire] = screen.threshold(k_fire)
+                    thresh[fire] = -np.expm1(-trunc.screen_bound(k_fire) * h)
 
         if newly is not None:
             if not all_alive:
@@ -708,31 +706,24 @@ class _Survival:
         return np.exp(-self.integral)
 
 
-def _recorded_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig, seed: int,
-                   *observers: Callable, switching: bool = True) -> PathRecord:
-    """One fully recorded path; ``observers`` see its steps after the log."""
-    spec.check_state(start)
-    log = _PathLog()
-    out = _evolve(spec, start.x[None, :], np.array([start.k]), cfg,
-                  ((derive_rng(seed, 0, 0), 0, 1),), switching=switching,
-                  observers=(log, *observers))
-    return log.record(spec, cfg, seed, out["exit_time"][0], dropped=True)
-
-
 def simulate_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig,
                   seed: int) -> PathRecord:
-    """Simulate a single trajectory with full grid and event recording."""
-    return _recorded_path(spec, start, cfg, seed)
+    """Simulate a single trajectory with full grid and event recording: a
+    one-path ``simulate_ensemble`` whose ``_PathLog`` observer records it."""
+    ens = simulate_ensemble(spec, start, cfg, 1, seed, observer=lambda block: _PathLog())
+    return ens.observers[0].record(spec, cfg, seed, ens.exit_time[0], dropped=True)
 
 
 def simulate_killed_path(spec: ModelSpec, start: HybridState, cfg: IntegratorConfig,
                          seed: int):
     """Simulate the frozen-regime path and its survival weight
     exp(-int_0^T q_k(X(s)) ds), the sub-probability reweighting for the
-    killed process.  Returns (PathRecord, weight)."""
-    survival = _Survival(spec, cfg)
-    rec = _recorded_path(spec, start, cfg, seed, survival, switching=False)
-    return rec, float(survival.weight[0])
+    killed process, as a one-path "killed" ``simulate_ensemble``.  Returns
+    (PathRecord, weight)."""
+    ens = simulate_ensemble(spec, start, cfg, 1, seed, regime="killed",
+                            observer=lambda block: _PathLog())
+    rec = ens.observers[0].record(spec, cfg, seed, ens.exit_time[0], dropped=True)
+    return rec, float(ens.weight[0])
 
 
 def simulate_ensemble(spec: ModelSpec, start: HybridState | Sequence[HybridState],

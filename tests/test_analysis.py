@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from scipy import stats
 
 from rsjd import (
     CouplingConfig,
+    EstimationError,
     EstimatorResult,
     HybridState,
     IntegratorConfig,
@@ -27,6 +30,7 @@ from rsjd import (
     trend_ok,
     verify_coupling_drift,
 )
+from rsjd import analysis
 from rsjd.analysis import _clopper_pearson_lower95
 
 from test_simulate import diag_sigma, make_model
@@ -77,6 +81,45 @@ class TestSemigroup:
         res = estimate_semigroup(spec, f, HybridState(np.array([0.0]), 1), t,
                                  20000, IntegratorConfig(step=1.0 / 64, horizon=1.0), 5)
         assert np.exp(-t / 18.0) - 3 * res.stderr < res.estimate <= 1.0
+
+    START = HybridState(np.array([0.0]), 1)
+    CFG = IntegratorConfig(step=1.0 / 32, horizon=1.0, r_max=0.5)
+
+    def test_censoring_drop_and_bound(self):
+        # at r_max = 0.5 a part of the paths leaves the ball by t = 0.25; both
+        # modes average the paths that stay, and "bound" brackets them with
+        # the censored ones set to -sup|f| and +sup|f|
+        f = f_tanh()
+        ens = simulate_ensemble(example51(), self.START, replace(self.CFG, horizon=0.25), 400, 6)
+        n_cen = int(ens.censored.sum())
+        assert 0 < n_cen < 400
+        drop = estimate_semigroup(example51(), f, self.START, 0.25, 400, self.CFG, 6)
+        bound = estimate_semigroup(example51(), f, self.START, 0.25, 400, self.CFG, 6,
+                                   censoring="bound")
+        vals = np.asarray(f.fn(ens.x, ens.k), dtype=float)
+        for res in (drop, bound):
+            assert res.n_censored == n_cen and res.n_paths == 400
+            assert res.estimate == float(np.mean(vals[~ens.censored]))
+        assert "estimate_lo" not in drop.extra
+        lo, hi = bound.extra["estimate_lo"], bound.extra["estimate_hi"]
+        assert lo <= bound.estimate <= hi
+        assert hi - lo == pytest.approx(2.0 * f.bound * n_cen / 400, rel=1e-12)
+
+    def test_bad_censoring_inputs(self):
+        with pytest.raises(ValueError, match="censoring must be"):
+            estimate_semigroup(example51(), f_tanh(), self.START, 0.25, 10, self.CFG, 6,
+                               censoring="clip")
+        unbounded = TestFunction(fn=lambda x, k: np.asarray(x, dtype=float)[..., 0])
+        with pytest.raises(ValueError, match="sup-norm bound"):
+            estimate_semigroup(example51(), unbounded, self.START, 0.25, 10, self.CFG, 6,
+                               censoring="bound")
+
+    def test_every_path_censored(self):
+        cfg = replace(self.CFG, r_max=1e-9)
+        for censoring in ("drop", "bound"):
+            with pytest.raises(EstimationError, match="all paths censored"):
+                estimate_semigroup(example51(), f_tanh(), self.START, 0.25, 20, cfg, 6,
+                                   censoring=censoring)
 
 
 class TestModuli:
@@ -352,6 +395,24 @@ class TestCoupledMomentDiagnostics:
         with pytest.raises(ValueError):
             verify_coupling_drift(spec, Gf, [(np.array([0.0]), np.array([0.5]), 1)],
                                   1e-3, 100, cfg, 20)
+
+    def test_one_sample_is_an_input_error(self, monkeypatch):
+        # one sample gave a NaN stderr: the cross covariance read ok=True with
+        # stderr [[nan]], and the drift check reported a NaN stderr
+        def never(*args, **kwargs):
+            raise AssertionError("stepped before checking the sample size")
+
+        monkeypatch.setattr(analysis, "pair_one_step", never)
+        spec = make_model(sigma=diag_sigma(1.0), ellipticity_floor=1.0)
+        with pytest.raises(ValueError, match="at least two samples"):
+            reflection_cross_covariance(spec, np.array([0.5]), np.array([0.8]), 1, 0.01, 1,
+                                        1.0, 17)
+        Gf = build_G(1.0, 1.0, lambda r: 0.0)
+        cfg = CouplingConfig(step=1e-3, horizon=1.0, kind="reflection", lambda_R=1.0,
+                             ball_radius=10.0, delta0=1.0)
+        with pytest.raises(ValueError, match="at least two paths"):
+            verify_coupling_drift(spec, Gf, [(np.array([0.0]), np.array([0.3]), 1)],
+                                  1e-3, 1, cfg, 19)
 
 
 class TestTrend:

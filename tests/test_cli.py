@@ -153,6 +153,20 @@ def test_invariant_needs_two_starts(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_dynkin_needs_two_paths(tmp_path, monkeypatch, capsys):
+    # --n 1 printed z=nan (FAIL) and exit 1 after two RuntimeWarnings: the
+    # stderr of one path is NaN
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking --n")
+
+    monkeypatch.setattr("rsjd.simulate.simulate_ensemble", never)
+    argv = ["dynkin", "--model", "example51", "--n", "1", "--h", "0.001", "--t-small", "0.004",
+            "--outdir", str(tmp_path)]
+    assert cli.run(argv) == cli.EXIT_INPUT_ERROR
+    assert "at least two paths" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 FELLER = ["feller", "--model", "example51", "--x", "0", "--k", "1", "--separations", "0.2,0.1",
           "--t", "0.05", "--n", "64"]
 LYAPUNOV = ["lyapunov", "--model", "example52", "--grid=-5:5:3", "--kmax", "2"]

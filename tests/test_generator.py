@@ -16,6 +16,7 @@ from rsjd import (
     example51,
     example52,
 )
+from rsjd import generator, simulate
 from rsjd.cli import run
 from rsjd.model import RateMatrixSpec
 
@@ -335,3 +336,15 @@ class TestDynkin:
         res = dynkin_check(spec, f, x, 1, 2.0 ** -6, 200000, cfg, 11)
         assert res.rhs == pytest.approx(rhs_oracle, abs=1e-8)
         assert res.z_score <= 4.0, res
+
+    def test_one_path_is_an_input_error(self, monkeypatch):
+        # one path gave a NaN stderr, two RuntimeWarnings and z=nan (FAIL)
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated before checking n_paths")
+
+        monkeypatch.setattr(generator, "apply_generator", never)
+        monkeypatch.setattr(simulate, "simulate_ensemble", never)
+        cfg = IntegratorConfig(step=1e-3, horizon=1.0)
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="at least two paths"):
+                dynkin_check(example51(), f_gauss(), np.array([0.5]), 1, 4e-3, n, cfg, 3)

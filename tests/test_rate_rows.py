@@ -24,6 +24,7 @@ from rsjd.analysis import modulus_probe
 from rsjd.cli import run
 from rsjd.config import load_model_config
 from rsjd.generator import TestFunction, apply_generator, apply_generator_batch
+from rsjd import model
 from rsjd.model import RowTruncator, certified_tail, rate_rows
 from rsjd.simulate import simulate_ensemble
 
@@ -152,14 +153,15 @@ class TestTailCheck:
         with pytest.raises(ValueError, match="rel_tol"):
             RowTruncator(example51().rates, rel_tol)
 
-    @pytest.mark.parametrize("l_start, l_cap", [(0, 1 << 20), (-4, 1 << 20), (2.5, 1 << 20),
-                                                (8.0, 1 << 20), (True, 8), (32, 16),
-                                                (8, 64.5)])
-    def test_truncator_rejects_bad_levels(self, l_start, l_cap):
-        # l_start = 0 made rows() loop forever: L *= 2 stayed at 0 below l_cap.
+    @pytest.mark.parametrize("l_start, cap", [(0, 1 << 20), (-4, 1 << 20), (2.5, 1 << 20),
+                                              (8.0, 1 << 20), (True, 8), (32, 16),
+                                              ((1 << 20) + 1, 1 << 20)])
+    def test_truncator_rejects_bad_levels(self, l_start, cap, monkeypatch):
+        # l_start = 0 made rows() loop forever: L *= 2 stayed at 0 below L_CAP.
         # Only the constructor runs here, so a missing check fails, not hangs.
+        monkeypatch.setattr(model, "L_CAP", cap)
         with pytest.raises(ValueError, match="l_start"):
-            RowTruncator(example51().rates, 1e-9, l_start=l_start, l_cap=l_cap)
+            RowTruncator(example51().rates, 1e-9, l_start=l_start)
 
 
 class TestTailTable:

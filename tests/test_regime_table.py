@@ -1,9 +1,8 @@
-"""The switch screen's regime tables (``RegimeTable``) and the certified rows
-of ``RowTruncator``.
+"""The regime tables of ``RowTruncator``: the certified rows, the whole-row
+bound that every row is checked against, and the switch screen built on it.
 
-Both step loops look the screen threshold of a regime up in a table, filled
-the first time some path holds the regime, and the whole-row bound up in the
-truncator's table.  The
+Both step loops compute a regime's screen threshold from the whole-row bound,
+which the truncator looks up in its dense table per level.  The
 digests below were recorded before the tables existed, when every path kept
 its own bound, so they show that the tables change no number: from a start
 regime above the truncation level, which grows the tables at the start, and
@@ -11,6 +10,7 @@ through a truncation level raised mid-run, which grows them on the way.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsjd import (CouplingConfig, HybridState, IntegratorConfig, RateMatrixSpec, couple_ensemble,
-                  example51, example52, simulate_ensemble)
+                  example51, example52, q_row_truncated, simulate_ensemble)
+from rsjd.analysis import modulus_probe
 from rsjd.config import load_model_config
 from rsjd.errors import TruncationError
-from rsjd.model import SCREEN_SLACK, RegimeTable, RowTruncator, certified_tail
+from rsjd.model import SCREEN_SLACK, RowTruncator, certified_tail
 
 from test_simulate import const_rate_matrix, make_model
 
@@ -61,20 +62,19 @@ def _batches(draw):
         batches.append((np.array(x).reshape(n, d), np.array(k, dtype=np.int64)))
     # a level above 2^16 puts the far regimes inside the tables
     l_start = draw(st.sampled_from([16, 1 << 17]))
-    return name, rel_tol, draw(st.floats(1e-3, 1.0)), batches, l_start
+    return name, rel_tol, batches, l_start
 
 
 class TestRowTruncatorProperty:
     @PROPERTY
     @given(_batches())
     def test_certified_rows_and_tables(self, case):
-        name, rel_tol, h, batches, l_start = case
+        name, rel_tol, batches, l_start = case
         rates = MODELS[name].rates
         trunc = RowTruncator(rates, rel_tol, l_start=l_start)
-        screen = RegimeTable(trunc, h)
         level = trunc.level
         for x, k in batches:
-            q, s, ls = trunc.rows(x, k, bound=screen)
+            q, s, ls = trunc.rows(x, k)
             L = ls.size
             assert L == trunc.level >= level   # the level never decreases
             level = L
@@ -84,73 +84,96 @@ class TestRowTruncatorProperty:
             assert s.tobytes() == q.sum(axis=1).tobytes()
             assert trunc.row_sums(x, k).tobytes() == s.tobytes()
             assert trunc.level == L
-            # every regime asked: the dense tables hold certified_tail, and
-            # the regime table the bound and threshold of row_bound
+            # every regime asked: the dense tables hold certified_tail
             exact = np.array([certified_tail(rates, kk, 0) for kk in k.tolist()])
             assert trunc.row_bound(k).tolist() == exact.tolist()
-            bound = exact * SCREEN_SLACK
-            assert screen.bound(k).tobytes() == bound.tobytes()
-            assert screen.threshold(k).tobytes() == (-np.expm1(-bound * h)).tobytes()
+            assert trunc.screen_bound(k).tobytes() == (exact * SCREEN_SLACK).tobytes()
             table = trunc._table[L]
             for kk in k.tolist():
                 if kk < table.size - 1:
                     assert table[kk] == certified_tail(rates, kk, L)
-                if kk < screen.thresholds.size - 1:
-                    assert screen.thresholds[kk] == -np.expm1(
-                        -certified_tail(rates, kk, 0) * SCREEN_SLACK * h)
         # the last slot of every table stays empty
-        assert np.isnan(screen.thresholds[-1])
         assert all(np.isnan(t[-1]) for t in trunc._table.values())
 
 
 class TestRegimeTable:
-    def test_lazy_growing_table(self):
-        trunc = RowTruncator(example52().rates, 1e-9)
-        screen = RegimeTable(trunc, 0.02)
-        screen.threshold(np.array([3, 1, 3]))
-        # the level (16) sets the size; only the regimes asked fill
-        assert screen.thresholds.size == 18
-        assert np.flatnonzero(~np.isnan(screen.thresholds)).tolist() == [1, 3]
-        # a start above the level is computed, and takes no slot
-        far = np.array([40, 5])
-        want = -np.expm1(-trunc.row_bound(far) * SCREEN_SLACK * 0.02)
-        assert screen.threshold(far).tobytes() == want.tobytes()
-        assert screen.thresholds.size == 18
-        assert np.flatnonzero(~np.isnan(screen.thresholds)).tolist() == [1, 3, 5]
-        trunc.rows(np.zeros((1, 2)), np.array([1]))   # the level rises to 32
-        screen.threshold(np.array([32, 40]))
-        assert screen.thresholds.size == 34
-        assert np.flatnonzero(~np.isnan(screen.thresholds)).tolist() == [1, 3, 5, 32]
-
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_level_above_2_16(self, name):
-        # at a level past 2^16 every regime up to it lies inside the tables
+        # at a level past 2^16 every regime up to it lies inside the tables,
+        # and a bound read from the level-0 table has the bits of the formula
         trunc = RowTruncator(MODELS[name].rates, 1e-9, l_start=1 << 17)
-        screen = RegimeTable(trunc, 0.02)
         k = np.array([70000, 3, (1 << 17) + 1])
-        bound = np.array([certified_tail(trunc.rates, kk, 0) for kk in k.tolist()]) * SCREEN_SLACK
+        exact = np.array([certified_tail(trunc.rates, kk, 0) for kk in k.tolist()])
+        bound = exact * SCREEN_SLACK
         assert np.all(np.isfinite(bound))
-        assert screen.bound(k).tobytes() == bound.tobytes()
-        want = (-np.expm1(-bound * 0.02)).tobytes()
-        assert screen.threshold(k).tobytes() == want
-        assert screen.threshold(k).tobytes() == want   # from the table
+        assert trunc.screen_bound(k).tobytes() == bound.tobytes()
+        # the two regimes up to the level sit in the table, the one above it not
+        assert trunc._table[0][k[:2]].tobytes() == exact[:2].tobytes()
+        assert np.isnan(trunc._table[0][k[2]])
+        assert trunc.screen_bound(k).tobytes() == bound.tobytes()   # from the table
 
     def test_rows_check_the_whole_row_bound(self):
         # a model whose rows exceed their declared bound raises, in every
-        # regime of the table
-        rates = example52().rates
-        lying = RateMatrixSpec(
-            rate=rates.rate,
-            tail_bound=lambda k, L: rates.tail_bound(k, L) / (4.0 if L == 0 else 1.0))
+        # regime of the table, whether the bound is computed or looked up
+        lying = _lying_rates()
         trunc = RowTruncator(lying, 1e-9, l_start=1 << 17)
-        screen = RegimeTable(trunc, 0.02)
         x, k = np.full((2, 2), 3.0), np.array([70000, 2])
         with pytest.raises(TruncationError, match="whole-row bound"):
-            trunc.rows(x, k, bound=screen)
-        screen.threshold(k)   # now the truncator's table holds both regimes
-        assert not screen.holds(k, trunc.rows(x, k)[1])
+            trunc.rows(x, k)
+        assert not np.isnan(trunc._table[0][k]).any()   # both regimes are in the table now
         with pytest.raises(TruncationError, match="whole-row bound"):
-            trunc.rows(x, k, bound=screen)
+            trunc.rows(x, k)
+
+
+    def test_every_rows_caller_checks_the_bound(self):
+        # q_row_truncated and modulus_probe built rows without the check and
+        # returned rows above the declared bound
+        lying = _lying_rates()
+        x = np.zeros(2)
+        with pytest.raises(TruncationError, match="whole-row bound"):
+            q_row_truncated(lying, x, 2, 1e-9)
+        spec = replace(example52(), rates=lying)
+        with pytest.raises(TruncationError, match="whole-row bound"):
+            modulus_probe(spec, 2, [(x, x + 0.1)])
+
+
+class TestRowsAtLevel:
+    """``rows(x, k, level=L)`` builds at exactly L and keeps no level."""
+
+    @pytest.mark.parametrize("name", ["example51", "example52"])
+    def test_certified_level_keeps_the_truncator_level(self, name):
+        spec = MODELS[name]
+        x = np.linspace(-1.0, 1.0, 3 * spec.d).reshape(3, spec.d)
+        k = np.array([1, 2, 3])
+        trunc = RowTruncator(spec.rates, 1e-9)
+        q, s, ls = trunc.rows(x, k, level=64)
+        assert ls.size == 64 and trunc.level == 16
+        want = RowTruncator(spec.rates, 1e-9, l_start=64).rows(x, k)
+        assert q.tobytes() == want[0].tobytes() and s.tobytes() == want[1].tobytes()
+
+    def test_uncertified_level_raises(self):
+        spec = example51()
+        x, k = np.zeros((2, 1)), np.array([1, 2])
+        trunc = RowTruncator(spec.rates, 1e-9)
+        assert trunc.rows(x, k)[2].size == 32   # the level a plain call reaches
+        with pytest.raises(TruncationError, match="within L=16"):
+            trunc.rows(x, k, level=16)
+        assert trunc.level == 32
+
+    def test_checks_the_whole_row_bound(self):
+        trunc = RowTruncator(_lying_rates(), 1e-9)
+        with pytest.raises(TruncationError, match="whole-row bound"):
+            trunc.rows(np.zeros((1, 2)), np.array([2]), level=64)
+        assert trunc.level == 16
+
+
+def _lying_rates() -> RateMatrixSpec:
+    """``example52``'s rates with a whole-row bound tail_bound(k, 0) a quarter
+    of the true one."""
+    rates = example52().rates
+    return RateMatrixSpec(
+        rate=rates.rate,
+        tail_bound=lambda k, L: rates.tail_bound(k, L) / (4.0 if L == 0 else 1.0))
 
 
 class TestRegimeTableDigests:

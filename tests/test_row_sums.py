@@ -82,11 +82,12 @@ class TestMatchesRows:
         assert got._level == ref._level
 
     @pytest.mark.parametrize("make", [example51, example52])
-    def test_cap_raises_and_keeps_level(self, make):
+    def test_cap_raises_and_keeps_level(self, make, monkeypatch):
         spec = make()
         x = np.linspace(-2.0, 2.0, 2 * spec.d).reshape(2, spec.d)
         k = np.array([1, 2])
-        trunc = RowTruncator(spec.rates, 1e-9, l_start=1, l_cap=4)
+        monkeypatch.setattr(model, "L_CAP", 4)
+        trunc = RowTruncator(spec.rates, 1e-9, l_start=1)
         with pytest.raises(TruncationError, match="within L=4"):
             trunc.rows(x, k)
         assert trunc._level == 1

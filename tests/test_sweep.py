@@ -144,9 +144,9 @@ class TestSweep:
         calls = []
         rows = RowTruncator.rows
 
-        def spy(self, x, k, bound=None):
+        def spy(self, x, k, level=None):
             try:
-                out = rows(self, x, k, bound)
+                out = rows(self, x, k, level)
             except TruncationError:
                 calls.append(None)
                 raise
