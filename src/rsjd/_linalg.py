@@ -21,12 +21,12 @@ from .errors import EllipticityError
 CLAMP_TOL = 1e-6
 
 
-def sqrt_psd_batched(mats: np.ndarray, clamp_tol: float = CLAMP_TOL):
+def sqrt_psd_batched(mats: np.ndarray):
     """Symmetric PSD square roots of a (..., d, d) stack via eigendecomposition.
 
-    Returns ``(roots, clamped)``.  Eigenvalues in [-clamp_tol, 0) are clamped
+    Returns ``(roots, clamped)``.  Eigenvalues in [-CLAMP_TOL, 0) are clamped
     to zero, and the (..., d) boolean mask ``clamped`` marks them, matrix by
-    matrix; anything below -clamp_tol raises, since it means the PSD
+    matrix; anything below -CLAMP_TOL raises, since it means the PSD
     assumption is genuinely violated at some point rather than lost to
     roundoff.
     """
@@ -34,14 +34,14 @@ def sqrt_psd_batched(mats: np.ndarray, clamp_tol: float = CLAMP_TOL):
     d = mats.shape[-1]
     if d == 1:
         v = mats[..., 0, 0]
-        if np.any(v < -clamp_tol):
+        if np.any(v < -CLAMP_TOL):
             raise EllipticityError(
-                f"matrix not PSD: min diagonal {float(np.min(v)):.3e} < -{clamp_tol}")
+                f"matrix not PSD: min diagonal {float(np.min(v)):.3e} < -{CLAMP_TOL}")
         return np.sqrt(np.maximum(v, 0.0))[..., None, None], (v < 0)[..., None]
     w, q = np.linalg.eigh(mats)
-    if np.any(w < -clamp_tol):
+    if np.any(w < -CLAMP_TOL):
         raise EllipticityError(
-            f"matrix not PSD: min eigenvalue {float(np.min(w)):.3e} < -{clamp_tol}")
+            f"matrix not PSD: min eigenvalue {float(np.min(w)):.3e} < -{CLAMP_TOL}")
     clamped = w < 0
     w = np.maximum(w, 0.0)
     root = np.einsum("...ij,...j,...kj->...ik", q, np.sqrt(w), q)

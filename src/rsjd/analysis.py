@@ -22,8 +22,8 @@ from .coupling import (CouplingConfig, _bridge_crossing_prob, _resolve_lambda,
                        couple_ensemble, pair_one_step)
 from . import quadrature
 from .errors import EstimationError, QuadratureError
-from .generator import as_test_function
-from .model import HybridState, ModelSpec, RowTruncator, certified_tail
+from .generator import QUAD_TOL, as_test_function
+from .model import PROBE_L_START, HybridState, ModelSpec, RowTruncator, certified_tail
 from .simulate import (IntegratorConfig, _check_positive, _sigma_lambda, derive_rng,
                        simulate_ensemble)
 
@@ -47,6 +47,10 @@ __all__ = [
     "modulus_probe",
     "trend_ok",
 ]
+
+GRID_N = 1 << 12          # cells of the build_G and build_F grids on [0, 1]
+PROBE_REL_TOL = 1e-10     # rate-row truncation tolerance of modulus_probe
+MIN_POOLED_COUNT = 10     # least total per column of _pooled_regime_table
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +86,19 @@ class EstimatorResult:
         }
 
 
+def _check_paths(n_paths: int) -> None:
+    """Raise ``ValueError`` for fewer than two paths: the stderr needs two."""
+    if n_paths < 2:
+        raise ValueError(f"the stderr needs at least two paths, got n_paths={n_paths}")
+
+
 def _mean_result(values: np.ndarray, n_censored: int = 0, extra: dict | None = None,
                  absolute: bool = False) -> EstimatorResult:
     n = values.size
-    if n == 0:
-        raise EstimationError("no usable paths (all censored?)")
+    if n < 2:
+        raise EstimationError(f"{n} usable path(s), too few for a stderr (all paths censored?)")
     mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    se = float(np.std(values, ddof=1) / np.sqrt(n))
     est = abs(mean) if absolute else mean
     return EstimatorResult(est, se, (est - 1.96 * se, est + 1.96 * se),
                            n + n_censored, n_censored, extra or {})
@@ -105,8 +115,9 @@ def estimate_semigroup(spec: ModelSpec, f, start: HybridState, t: float, n_paths
 
     Censored (guard-exceeding) paths are dropped ("drop": condition on
     non-exit) or replaced by the sup-norm worst case reported as an interval
-    in extra ("bound": needs f.bound).
+    in extra ("bound": needs f.bound); ``n_paths`` must be at least 2.
     """
+    _check_paths(n_paths)
     f = as_test_function(f)
     if censoring not in ("drop", "bound"):
         raise ValueError("censoring must be 'drop' or 'bound'")
@@ -117,8 +128,6 @@ def estimate_semigroup(spec: ModelSpec, f, start: HybridState, t: float, n_paths
     vals = np.asarray(f.fn(ens.x, ens.k), dtype=float)
     cen = ens.censored
     alive_vals = vals[~cen]
-    if alive_vals.size == 0:
-        raise EstimationError("all paths censored; raise r_max or shorten the horizon")
     extra = {"bounded": f.bounded}
     if censoring == "bound" and cen.any():
         b = float(f.bound)
@@ -159,12 +168,13 @@ def _modulus_sweep(spec: ModelSpec, f, x, xt_sequence, k: int, t: float, n_paths
                    cfg: CouplingConfig, seed: int, threads: int) -> list:
     """The coupled difference result of every separation of ``xt_sequence``,
     in order, from one ``couple_ensemble`` sweep under ``cfg.kind``."""
+    _check_paths(n_paths)
     seconds = [HybridState(np.asarray(xt, dtype=float), k) for xt in xt_sequence]
     if not seconds:
         return []
     ens = couple_ensemble(spec, HybridState(np.asarray(x, dtype=float), k), seconds,
                           replace(cfg, horizon=t), len(seconds) * n_paths, seed,
-                          threads=threads, stream=0)
+                          threads=threads)
     return [_coupled_diff_result(f, block, t, f.bound)
             for block in ens.blocks(len(seconds))]
 
@@ -176,7 +186,7 @@ def feller_modulus(spec: ModelSpec, f, x, xt_sequence, k: int, t: float, n_paths
 
     Each entry also reports the decomposition pieces: the regime-splitting
     probability term 2*sup|f|*P{zeta<=t} and the same-regime difference
-    E|f(X~,K) - f(X,K)|.
+    E|f(X~,K) - f(X,K)|.  ``n_paths`` must be at least 2.
     """
     return _modulus_sweep(spec, as_test_function(f), x, xt_sequence, k, t, n_paths,
                           replace(cfg, kind="basic"), seed, threads)
@@ -279,8 +289,9 @@ def estimate_killed_subtransition(spec: ModelSpec, start: HybridState, t: float,
                                   cfg: IntegratorConfig, seed: int, threads: int = 1,
                                   keep_terminal: bool = False) -> EstimatorResult:
     """Weighted estimate of the killed sub-transition: the regime is frozen at
-    its start value and each path carries exp(-int_0^t q_k(X(s)) ds)."""
+    its start value and each path carries exp(-int_0^t q_k(X(s)) ds); n_paths >= 2."""
     a = _check_target(t, target_center, target_radius, spec.d)
+    _check_paths(n_paths)
     ens = simulate_ensemble(spec, start, replace(cfg, horizon=t), n_paths, seed,
                             threads=threads, regime="killed")
     vals = np.where(np.linalg.norm(ens.x - a, axis=1) < target_radius, ens.weight, 0.0)
@@ -533,7 +544,7 @@ class GFunction:
         return np.interp(np.clip(r, 0.0, self.rs[-1]), self.rs, self.deriv)
 
 
-def build_G(kappa_R: float, lambda_R: float, g: Callable, grid_n: int = 1 << 12) -> GFunction:
+def build_G(kappa_R: float, lambda_R: float, g: Callable) -> GFunction:
     """Tabulate G(r) = int_0^r exp(-m Psi(s)) int_s^1 exp(m Psi(v)) dv ds,
     with m = kappa_R / (2 lambda_R) and Psi the cumulative integral of g.
 
@@ -545,7 +556,7 @@ def build_G(kappa_R: float, lambda_R: float, g: Callable, grid_n: int = 1 << 12)
     """
     _check_positive("kappa_R", kappa_R, finite=True)
     _check_positive("lambda_R", lambda_R, finite=True)
-    grid = np.linspace(0.0, 1.0, grid_n + 1)
+    grid = np.linspace(0.0, 1.0, GRID_N + 1)
     m = kappa_R / (2.0 * lambda_R)
     psi = _cumulative_integral(g, grid)
     phi = m * psi
@@ -599,13 +610,13 @@ class FFunction:
         return self(np.asarray(r_grid, dtype=float))
 
 
-def build_F(g: Callable, grid_n: int = 1 << 12) -> FFunction:
+def build_F(g: Callable) -> FFunction:
     """Tabulate F(r) = int_0^{r/(1+r)} exp(-int_0^s g(w) dw) ds.
 
     The unit integrand bound gives 0 <= F(r) <= r/(1+r) <= 1; monotone
     nonincreasing integrand values make the tabulation concave cell by cell.
     """
-    s_grid = np.linspace(0.0, 1.0, grid_n + 1)
+    s_grid = np.linspace(0.0, 1.0, GRID_N + 1)
     psi = _cumulative_integral(g, s_grid)
     integrand = np.exp(-psi)
     cells = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(s_grid)
@@ -721,8 +732,7 @@ def verify_coupling_drift(spec: ModelSpec, Gf: GFunction, pairs, h_small: float,
     to 0) and delta0, and ``n_paths`` must be at least 2, for the sample
     standard deviation.
     """
-    if n_paths < 2:
-        raise ValueError(f"the stderr needs at least two paths, got n_paths={n_paths}")
+    _check_paths(n_paths)
     step_cfg = replace(cfg, kind="reflection", step=h_small, horizon=h_small)
     lam = _resolve_lambda(spec, step_cfg)
     limit = cfg.delta0 if Gf.alpha_boundary else min(Gf.alpha, cfg.delta0)
@@ -764,9 +774,9 @@ def verify_coupling_drift(spec: ModelSpec, Gf: GFunction, pairs, h_small: float,
 # Marginal-law and trend checks
 
 
-def _pooled_regime_table(k1: np.ndarray, k2: np.ndarray, min_count: int = 10):
+def _pooled_regime_table(k1: np.ndarray, k2: np.ndarray):
     """2 x B contingency table over regimes, pooling the sparse upper tail so
-    every column keeps a workable total."""
+    every column keeps a total of at least MIN_POOLED_COUNT."""
     kmax = int(max(k1.max(), k2.max()))
     cols = []
     pool1 = pool2 = 0
@@ -775,7 +785,7 @@ def _pooled_regime_table(k1: np.ndarray, k2: np.ndarray, min_count: int = 10):
         c2 = int(np.count_nonzero(k2 == kk))
         pool1 += c1
         pool2 += c2
-        if pool1 + pool2 >= min_count:
+        if pool1 + pool2 >= MIN_POOLED_COUNT:
             cols.append((pool1, pool2))
             pool1 = pool2 = 0
     if pool1 + pool2 > 0:
@@ -797,8 +807,7 @@ def marginal_vs_independent(spec: ModelSpec, start: HybridState, start2: HybridS
     from scipy import stats
 
     cfg_run = replace(cfg, horizon=t)
-    ens = couple_ensemble(spec, start, start2, cfg_run, n_paths, seed,
-                          threads=threads, stream=0)
+    ens = couple_ensemble(spec, start, start2, cfg_run, n_paths, seed, threads=threads)
     ind1 = simulate_ensemble(spec, start, cfg_run, n_paths, seed + 1, threads=threads,
                              stream=1)
     ind2 = simulate_ensemble(spec, start2, cfg_run, n_paths, seed + 2, threads=threads,
@@ -813,8 +822,7 @@ def marginal_vs_independent(spec: ModelSpec, start: HybridState, start2: HybridS
     return out
 
 
-def modulus_probe(spec: ModelSpec, k: int, pairs, rel_tol: float = 1e-10,
-                  quad_tol: float = 1e-9) -> dict:
+def modulus_probe(spec: ModelSpec, k: int, pairs) -> dict:
     """Empirical continuity-modulus diagnostic (a probe, never a proof).
 
     For each pair (x, z) reports the separation together with the raw
@@ -840,7 +848,7 @@ def modulus_probe(spec: ModelSpec, k: int, pairs, rel_tol: float = 1e-10,
         xs, zs = (np.stack(side) for side in zip(*pairs))
         n = len(pairs)
         # all rows share one level, so one certified tail covers each side
-        rows, _, ls = RowTruncator(spec.rates, rel_tol, l_start=8).rows(
+        rows, _, ls = RowTruncator(spec.rates, PROBE_REL_TOL, PROBE_L_START).rows(
             np.concatenate([xs, zs]), np.full(2 * n, k))
         out["rate_row"] = (np.abs(rows[:n] - rows[n:]).sum(axis=1)
                            + 2.0 * certified_tail(spec.rates, k, len(ls)))
@@ -851,7 +859,7 @@ def modulus_probe(spec: ModelSpec, k: int, pairs, rel_tol: float = 1e-10,
             return np.sum(dc * dc, axis=-1)
 
         out["jump_sq"] = quadrature.integrate(spec, c_diff_sq, (xs, zs), 0.0,
-                                              spec.jump_measure.radius_max, quad_tol)[0]
+                                              spec.jump_measure.radius_max, QUAD_TOL)[0]
     return {key: np.asarray(v) for key, v in out.items()}
 
 

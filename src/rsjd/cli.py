@@ -168,12 +168,10 @@ def _ccfg(args, horizon: float, kind: str) -> CouplingConfig:
                           delta0=args.delta0, eta=args.eta)
 
 
-def _cfg_dict(args, extra: dict | None = None) -> dict:
+def _cfg_dict(args) -> dict:
     # threads and outdir cannot affect results (fixed chunking; see simulate)
     # and are excluded so reruns produce byte-identical JSON
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "threads", "outdir")}
-    cfg.update(extra or {})
-    return cfg
+    return {k: v for k, v in vars(args).items() if k not in ("func", "threads", "outdir")}
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,6 @@ def _power_law_measure(exponent: float, epsilon: float) -> JumpMeasureSpec:
 
     return JumpMeasureSpec(
         mark_dim=1,
-        domain=f"0 < |u| < 1 in R, density |u|^-{p}",
         density=density,
         epsilon=float(epsilon),
         large_jump_rate=rate,

@@ -41,7 +41,7 @@ exit of the ball of radius R (by either the states or the regime indices),
 first |X~ - X| above delta0, first regime disagreement, and the meeting time.
 
 Ensembles are deterministic given (model, starts, config, seed): chunk c
-draws from the stream derived from (seed, stream, c), and the chunks run
+draws from the stream derived from (seed, 0, c), and the chunks run
 through ``simulate._run_batches``, the batch runner of plain ensembles too,
 which merges their outputs in chunk order whatever the thread count.  A
 sweep over several second starts draws once per chunk, and every separation
@@ -106,18 +106,18 @@ class CouplingConfig(IntegratorConfig):
         _check_positive("delta0", self.delta0, finite=False)
 
 
-def sqrt_psd(a_minus: np.ndarray, clamp_tol: float = 1e-6) -> np.ndarray:
+def sqrt_psd(a_minus: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root of a symmetric matrix.
 
-    Eigenvalues in [-clamp_tol, 0) are treated as roundoff and clamped to 0;
-    smaller ones raise, as they indicate the input genuinely fails to be PSD.
+    Eigenvalues in [-_linalg.CLAMP_TOL, 0) are treated as roundoff and clamped
+    to 0; smaller ones raise, as they indicate the input genuinely fails to be PSD.
     """
     a = np.asarray(a_minus, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     if np.max(np.abs(a - a.T)) > 1e-8 * (1.0 + np.max(np.abs(a))):
         raise ValueError("input matrix is not symmetric")
-    root, _ = sqrt_psd_batched(a[None], clamp_tol=clamp_tol)
+    root, _ = sqrt_psd_batched(a[None])
     return root[0]
 
 
@@ -478,8 +478,7 @@ def couple(spec: ModelSpec, start: HybridState, start2: HybridState,
 
 def couple_ensemble(spec: ModelSpec, start: HybridState,
                     start2: HybridState | Sequence[HybridState], cfg: CouplingConfig,
-                    n_pairs: int, seed: int, threads: int = 1,
-                    stream: int = 0) -> CoupledEnsemble:
+                    n_pairs: int, seed: int, threads: int = 1) -> CoupledEnsemble:
     """Run n_pairs coupled pairs from ``start`` and the second starts.
 
     ``start2`` is one ``HybridState`` or a sequence of S of them, a
@@ -488,7 +487,7 @@ def couple_ensemble(spec: ModelSpec, start: HybridState,
     m = n_pairs / S pairs: block j, the pairs [j m, (j+1) m), couples
     ``start`` with ``start2[j]`` (``blocks(S)`` cuts them apart).  The pairs
     of a block are cut into chunks of CHUNK_SIZE, and chunk c draws from the
-    stream derived from (seed, stream, c) whatever the block.  So a sweep
+    stream derived from (seed, 0, c) whatever the block.  So a sweep
     uses common random numbers across its separations, and block j holds the
     same bytes as a one-start call with ``start2[j]`` and m pairs.
 
@@ -522,7 +521,7 @@ def couple_ensemble(spec: ModelSpec, start: HybridState,
         out = _evolve_pair(spec, np.tile(start.x, (S * m, 1)), np.repeat(xt_start, m, axis=0),
                            np.full(S * m, start.k, dtype=np.int64),
                            np.full(S * m, start.k, dtype=np.int64), cfg,
-                           derive_rng(seed, stream, ci), blocks=S)
+                           derive_rng(seed, 0, ci), blocks=S)
         return (per * np.arange(S)[:, None] + np.arange(lo, hi)).ravel(), out
 
     return CoupledEnsemble(**_run_batches(work, len(bounds), threads, n_pairs,

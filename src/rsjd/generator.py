@@ -45,6 +45,15 @@ __all__ = [
     "dynkin_check",
 ]
 
+# The generator's bracket: above SMALL_CUTOFF the mark-quadrature rule's error
+# estimate joins it (QuadratureError above QUAD_TOL's threshold), below it a
+# Taylor bound; the regime sum stops once its certified tail is below TAIL_TOL.
+QUAD_TOL = 1e-9
+SMALL_CUTOFF = 1e-5
+TAIL_TOL = 1e-10
+CROSSCHECK_QUAD_TOL = 1e-10   # scipy quad tolerance of the second-moment cross-check
+FD_SCALE = 1e-5               # finite-difference step scale of TestFunction
+
 
 # ---------------------------------------------------------------------------
 # Test functions
@@ -56,7 +65,7 @@ class TestFunction:
 
     ``fn(x, k)`` follows the usual broadcasting convention (x: (..., d),
     k: (...)).  When ``grad``/``hess`` are absent, central finite differences
-    with step ``fd_scale * (1 + |x|)`` are used.  ``bounded``/``bound`` feed
+    with step ``FD_SCALE * (1 + |x|)`` are used.  ``bounded``/``bound`` feed
     the estimators that require sup|f| and come together: either both or
     neither is set.  ``regime_tail(x, k, L)`` bounds
     sum_{l>L} q_kl(x) |f(x,l) - f(x,k)| for unbounded-in-k functions;
@@ -76,7 +85,6 @@ class TestFunction:
     hess: Callable[..., np.ndarray] | None = None
     bounded: bool = False
     bound: float | None = None
-    fd_scale: float = 1e-5
     regime_tail: Callable[..., float] | None = None
     k_independent: bool = False
     label: str = "f"
@@ -91,7 +99,7 @@ class TestFunction:
             raise ValueError("a sup-norm bound needs bounded=True")
 
     def _fd_step(self, x: np.ndarray) -> float:
-        return self.fd_scale * (1.0 + float(np.linalg.norm(x)))
+        return FD_SCALE * (1.0 + float(np.linalg.norm(x)))
 
     def gradient(self, x, k) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -159,23 +167,19 @@ class TestFunction:
         """Worst relative mismatch between analytic derivatives and central
         finite differences over the probe points (0.0 when none declared)."""
         worst = 0.0
+        fd = TestFunction(self.fn)
         for p in points:
             x, k = np.asarray(p.x, dtype=float), p.k
-            if self.grad is not None:
-                fd = TestFunction(self.fn, fd_scale=self.fd_scale).gradient(x, k)
-                num = np.linalg.norm(np.asarray(self.grad(x, k), dtype=float) - fd)
-                worst = max(worst, num / (1.0 + np.linalg.norm(fd)))
-            if self.hess is not None:
-                fd = TestFunction(self.fn, fd_scale=self.fd_scale).hessian(x, k)
-                num = np.linalg.norm(np.asarray(self.hess(x, k), dtype=float) - fd)
-                worst = max(worst, num / (1.0 + np.linalg.norm(fd)))
+            for declared, numeric in ((self.grad, fd.gradient), (self.hess, fd.hessian)):
+                if declared is not None:
+                    ref = numeric(x, k)
+                    num = np.linalg.norm(np.asarray(declared(x, k), dtype=float) - ref)
+                    worst = max(worst, num / (1.0 + np.linalg.norm(ref)))
         return worst
 
 
-def as_test_function(f, bound: float | None = None, **kw) -> TestFunction:
-    if isinstance(f, TestFunction):
-        return f
-    return TestFunction(fn=f, bounded=bound is not None, bound=bound, **kw)
+def as_test_function(f) -> TestFunction:
+    return f if isinstance(f, TestFunction) else TestFunction(fn=f)
 
 
 class GeneratorValue(NamedTuple):
@@ -227,13 +231,12 @@ def _small_second_moment(spec: ModelSpec, xs: np.ndarray, ks: np.ndarray, eps: f
     return quadrature.integrate(spec, _c_squared(spec), (xs, ks), 0.0, eps, quad_tol)[0]
 
 
-def _jump_second_moment_quadrature(spec: ModelSpec, x, k: int,
-                                   quad_tol: float = 1e-10) -> float:
+def _jump_second_moment_quadrature(spec: ModelSpec, x, k: int) -> float:
     """int |c(x,k,u)|^2 nu(du) by ``scipy.integrate.quad`` over the mark
     segments: the independent cross-check of the closed-form second moment."""
     x = np.asarray(x, dtype=float)
     value = quadrature.quad_reference(spec, _c_squared(spec), (x[None], np.array([int(k)])),
-                                      0.0, spec.jump_measure.radius_max, quad_tol)
+                                      0.0, spec.jump_measure.radius_max, CROSSCHECK_QUAD_TOL)
     return float(value[0])
 
 
@@ -263,9 +266,9 @@ def _hessian_sup_estimate(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: 
 # Generator evaluation
 
 
-def _regime_levels(f: TestFunction, rates, xs: np.ndarray, ks: np.ndarray, tail_tol: float):
+def _regime_levels(f: TestFunction, rates, xs: np.ndarray, ks: np.ndarray):
     """Truncation level L of the regime sum at every point and its certified
-    tail: L doubles from 16 until the tail is below ``tail_tol``."""
+    tail: L doubles from 16 until the tail is below TAIL_TOL."""
     if f.regime_tail is None and not f.bounded:
         raise ValueError(
             "unbounded test function needs a regime_tail bound for the regime sum")
@@ -280,18 +283,17 @@ def _regime_levels(f: TestFunction, rates, xs: np.ndarray, ks: np.ndarray, tail_
             uk, inv = np.unique(ks[todo], return_inverse=True)
             tail = 2.0 * float(f.bound) * np.array(
                 [certified_tail(rates, k, L) for k in uk.tolist()])[inv]
-        done = tail <= tail_tol
+        done = tail <= TAIL_TOL
         levels[todo[done]] = L
         tails[todo[done]] = tail[done]
         todo = todo[~done]
         if todo.size and L >= L_CAP:
-            raise TruncationError(f"regime sum tail not below {tail_tol} within L={L_CAP}")
+            raise TruncationError(f"regime sum tail not below {TAIL_TOL} within L={L_CAP}")
         L *= 2
     return levels, tails
 
 
-def _generator(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
-               quad_tol: float = 1e-9, small_cutoff: float = 1e-5, tail_tol: float = 1e-10):
+def _generator(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray):
     """Generator values and brackets at every point of the batch; raises on
     the first failure anywhere in it."""
     f0 = np.broadcast_to(np.asarray(f.fn(xs, ks), dtype=float), ks.shape)
@@ -304,15 +306,15 @@ def _generator(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
     bracket = np.zeros(len(ks))
 
     if spec.has_jumps:
-        eps = min(small_cutoff, 0.5 * spec.jump_measure.radius_max)
-        outer, quad_err = _jump_outer_integral(spec, f, xs, ks, f0, grads, eps, quad_tol)
-        small2 = _small_second_moment(spec, xs, ks, eps, quad_tol)
+        eps = min(SMALL_CUTOFF, 0.5 * spec.jump_measure.radius_max)
+        outer, quad_err = _jump_outer_integral(spec, f, xs, ks, f0, grads, eps, QUAD_TOL)
+        small2 = _small_second_moment(spec, xs, ks, eps, QUAD_TOL)
         sup_h = _hessian_sup_estimate(spec, f, xs, ks, eps)
         value += outer
         bracket += quad_err + 0.5 * sup_h * small2
 
     if not f.k_independent:
-        levels, tails = _regime_levels(f, spec.rates, xs, ks, tail_tol)
+        levels, tails = _regime_levels(f, spec.rates, xs, ks)
         for L in sorted(set(levels.tolist())):
             idx = np.flatnonzero(levels == L)
             q = rate_rows(spec.rates, xs[idx], ks[idx], L)
@@ -324,24 +326,18 @@ def _generator(spec: ModelSpec, f: TestFunction, xs: np.ndarray, ks: np.ndarray,
     return value, bracket
 
 
-def apply_generator(spec: ModelSpec, f, x, k: int, quad_tol: float = 1e-9,
-                    small_cutoff: float = 1e-5, tail_tol: float = 1e-10) -> GeneratorValue:
+def apply_generator(spec: ModelSpec, f, x, k: int) -> GeneratorValue:
     """Evaluate the generator at (x, k), returning [value +/- bracket].
 
-    ``small_cutoff`` splits the mark integral (it is independent of any
-    integrator cutoff): above it the batched mark-quadrature rule computes
-    the integral and its two-order error estimate joins the bracket
-    (``QuadratureError`` when it exceeds ``quad_tol``'s threshold); below it
-    a second-order Taylor bound joins the bracket.  ``tail_tol`` is the
-    absolute tolerance at which the regime sum's certified tail is accepted
-    and folded into the bracket.
+    The constants SMALL_CUTOFF, QUAD_TOL and TAIL_TOL set the bracket: the
+    quadrature error estimate, the small-jump Taylor bound and the regime tail.
     """
     value, bracket = _generator(spec, as_test_function(f), np.asarray(x, dtype=float)[None],
-                                np.array([int(k)]), quad_tol, small_cutoff, tail_tol)
+                                np.array([int(k)]))
     return GeneratorValue(float(value[0]), float(bracket[0]))
 
 
-def apply_generator_batch(spec: ModelSpec, f, xs, ks, **gen_kwargs) -> GeneratorBatch:
+def apply_generator_batch(spec: ModelSpec, f, xs, ks) -> GeneratorBatch:
     """``apply_generator`` at every point of a batch (xs: (N, d), ks: (N,)),
     with the mark integrals of all points in one quadrature call.
 
@@ -353,7 +349,7 @@ def apply_generator_batch(spec: ModelSpec, f, xs, ks, **gen_kwargs) -> Generator
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ks = np.asarray(ks, dtype=np.int64)
     try:
-        return GeneratorBatch(*_generator(spec, f, xs, ks, **gen_kwargs), {})
+        return GeneratorBatch(*_generator(spec, f, xs, ks), {})
     except Exception:  # isolated point by point below
         pass
     value = np.full(len(ks), np.nan)
@@ -361,8 +357,7 @@ def apply_generator_batch(spec: ModelSpec, f, xs, ks, **gen_kwargs) -> Generator
     failures = {}
     for i in range(len(ks)):
         try:
-            (value[i],), (bracket[i],) = _generator(spec, f, xs[i:i + 1], ks[i:i + 1],
-                                                    **gen_kwargs)
+            (value[i],), (bracket[i],) = _generator(spec, f, xs[i:i + 1], ks[i:i + 1])
         except Exception as exc:  # reported per point
             failures[i] = str(exc)
     return GeneratorBatch(value, bracket, failures)
@@ -499,7 +494,7 @@ def _preconditions(V: TestFunction, rate_fn, xs: np.ndarray, ks: np.ndarray,
 
 
 def check_lyapunov(spec: ModelSpec, cert: LyapunovCertificate, xs, ks,
-                   tol: float = 1e-6, **gen_kwargs) -> DriftReport:
+                   tol: float = 1e-6) -> DriftReport:
     """Evaluate the certificate margin A V + alpha*rate - beta*indicator on a grid.
 
     A nonpositive max margin (within tol plus the per-point generator bracket)
@@ -523,7 +518,7 @@ def check_lyapunov(spec: ModelSpec, cert: LyapunovCertificate, xs, ks,
     good = np.flatnonzero(np.isfinite(rates))
     for lo in range(0, good.size, GENERATOR_BLOCK):
         idx = good[lo:lo + GENERATOR_BLOCK]
-        gen = apply_generator_batch(spec, cert.V, xs[idx], ks[idx], **gen_kwargs)
+        gen = apply_generator_batch(spec, cert.V, xs[idx], ks[idx])
         errors.update((int(idx[j]), msg) for j, msg in gen.failures.items())
         finite = np.isfinite(gen.value)
         for j in np.flatnonzero(~finite).tolist():
@@ -555,7 +550,7 @@ class DynkinResult:
 
 
 def dynkin_check(spec: ModelSpec, f, x, k: int, t_small: float, n_paths: int,
-                 cfg, seed: int, threads: int = 1, **gen_kwargs) -> DynkinResult:
+                 cfg, seed: int, threads: int = 1) -> DynkinResult:
     """Cross-validate integrator and generator through the short-time identity
     (E f(X_t, K_t) - f(x,k)) / t ~= A f(x,k).
 
@@ -572,7 +567,7 @@ def dynkin_check(spec: ModelSpec, f, x, k: int, t_small: float, n_paths: int,
         raise ValueError(f"the stderr needs at least two paths, got n_paths={n_paths}")
     f = as_test_function(f)
     x = np.asarray(x, dtype=float)
-    gen = apply_generator(spec, f, x, k, **gen_kwargs)
+    gen = apply_generator(spec, f, x, k)
 
     cfg_run = replace(cfg, horizon=t_small)
     ens = simulate_ensemble(spec, HybridState(x, k), cfg_run, n_paths, seed, threads=threads)
@@ -585,7 +580,7 @@ def dynkin_check(spec: ModelSpec, f, x, k: int, t_small: float, n_paths: int,
     if spec.has_jumps and cfg_run.small_jump_policy == "drop":
         eps_sim = _step_setup(spec, cfg_run)[2]
         xs, ks = x[None], np.array([int(k)])
-        small2 = _small_second_moment(spec, xs, ks, eps_sim, 1e-9)[0]
+        small2 = _small_second_moment(spec, xs, ks, eps_sim, QUAD_TOL)[0]
         sup_h = _hessian_sup_estimate(spec, f, xs, ks, eps_sim)[0]
         sim_bias = 0.5 * sup_h * small2
     h_eff = cfg_run.step

@@ -55,6 +55,7 @@ ROW_SUM_ENTRIES = 16384
 SCREEN_SLACK = 1.0 + 1e-12
 # the largest truncation level L that any rate row or regime sum may need
 L_CAP = 1 << 20
+PROBE_L_START = 8   # first level of the row probes q_row_truncated and modulus_probe
 
 
 def _check_positive(name: str, value, *, finite: bool) -> None:
@@ -117,7 +118,6 @@ class JumpMeasureSpec:
     """
 
     mark_dim: int
-    domain: str
     density: Callable[[np.ndarray], np.ndarray]
     epsilon: float
     large_jump_rate: Callable[[float], float]
@@ -272,7 +272,7 @@ def certified_tail(rates: RateMatrixSpec, k: int, L: int) -> float:
     return tail
 
 
-def q_row_truncated(rates: RateMatrixSpec, x, k: int, rel_tol: float, l_start: int = 8):
+def q_row_truncated(rates: RateMatrixSpec, x, k: int, rel_tol: float):
     """Truncate the rate row q_k.(x) with a certified tail.
 
     Returns ``(partial, tail)`` where ``partial`` lists the nonzero
@@ -280,7 +280,7 @@ def q_row_truncated(rates: RateMatrixSpec, x, k: int, rel_tol: float, l_start: i
     certified to satisfy tail <= rel_tol * (sum(partial) + tail).
     """
     k = int(k)
-    q, _, ls = RowTruncator(rates, rel_tol, l_start).rows(
+    q, _, ls = RowTruncator(rates, rel_tol, PROBE_L_START).rows(
         np.asarray(x, dtype=float)[None], np.array([k]))
     partial = [(int(l), float(v)) for l, v in zip(ls, q[0]) if v > 0.0]
     return partial, certified_tail(rates, k, len(ls))
@@ -521,6 +521,8 @@ def validate_model(spec: ModelSpec, xs, ks, directions=None,
                          f"got shapes {xs.shape} and {ks.shape}")
     if not (np.all(np.isfinite(xs)) and ks.min() >= 1):
         raise ValueError("probe coordinates must be finite and regime indices >= 1")
+    if quad_crosscheck < 0:
+        raise ValueError(f"quad_crosscheck must be >= 0, got {quad_crosscheck!r}")
     if directions is None:
         dirs = [np.eye(spec.d)[i] for i in range(spec.d)]
     else:

@@ -148,6 +148,45 @@ class TestModuli:
                                   cfg, 0)
 
 
+class TestPathCount:
+    """A stderr needs two paths: one path wrote stderr 0.0 and a zero-width
+    ci95, which trend_ok then read as exact."""
+
+    START = HybridState(np.array([0.0]), 1)
+    ICFG = IntegratorConfig(step=1.0 / 32, horizon=1.0)
+    CCFG = CouplingConfig(step=1.0 / 32, horizon=1.0, lambda_R=1.0)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    @pytest.mark.parametrize("name", ["semigroup", "feller", "strong_feller", "killed"])
+    def test_fewer_than_two_paths_rejected_before_simulating(self, name, n, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before checking n_paths")
+
+        monkeypatch.setattr(analysis, "simulate_ensemble", never)
+        monkeypatch.setattr(analysis, "couple_ensemble", never)
+        spec, x = example51(), np.array([0.0])
+        run = {
+            "semigroup": lambda: estimate_semigroup(spec, f_tanh(), self.START, 0.25, n,
+                                                    self.ICFG, 1),
+            "feller": lambda: feller_modulus(spec, f_tanh(), x, [x + 0.1], 1, 0.25, n,
+                                             self.CCFG, 1),
+            "strong_feller": lambda: strong_feller_modulus(spec, f_tanh(), x, [x + 0.1], 1,
+                                                           0.25, n, self.CCFG, 1),
+            "killed": lambda: estimate_killed_subtransition(spec, self.START, 0.25, x, 1.0, n,
+                                                            self.ICFG, 1),
+        }[name]
+        with pytest.raises(ValueError, match="at least two paths"):
+            run()
+
+    def test_one_usable_value_has_no_stderr(self):
+        # all but one path censored left one value, reported with stderr 0.0
+        for n_censored in (0, 7):
+            with pytest.raises(EstimationError, match="too few for a stderr"):
+                analysis._mean_result(np.array([0.4]), n_censored=n_censored)
+        res = analysis._mean_result(np.array([0.4, 0.6]), n_censored=7)
+        assert res.n_paths == 9 and res.stderr == pytest.approx(0.1)
+
+
 class TestTransition:
     def test_short_time_stays_near_start(self):
         spec = example51()

@@ -167,6 +167,30 @@ def test_dynkin_needs_two_paths(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    # one path wrote stderr 0.0 and ci95 [0.1464, 0.1464], and trend_ok ran
+    # with no noise allowance
+    (["feller", "--model", "example51", "--x", "0", "--k", "1", "--separations", "0.2,0.1",
+      "--t", "0.05", "--n", "1"], "at least two paths"),
+    (["strong-feller", "--model", "example51", "--x", "0", "--k", "1",
+      "--separations", "0.2,0.1", "--t", "0.05", "--n", "1"], "at least two paths"),
+    (["killed", "--model", "example51", "--start", "0,1", "--ball", "0,1", "--t", "0.25",
+      "--n", "1"], "at least two paths"),
+    # a negative count printed "no violation found" and exited 0
+    (["validate", "--model", "example51", "--quad-crosscheck", "-3"],
+     "quad_crosscheck must be >= 0"),
+])
+def test_too_few_paths_or_probes_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking the options")
+
+    monkeypatch.setattr(cli.analysis, "simulate_ensemble", never)
+    monkeypatch.setattr(cli.analysis, "couple_ensemble", never)
+    assert cli.run([*argv, "--outdir", str(tmp_path)]) == cli.EXIT_INPUT_ERROR
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 FELLER = ["feller", "--model", "example51", "--x", "0", "--k", "1", "--separations", "0.2,0.1",
           "--t", "0.05", "--n", "64"]
 LYAPUNOV = ["lyapunov", "--model", "example52", "--grid=-5:5:3", "--kmax", "2"]

@@ -3,14 +3,18 @@
 ``row_norm`` and ``sum_last`` must equal ``np.linalg.norm`` and ``np.sum``
 over the last axis bit for bit, whatever the width d, the layout of the
 array or its signed zeros and infinities: payload digests rest on it.
+``sqrt_psd_batched`` must apply one clamp rule at ``CLAMP_TOL`` in its
+d = 1 branch and its ``eigh`` branch.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rsjd._linalg import row_norm, sum_last
+from rsjd._linalg import CLAMP_TOL, row_norm, sqrt_psd_batched, sum_last
+from rsjd.errors import EllipticityError
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -73,3 +77,44 @@ def test_sum_last_returns_a_new_array():
 def test_empty_last_axis():
     x = np.zeros((3, 0))
     both_match(x)
+
+
+# the scalars around the clamp boundary: clamped in [-CLAMP_TOL, 0), raised
+# below, and the neighbours of both ends
+SCALARS = st.one_of(
+    st.floats(-2.0 * CLAMP_TOL, 2.0 * CLAMP_TOL),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([-CLAMP_TOL, np.nextafter(-CLAMP_TOL, -1.0), np.nextafter(-CLAMP_TOL, 0.0),
+                     -5e-324, -0.0, 0.0]),
+)
+
+
+@PROPERTY
+@example([-CLAMP_TOL], 1.0)
+@example([np.nextafter(-CLAMP_TOL, -1.0)], 1.0)
+@given(st.lists(SCALARS, min_size=1, max_size=6), st.floats(0.0, 4.0))
+def test_sqrt_psd_clamp_boundary(vs, c):
+    # the d = 1 branch takes the scalars themselves; the eigh branch takes
+    # each one as the first block of diag(v, c), whose other eigenvalue c
+    # is never clamped
+    v = np.array(vs)
+    scalars = v[:, None, None]
+    blocks = np.zeros((v.size, 2, 2))
+    blocks[:, 0, 0] = v
+    blocks[:, 1, 1] = c
+    if np.any(v < -CLAMP_TOL):
+        for mats in (scalars, blocks):
+            with pytest.raises(EllipticityError, match="not PSD"):
+                sqrt_psd_batched(mats)
+        return
+    root1, clamped1 = sqrt_psd_batched(scalars)
+    root2, clamped2 = sqrt_psd_batched(blocks)
+    np.testing.assert_array_equal(clamped1, (v < 0)[:, None])
+    np.testing.assert_array_equal(clamped2.any(axis=1), v < 0)
+    assert clamped2.sum() == np.count_nonzero(v < 0)
+    kept = np.maximum(v, 0.0)
+    np.testing.assert_allclose(root1[:, 0, 0] ** 2, kept, rtol=0, atol=1e-12)
+    target = blocks.copy()
+    target[:, 0, 0] = kept
+    np.testing.assert_allclose(root2 @ root2, target, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(root2[:, 0, 0], root1[:, 0, 0], rtol=0, atol=1e-12)

@@ -195,6 +195,13 @@ class TestValidateModel:
         with pytest.raises(ValueError):
             validate_model(example51(), xs, ks)
 
+    @pytest.mark.parametrize("count", [-1, -3])
+    def test_negative_crosscheck_rejected(self, count):
+        # a negative count read as "no cross-check" and the report passed
+        spec = example51()
+        with pytest.raises(ValueError, match="quad_crosscheck must be >= 0"):
+            validate_model(spec, *self.probes(spec, n=3, kmax=2), quad_crosscheck=count)
+
     def test_nonfinite_coefficient_reported(self):
         spec = ModelSpec(
             d=1,
