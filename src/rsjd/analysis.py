@@ -21,7 +21,7 @@ import numpy as np
 from .coupling import (CouplingConfig, _bridge_crossing_prob, _resolve_lambda,
                        couple_ensemble, pair_one_step)
 from . import quadrature
-from .errors import EstimationError, QuadratureError
+from .errors import EstimationError
 from .generator import QUAD_TOL, as_test_function
 from .model import PROBE_L_START, HybridState, ModelSpec, RowTruncator, certified_tail
 from .simulate import (IntegratorConfig, _check_positive, _sigma_lambda, derive_rng,
@@ -227,6 +227,11 @@ def _check_target(t: float, center, target_radius: float, d: int) -> np.ndarray:
     return a
 
 
+def _hits(ens, center, radius: float) -> np.ndarray:
+    """The uncensored paths of ``ens`` that end in the open ball B(center, radius)."""
+    return (np.linalg.norm(ens.x - center, axis=1) < radius) & ~ens.censored
+
+
 def _clopper_pearson_lower95(s: int, n: int) -> float:
     """One-sided 95% Clopper-Pearson lower bound on a success probability
     from s successes in n trials: the 5% quantile of Beta(s, n - s + 1), or 0
@@ -264,8 +269,7 @@ def estimate_transition(spec: ModelSpec, start: HybridState, t: float, target_ce
     while True:
         ens = simulate_ensemble(spec, start, cfg, n_paths, seed, threads=threads,
                                 stream=batch)
-        hits = (np.linalg.norm(ens.x - a, axis=1) < target_radius) & (ens.k == target_regime)
-        hits &= ~ens.censored
+        hits = _hits(ens, a, target_radius) & (ens.k == target_regime)
         n_censored += ens.n_censored
         total_hits += int(hits.sum())
         total_n += n_paths
@@ -294,8 +298,7 @@ def estimate_killed_subtransition(spec: ModelSpec, start: HybridState, t: float,
     _check_paths(n_paths)
     ens = simulate_ensemble(spec, start, replace(cfg, horizon=t), n_paths, seed,
                             threads=threads, regime="killed")
-    vals = np.where(np.linalg.norm(ens.x - a, axis=1) < target_radius, ens.weight, 0.0)
-    vals = np.where(ens.censored, 0.0, vals)  # censored contribute the worst case
+    vals = np.where(_hits(ens, a, target_radius), ens.weight, 0.0)  # censored: 0, the worst case
     extra = {"mean_weight": float(np.mean(ens.weight))}
     if keep_terminal:
         extra["_terminal"] = {"x": ens.x, "k": ens.k, "weight": ens.weight}
@@ -492,30 +495,6 @@ def estimate_invariant(spec: ModelSpec, starts: Sequence[HybridState], t_burn: f
 # Contraction function G and reachability function F
 
 
-def _cumulative_integral(g: Callable, grid: np.ndarray) -> np.ndarray:
-    """Per-cell adaptive quadrature of g accumulated along the grid.
-
-    g may blow up at 0 as long as it stays integrable there; divergence shows
-    up as a non-finite first cell and raises.
-    """
-    from scipy import integrate
-
-    vals = np.zeros(grid.size)
-    for i in range(grid.size - 1):
-        out = integrate.quad(g, grid[i], grid[i + 1], epsabs=1e-13, epsrel=1e-11,
-                             limit=200, full_output=1)
-        inc, err = out[0], out[1]
-        if (not np.isfinite(inc) or inc < -1e-12
-                or err > 1e-6 * (1.0 + abs(inc))):
-            raise QuadratureError(
-                f"integral of g over [{grid[i]:.3g}, {grid[i+1]:.3g}] did not "
-                "converge; g must be >= 0 with a convergent integral near 0")
-        vals[i + 1] = vals[i] + max(inc, 0.0)
-    if not np.isfinite(vals[-1]):
-        raise QuadratureError("the integral of g over (0, 1) diverges")
-    return vals
-
-
 @dataclass(frozen=True)
 class GFunction:
     """Tabulated concave contraction gauge on [0, 1].
@@ -548,17 +527,17 @@ def build_G(kappa_R: float, lambda_R: float, g: Callable) -> GFunction:
     """Tabulate G(r) = int_0^r exp(-m Psi(s)) int_s^1 exp(m Psi(v)) dv ds,
     with m = kappa_R / (2 lambda_R) and Psi the cumulative integral of g.
 
-    The inner integrals of g use per-cell adaptive quadrature; the outer
-    layers accumulate trapezoid cells, which keeps the discrete monotonicity
-    and concavity of the tabulation exact.  alpha is then located by bisection
-    on r - G(r) within the first sign-change cell.  ``kappa_R`` and
-    ``lambda_R`` must be positive and finite.
+    g takes an array of radii, and Psi comes from ``quadrature.cumulative``
+    on the grid; the outer layers accumulate trapezoid cells, which keeps
+    the discrete monotonicity and concavity of the tabulation exact.  alpha
+    is then located by bisection on r - G(r) within the first sign-change
+    cell.  ``kappa_R`` and ``lambda_R`` must be positive and finite.
     """
     _check_positive("kappa_R", kappa_R, finite=True)
     _check_positive("lambda_R", lambda_R, finite=True)
     grid = np.linspace(0.0, 1.0, GRID_N + 1)
     m = kappa_R / (2.0 * lambda_R)
-    psi = _cumulative_integral(g, grid)
+    psi = quadrature.cumulative(g, grid)
     phi = m * psi
     if phi[-1] > 500.0:
         raise ValueError("kappa_R/(2 lambda_R) * int g is too large to tabulate in doubles")
@@ -613,11 +592,12 @@ class FFunction:
 def build_F(g: Callable) -> FFunction:
     """Tabulate F(r) = int_0^{r/(1+r)} exp(-int_0^s g(w) dw) ds.
 
-    The unit integrand bound gives 0 <= F(r) <= r/(1+r) <= 1; monotone
-    nonincreasing integrand values make the tabulation concave cell by cell.
+    g takes an array of radii, as in ``build_G``.  The unit integrand bound
+    gives 0 <= F(r) <= r/(1+r) <= 1; monotone nonincreasing integrand values
+    make the tabulation concave cell by cell.
     """
     s_grid = np.linspace(0.0, 1.0, GRID_N + 1)
-    psi = _cumulative_integral(g, s_grid)
+    psi = quadrature.cumulative(g, s_grid)
     integrand = np.exp(-psi)
     cells = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(s_grid)
     f_tab = np.concatenate([[0.0], np.cumsum(cells)])

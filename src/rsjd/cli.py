@@ -299,8 +299,7 @@ def _cmd_killed(args) -> int:
                                           threads=args.threads)
     ens = simulate_ensemble(spec, start, replace(cfg, horizon=args.t), args.n,
                             args.seed + 2, threads=args.threads, regime="frozen")
-    hits = (np.linalg.norm(ens.x - center, axis=1) < radius) & ~ens.censored
-    p_frozen = float(np.mean(hits))
+    p_frozen = float(np.mean(analysis._hits(ens, center, radius)))
     se_frozen = float(np.sqrt(max(p_frozen * (1 - p_frozen), 1e-300) / args.n))
 
     xs = np.linspace(lo, hi, npts)
@@ -374,8 +373,7 @@ def _g_of(args):
         p = float(args.g.split(":", 1)[1])
         return lambda r: r ** p
     from .config import _compile
-    fn = _compile(args.g, ("r",))
-    return lambda r: float(fn(float(r)))
+    return _compile(args.g, ("r",))
 
 
 def _cmd_g_function(args) -> int:

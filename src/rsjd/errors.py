@@ -14,7 +14,7 @@ class EllipticityError(RsjdError):
 
 
 class QuadratureError(RsjdError):
-    """Adaptive quadrature failed to converge, or an inner integral diverged."""
+    """A quadrature error estimate exceeded its bound, or an inner integral diverged."""
 
 
 class EstimationError(RsjdError):

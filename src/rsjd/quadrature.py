@@ -1,4 +1,4 @@
-"""Integrals against the jump mark measure, batched over states.
+"""One quadrature rule: jump mark-measure integrals and the gauges' cumulative ones.
 
 Every mark integral in the package -- the integrator's compensator
 fallback, the generator's outer jump integral and small-jump second moment,
@@ -16,7 +16,8 @@ same way whatever its scale, so a fixed node count gives the same relative
 accuracy on every panel.  Two orders run on every panel; the higher one is
 the value and their difference, plus a round-off allowance, is the per-state
 error estimate.  A state whose estimate exceeds the tolerance raises
-``QuadratureError``.
+``QuadratureError``.  ``cumulative`` applies the same rule to int_0^r g
+along a grid, for the Psi of ``build_G`` and ``build_F``.
 
 Everything but the integrand is fixed by the measure and the interval, so
 ``_plan`` builds it once per (measure, ``jump_radial``, lo, hi) and shares it
@@ -43,7 +44,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import QuadratureError
 from .model import JumpMeasureSpec, ModelSpec
 
-__all__ = ["Segment", "segments", "integrate", "quad_reference"]
+__all__ = ["Segment", "segments", "integrate", "cumulative", "quad_reference"]
 
 PANEL_RATIO = 2.0     # hi/lo of every panel above the origin
 ORDERS = (8, 12)      # Gauss-Legendre nodes per panel: error-estimate order, value order
@@ -97,6 +98,15 @@ def _panels(lo: float, hi: float) -> np.ndarray:
     return np.concatenate(([0.0], hi * PANEL_RATIO ** -np.arange(ORIGIN_DEPTH, -1, -1.0)))
 
 
+def _mapped(ends: np.ndarray) -> tuple:
+    """Gauss-Legendre on the panels between ``ends``: the flat nodes of the value
+    order, then the estimate order, and each order's weights (panels, nodes)."""
+    a, b = ends[:-1, None], ends[1:, None]
+    (xv, wv), (xe, we) = ((0.5 * (b - a) * t + 0.5 * (b + a), 0.5 * (b - a) * w)
+                          for t, w in (_gauss_legendre(ORDERS[1]), _gauss_legendre(ORDERS[0])))
+    return np.concatenate((xv.ravel(), xe.ravel())), wv, we
+
+
 @functools.lru_cache(maxsize=64)
 def _rule(lo: float, hi: float):
     """Nodes r (m,) and weight rows (3, m): the value order, the estimate
@@ -104,18 +114,11 @@ def _rule(lo: float, hi: float):
     reaches the origin (zero otherwise).  Cached per interval, since the
     calls of a run ask for a few intervals many times; the arrays are
     read-only because all callers share them."""
-    ends = _panels(lo, hi)
-    a, b = ends[:-1, None], ends[1:, None]
-    nodes, weights = [], []
-    for row, (t, w) in ((0, _gauss_legendre(ORDERS[1])), (1, _gauss_legendre(ORDERS[0]))):
-        nodes.append((0.5 * (b - a) * t + 0.5 * (b + a)).ravel())
-        full = np.zeros((3, nodes[-1].size))
-        full[row] = (0.5 * (b - a) * w).ravel()
-        weights.append(full)
+    r, wv, we = _mapped(_panels(lo, hi))
+    w = np.zeros((3, r.size))
+    w[0, :wv.size], w[1, wv.size:] = wv.ravel(), we.ravel()
     if lo == 0.0:
-        m = ORDERS[1]
-        weights[0][2, :m] = weights[0][0, :m]
-    r, w = np.concatenate(nodes), np.concatenate(weights, axis=1)
+        w[2, :ORDERS[1]] = wv[0]
     r.flags.writeable = w.flags.writeable = False
     return r, w
 
@@ -210,6 +213,35 @@ def _require(value, error, tol, lo, hi):
         raise QuadratureError(
             f"mark quadrature on [{lo}, {hi}] did not converge at {int(bad.sum())} of "
             f"{bad.size} values: value={value[i]}, error estimate={error[i]} (row {i[0]})")
+
+
+def cumulative(g: Callable, grid) -> np.ndarray:
+    """int_0^{grid[i]} g(r) dr for every point of ``grid``, which rises from 0.
+
+    g takes an array of radii (a scalar return broadcasts) and may blow up,
+    integrably, at 0.  The first cell is graded toward 0 as in ``integrate``,
+    every other cell is one panel, and a cell's error estimate is |higher -
+    lower order|, plus the innermost panel in the first cell.  Raises
+    ``QuadratureError`` on an increment that is not finite or below -1e-12,
+    an estimate above 1e-6 (1 + |increment|), as 1/r gives, or a total that
+    is not finite."""
+    first = _panels(0.0, grid[1])
+    r, wv, we = _mapped(np.concatenate((first, grid[2:])))
+    gr = np.broadcast_to(np.asarray(g(r), dtype=float), r.shape)
+    panels = np.stack(((gr[:wv.size].reshape(wv.shape) * wv).sum(axis=1),
+                       (gr[wv.size:].reshape(we.shape) * we).sum(axis=1)))
+    inc, low = np.add.reduceat(panels, np.r_[0, first.size - 1:len(wv)], axis=1)
+    error = np.abs(inc - low)
+    error[0] += abs(panels[0, 0])
+    bad = ~np.isfinite(inc) | (inc < -1e-12) | ~(error <= 1e-6 * (1.0 + np.abs(inc)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureError(f"integral of g over [{grid[i]:.3g}, {grid[i + 1]:.3g}] did not "
+                              "converge; g must be >= 0 with a convergent integral near 0")
+    total = np.concatenate(([0.0], np.cumsum(np.maximum(inc, 0.0))))
+    if not np.isfinite(total[-1]):
+        raise QuadratureError(f"the integral of g over (0, {grid[-1]:.3g}) diverges")
+    return total
 
 
 def quad_reference(spec: ModelSpec, integrand: Callable, states: tuple, lo: float,

@@ -30,8 +30,9 @@ from rsjd import (
     trend_ok,
     verify_coupling_drift,
 )
-from rsjd import analysis
+from rsjd import analysis, quadrature
 from rsjd.analysis import _clopper_pearson_lower95
+from rsjd.cli import run
 
 from test_simulate import diag_sigma, make_model
 
@@ -400,6 +401,60 @@ class TestGandF:
         d1 = np.diff(vals) / np.diff(rs)
         assert np.all(d1 >= -1e-15) and np.all(d1 <= 1.0 + 1e-12)
         assert np.max(np.diff(vals, 2)) <= 1e-10
+
+
+def quad_cumulative(g, grid):
+    """The per-cell ``scipy.integrate.quad`` accumulation that tabulated Psi
+    before ``quadrature.cumulative``: the oracle of the one rule."""
+    from scipy import integrate
+
+    vals = np.zeros(grid.size)
+    for i in range(grid.size - 1):
+        inc = integrate.quad(g, grid[i], grid[i + 1], epsabs=1e-13, epsrel=1e-11,
+                             limit=200)[0]
+        vals[i + 1] = vals[i] + max(inc, 0.0)
+    return vals
+
+
+class TestCumulative:
+    GRID = np.linspace(0.0, 1.0, analysis.GRID_N + 1)
+
+    @pytest.mark.parametrize("g", [
+        lambda r: r ** (-1.0 / 3.0),
+        lambda r: r ** -0.5,
+        lambda r: np.exp(-r) / np.sqrt(r),
+        lambda r: 1.0 + r ** 2,
+        lambda r: 0.0,
+    ], ids=["r^-1/3", "r^-1/2", "exp(-r)/sqrt(r)", "1+r^2", "zero"])
+    def test_matches_per_cell_quad(self, g):
+        got = quadrature.cumulative(g, self.GRID)
+        assert got[0] == 0.0 and np.all(np.diff(got) >= 0.0)
+        np.testing.assert_allclose(got, quad_cumulative(g, self.GRID), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("g", [
+        lambda r: 1.0 / r,                          # not integrable at 0
+        lambda r: np.where(r > 0.5, np.nan, 1.0),   # a non-finite increment
+        lambda r: -1.0,                             # a negative increment
+    ], ids=["1/r", "nan", "negative"])
+    def test_rejects(self, g):
+        with pytest.raises(QuadratureError):
+            quadrature.cumulative(g, self.GRID)
+
+    def test_f_rejects_divergent_integrand(self):
+        with pytest.raises(QuadratureError):
+            build_F(lambda r: 1.0 / r)
+
+    def test_expression_g_matches_power(self, tmp_path):
+        # the expression branch of --g takes the array of nodes, as power:p does
+        def column(g, name):
+            out = tmp_path / name
+            assert run(["g-function", "--kappa", "8", "--lam", "1", "--g", g,
+                        "--outdir", str(out)]) == 0
+            rows = (out / "g_function.csv").read_text().splitlines()[1:]
+            return np.array([float(row.split(",")[1]) for row in rows])
+
+        np.testing.assert_allclose(column("r**(-0.5)", "expr"), column("power:-0.5", "power"),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestCoupledMomentDiagnostics:

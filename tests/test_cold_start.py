@@ -56,6 +56,15 @@ def test_commands_without_scipy(argv, tmp_path):
     assert cli_loaded(argv, tmp_path) == set()
 
 
+@pytest.mark.parametrize("argv", [["g-function", "--kappa", "1", "--lam", "1"],
+                                  ["f-function"]], ids=lambda argv: argv[0])
+def test_gauges_without_scipy(argv, tmp_path):
+    # the gauges take no --threads, so not through cli_loaded
+    argv = argv + ["--outdir", str(tmp_path)]
+    loaded = loaded_after(f"from rsjd.cli import run\nassert run({argv!r}) == 0", tmp_path)
+    assert not any(m.split(".")[0] == "scipy" for m in loaded)
+
+
 def test_irreducible_loads_special_only(tmp_path):
     loaded = cli_loaded(["irreducible", "--model", "example51", "--start", "0,1",
                          "--target", "0,0.5", "--regime", "1", "--t", "0.1", "--h", "0.05",
