@@ -146,10 +146,18 @@ def _coupling_args(p: argparse.ArgumentParser):
     p.add_argument("--eta", type=float, default=None)
 
 
+def _thread_count(text: str) -> int:
+    """``--threads``: a worker count of at least 1."""
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
+
+
 def _common_args(p: argparse.ArgumentParser):
     p.add_argument("--model", required=True, help="example51, example52[:delta], or config path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     p.add_argument("--outdir", default=os.environ.get("RSJD_OUTDIR", "."),
                    help="output directory (env RSJD_OUTDIR)")
 
@@ -220,7 +228,11 @@ def _trend_command(args, kind: str) -> int:
     analysis._check_threshold(args.threshold, "--threshold")
     spec = resolve_model(args.model)
     x = np.array([float(v) for v in args.x.split(",")])
-    xts = [x + float(s) * np.eye(spec.d)[0] for s in args.separations.split(",")]
+    seps = [float(s) for s in args.separations.split(",")]
+    if 0.0 in seps:
+        # the pair starts at x, so the estimate is exactly 0 and passes any trend
+        raise ValueError(f"--separations must all be nonzero, got {args.separations}")
+    xts = [x + s * np.eye(spec.d)[0] for s in seps]
     f = _named_function(args.f, spec.d)
     cfg = _ccfg(args, args.t, kind)
     if kind == "basic":

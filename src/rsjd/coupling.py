@@ -45,11 +45,14 @@ draws from the stream derived from (seed, 0, c), and the chunks run
 through ``simulate._run_batches``, the batch runner of plain ensembles too,
 which merges their outputs in chunk order whatever the thread count.  A
 sweep over several second starts draws once per chunk, and every separation
-sees those draws.  Each separation keeps its own ``RowTruncator``, and the
-switch candidates get their rate rows from one ``rows(x, k, level=L)`` call
-per step for all separations at level L, which builds at exactly L and
-moves no level.  Block j of the sweep holds the bytes of a one-start
-ensemble with the j-th second start.
+sees those draws.  Pair i's first side starts at the same state in every
+separation and sees the same draws, so it is stepped once per pair index
+until some separation's first side switches regime or is censored; from
+then on it is stepped per separation.  Each separation keeps its own
+``RowTruncator``, and the switch candidates get their rate rows from one
+``rows(x, k, level=L)`` call per step for all separations at level L, which
+builds at exactly L and moves no level.  Block j of the sweep holds the
+bytes of a one-start ensemble with the j-th second start.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from ._csv import write_csv
 from ._linalg import row_norm, sqrt_psd_batched
 from .errors import TruncationError
 from .model import HybridState, ModelSpec, RowTruncator
-from .simulate import (CHUNK_SIZE, IntegratorConfig, PathRecord, _apply_step,
+from .simulate import (CHUNK_SIZE, IntegratorConfig, PathRecord, StepDraws, _apply_step,
                        _check_positive, _draw_block, _outside, _PathLog, _run_batches,
                        _step_draws, _step_setup, _within, derive_rng)
 
@@ -214,14 +217,21 @@ def _coupled_switch(rows, ls, u1, u2, h: float):
     return do, idx // L, ls.take(idx % L)
 
 
+def _unit_rows(x, xt):
+    """The unit vectors along the rows of xt - x, 0 where the rows coincide."""
+    diff = xt - x
+    dn = row_norm(diff)
+    return np.where(dn[:, None] > 0.0, diff / np.where(dn[:, None] > 0.0, dn[:, None], 1.0), 0.0)
+
+
 def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
                  rng: np.random.Generator, *, blocks: int = 1, observe=None):
     """Advance an (n, d) batch of coupled pairs over the full grid.
 
     The batch is ``blocks`` equal blocks of m = n / blocks pairs that all see
     the same numbers: the draws are made once for m pairs from ``rng``, by
-    ``_draw_block`` a block of steps at a time, and each step's draws are
-    repeated for every block.  Each block keeps its own ``RowTruncator``
+    ``_draw_block`` a block of steps at a time, and row r of the batch reads
+    the draws of pair r % m.  Each block keeps its own ``RowTruncator``
     and so its own truncation level, and block j holds exactly what a batch
     of its m pairs alone would.  A step builds the switch candidates' rows
     with one ``rows`` call per truncation level that its blocks stand at,
@@ -232,17 +242,35 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     bounds ``screen_bound`` of the first block's truncator, which every
     ``rows`` call checks its rows against.
 
-    Under reflection a coalesced pair is stepped once: ``_apply_step``
-    evaluates the second side only at the pairs that have not coalesced and
-    gives the others the first side's increment, which is the one they
-    would get, and only the live, uncoalesced pairs with equal regimes take
-    the bridge-crossing test.  Until the first pair is censored the step
-    skips the per-pair selects that keep a censored pair frozen, and
-    ``_within`` screens the r_max guard and the ball of tau_R with the
-    largest coordinate before any norm is taken.  Each of these gives the
-    numbers of the full forms.  A pair is censored at the step where either
-    side exceeds r_max or stops being finite (``_outside``).  ``observe``
-    holds one ``_evolve`` step observer per side.
+    Each side is evaluated once per step by ``_apply_step``, and only where
+    its increment can differ from one already evaluated:
+
+    * Pair i's first side starts at the same state in every block and sees
+      the same draws, so it stays one state until some block's first side
+      switches regime or is censored; from then on the pair has diverged.
+      Side 1 is evaluated in one call at the m rows of block 0 and at the
+      rows of the diverged pairs in the other blocks: on the draws as
+      ``_draw_block`` made them while no pair has diverged, else on those
+      that ``StepDraws.gather`` picks for the rows.  Every row takes the
+      increment of its evaluated row (``src``), and ``n_clamped`` counts the
+      clamps of every row.
+    * Under reflection a coalesced pair is stepped once: side 2 is evaluated
+      only at the pairs that have not coalesced, on the draws gathered for
+      them, and the others take the first side's increment, which is the one
+      they would get.  Under the basic coupling side 2 is evaluated at every
+      row.
+
+    Only the live, uncoalesced pairs with equal regimes take the
+    bridge-crossing test, and only the pairs live and uncoalesced at a
+    step's start are scanned for the meeting, split and separation marks,
+    which no other pair can set; the ball exit is scanned at every pair.
+    Until the first pair is censored the step skips the per-pair selects
+    that keep a censored pair frozen, and ``_within`` screens the r_max
+    guard and the ball of tau_R with the largest coordinate before any norm
+    is taken.  Each of these gives the numbers of the full forms.  A pair is
+    censored at the step where either side exceeds r_max or stops being
+    finite (``_outside``).  ``observe`` holds one ``_evolve`` step observer
+    per side.
     """
     n = x0.shape[0]
     m = n // blocks
@@ -272,18 +300,34 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
     bound = truncs[0].screen_bound
     thresh = -np.expm1(-(bound(K) + bound(Kt)) * h)
 
-    def scan_marks(t):
-        delta = row_norm(Xt - X)
-        met = (delta < eta) & (K == Kt) & np.isinf(t_meet)
-        if met.any():
+    every = np.arange(n)
+    pair = every % m            # the pair, and so the draws, of every row
+    diverged = np.zeros(m, dtype=bool)
+    rows1 = None                # side 1's evaluated rows, None while they are block 0's
+    src = pair                  # the evaluated row whose increment each row takes
+
+    def scan_marks(t, rows=None):
+        """Set the meeting, split and separation marks hit at time t among
+        ``rows`` (None: every pair), and the ball exit at every pair."""
+        at = slice(None) if rows is None else rows
+        delta = row_norm(Xt[at] - X[at])
+
+        def unset(mask, mark):
+            """The pairs of ``mask``, over ``at``, whose ``mark`` is unset."""
+            i = mask.nonzero()[0]
+            if rows is not None:
+                i = rows.take(i)
+            return i.compress(np.isinf(mark.take(i)))
+
+        met = unset(delta < eta, t_meet)
+        met = met.compress(K.take(met) == Kt.take(met))
+        if met.size:
             t_meet[met] = t
             if reflect:
                 merged[met] = True
                 Xt[met] = X[met]
-        split = (K != Kt) & np.isinf(zeta)
-        zeta[split] = t
-        far = (delta > cfg.delta0) & np.isinf(s_delta0)
-        s_delta0[far] = t
+        zeta[unset(K[at] != Kt[at], zeta)] = t
+        s_delta0[unset(delta > cfg.delta0, s_delta0)] = t
         R = cfg.ball_radius
         if not (_within(X, R) and _within(Xt, R) and max(K.max(), Kt.max()) <= R):
             big = np.maximum(row_norm(X), row_norm(Xt))
@@ -300,12 +344,33 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
                              gaussian=gaussian, n_unif=3 if reflect else 2)
     for i, draws in enumerate(step_draws):
         t_next = (i + 1) * h
-        # one set of draws for m pairs, repeated for every block
-        draws = draws.repeat(blocks)
-        # the pairs not coalesced, None while none has
+        # the pairs not coalesced, None while none has; the pairs that can
+        # still set a mark, None while that is every pair
         rows2 = (~merged).nonzero()[0] if reflect and merged.any() else None
-        (dX, dXt), refl = _apply_step(spec, ((X, K), (Xt, Kt)), h, draws, eps, lam=lam,
-                                      rows2=rows2)
+        scan = rows2 if all_alive else (alive & ~merged).nonzero()[0]
+        # the increments read neither the Poisson counts nor the uniforms, so
+        # no gather copies them
+        inc = StepDraws(draws.z, draws.z2, hit=draws.hit, marks=draws.marks, zg=draws.zg)
+
+        if rows1 is None:
+            dx1, roots1 = _apply_step(spec, X[:m], K[:m], h, draws, eps, lam)
+        else:
+            dx1, roots1 = _apply_step(spec, X.take(rows1, axis=0), K.take(rows1), h,
+                                      inc.gather(rows1), eps, lam)
+        dX = dx1.take(src, axis=0)
+        u = roots2 = None
+        if rows2 is None:
+            if reflect:
+                u = _unit_rows(X, Xt)
+            dXt, roots2 = _apply_step(spec, Xt, Kt, h,
+                                      draws if blocks == 1 else inc.gather(every), eps, lam, u)
+        else:
+            dXt = dX.copy()
+            if rows2.size:
+                x2 = Xt.take(rows2, axis=0)
+                u = _unit_rows(X.take(rows2, axis=0), x2)
+                dXt[rows2], roots2 = _apply_step(spec, x2, Kt.take(rows2), h,
+                                                 inc.gather(rows2), eps, lam, u)
 
         # a censored pair keeps its state
         if all_alive:
@@ -317,15 +382,17 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
         # regimes via the basic coupling of the two rate rows
         unif = draws.unif
         u1, u2 = unif[0], unif[1]
-        below = u1 < thresh
+        below = (u1 < thresh.reshape(blocks, m)).ravel()
         if not all_alive:
             below &= alive
         cand = below.nonzero()[0]
         Kn, Ktn = K, Kt
+        split = []       # rows whose first side switched or that are censored
         if cand.size:
             Kn, Ktn = K.copy(), Kt.copy()
             for c, rows, ls in _switch_rows(truncs, X, Xt, K, Kt, cand, block_edges):
-                do, which, l_new = _coupled_switch(rows, ls, u1.take(c), u2.take(c), h)
+                pc = pair.take(c)
+                do, which, l_new = _coupled_switch(rows, ls, u1.take(pc), u2.take(pc), h)
                 if not do.size:
                     continue
                 fire = c.take(do)
@@ -333,13 +400,22 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
                 Kn[fire[one]] = l_new[one]
                 Ktn[fire[two]] = l_new[two]
                 thresh[fire] = -np.expm1(-(bound(Kn.take(fire)) + bound(Ktn.take(fire))) * h)
+                split.append(fire[one])
 
         if reflect:
             # within-step meeting via the Brownian-bridge crossing probability,
-            # for the live, uncoalesced pairs with equal regimes; sl2 and u are
-            # given at the rows rows2
-            sl1, sl2, u, clamps = refl
-            n_clamped += clamps
+            # for the live, uncoalesced pairs with equal regimes; roots2 and u
+            # are given at the rows rows2
+            sl1, c1 = roots1
+            if c1.any():
+                # side 1's clamps at every row, and again at the rows where
+                # side 2 takes side 1's increment
+                per_row = np.count_nonzero(c1, axis=1).take(src)
+                n_clamped += int(per_row.sum())
+                if rows2 is not None:
+                    n_clamped += int(per_row.sum() - per_row.take(rows2).sum())
+            if roots2 is not None:
+                n_clamped += np.count_nonzero(roots2[1])
             if rows2 is None:
                 test = Kn == Ktn
                 if not all_alive:
@@ -356,9 +432,10 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
                 sep1 = Xtn.take(idx, axis=0) - Xn.take(idx, axis=0)
                 r0 = row_norm(sep0)
                 p_cross = _bridge_crossing_prob(sep0, sep1, r0, row_norm(sep1),
-                                                sl1.take(idx, axis=0), sl2.take(at, axis=0),
+                                                sl1.take(src.take(idx), axis=0),
+                                                roots2[0].take(at, axis=0),
                                                 u.take(at, axis=0), lam, h)
-                meet = idx[(r0 > 0.0) & (unif[2].take(idx) < p_cross)]
+                meet = idx[(r0 > 0.0) & (unif[2].take(pair.take(idx)) < p_cross)]
                 if meet.size:
                     merged[meet] = True
                     t_meet[meet] = np.minimum(t_meet[meet], t_next)
@@ -373,12 +450,23 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
                 exit_time[newly] = t_next
                 alive &= ~newly
                 all_alive = False
+                split.append(newly.nonzero()[0])
 
         X, Xt, K, Kt = Xn, Xtn, Kn, Ktn
-        scan_marks(t_next)
+        scan_marks(t_next, scan)
         if observe is not None:
             observe[0](i + 1, t_next, X, K, alive, draws)
             observe[1](i + 1, t_next, Xt, Kt, alive, draws)
+
+        if blocks > 1 and split:
+            now = pair.take(np.concatenate(split))
+            if not diverged.take(now).all():
+                # side 1 of a diverged pair is evaluated in every block
+                diverged[now] = True
+                extra = (m * np.arange(1, blocks)[:, None] + diverged.nonzero()[0]).ravel()
+                src = pair.copy()
+                src[extra] = np.arange(m, m + extra.size)
+                rows1 = np.concatenate([np.arange(m), extra])
 
     return {
         "x": X, "xt": Xt, "k": K, "kt": Kt,
@@ -493,7 +581,8 @@ def couple_ensemble(spec: ModelSpec, start: HybridState,
 
     A sweep draws once per chunk: chunk c of all S blocks steps as one
     ``_evolve_pair`` batch, which makes each step's draws and maps its marks
-    once for all S blocks, builds the switch candidates' rate rows with one
+    once for all S blocks, steps each pair's first side once while it is one
+    state in every block, builds the switch candidates' rate rows with one
     call per truncation level, and evaluates everything else pair by pair.
     Threads only distribute the chunks, so results are independent of the
     thread count.
@@ -543,9 +632,11 @@ def pair_one_step(spec: ModelSpec, x, xt, k: int, n: int, cfg: CouplingConfig,
     if not with_jumps:
         eps = lam_rate = None
     K = np.full(n, k, dtype=np.int64)
-    sides = ((np.tile(np.asarray(x, dtype=float), (n, 1)), K),
-             (np.tile(np.asarray(xt, dtype=float), (n, 1)), K))
+    x1 = np.tile(np.asarray(x, dtype=float), (n, 1))
+    x2 = np.tile(np.asarray(xt, dtype=float), (n, 1))
     (draws,) = _draw_block(((rng, 0, n),), spec, cfg.step, eps, lam_rate, 1,
                            reflect=lam is not None, gaussian=gaussian)
-    (dX, dXt), _ = _apply_step(spec, sides, cfg.step, draws, eps, lam=lam)
+    dX, _ = _apply_step(spec, x1, K, cfg.step, draws, eps, lam)
+    dXt, _ = _apply_step(spec, x2, K, cfg.step, draws, eps, lam,
+                         None if lam is None else _unit_rows(x1, x2))
     return dX, dXt

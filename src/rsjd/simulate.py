@@ -262,12 +262,15 @@ def _mark_uniforms(counts: np.ndarray, seg_los, block: np.ndarray):
 
 @dataclass(slots=True)
 class StepDraws:
-    """Every random number of one step of a batch, as ``_draw_block`` made them.
+    """Every random number of one step of a batch, as ``_draw_block`` made
+    them or ``gather`` picked them.
 
     ``z`` holds the (n, d) Brownian normals and ``z2`` the second set under
     reflection.  With jumps, ``counts`` holds the (n,) Poisson counts, and
     when some path jumps, jump j moves path ``hit[j]`` by the mark
-    ``marks[j]``, round by round (see ``_block_marks``).  ``zg`` holds the
+    ``marks[j]``, listed round by round (see ``_block_marks``), after a
+    ``gather`` within each copy; either way each path's jumps come in round
+    order, the order ``_apply_step`` adds them in.  ``zg`` holds the
     gaussian-policy normals and ``unif`` the (rows, n) switch uniforms, with
     the bridge-crossing uniform as row 2 under reflection.  A field that the
     step does not draw is None.  The arrays may be views into the buffers of
@@ -283,37 +286,42 @@ class StepDraws:
     zg: np.ndarray | None = None
     unif: np.ndarray | None = None
 
-    def repeat(self, reps: int) -> "StepDraws":
-        """The draws of ``reps`` copies of the batch laid end to end: copy j's
-        paths are j n..(j+1) n-1 and see this batch's numbers.  Copy j's
-        jumps follow copy j-1's, so each path keeps its jumps in round order."""
-        if reps == 1:
-            return self
-
-        def rows(a):
-            return None if a is None else np.concatenate([a] * reps)
-
-        n = self.z.shape[0]
-        hit = None if self.hit is None else (self.hit + n * np.arange(reps)[:, None]).ravel()
-        return StepDraws(rows(self.z), rows(self.z2), rows(self.counts), hit,
-                         rows(self.marks), rows(self.zg),
-                         None if self.unif is None else np.tile(self.unif, reps))
-
-    def take(self, rows: np.ndarray) -> "StepDraws":
-        """The draws of the paths ``rows``, an increasing index array, as a
-        batch of their own: path i sees path rows[i]'s numbers, and each path
-        keeps its jumps in round order."""
+    def gather(self, rows: np.ndarray) -> "StepDraws":
+        """The draws of the rows ``rows`` of a batch made of copies of this
+        one laid end to end, as a batch of their own: path i sees path rows[i]
+        % n's numbers, for n paths here.  ``rows`` is increasing, so a path's
+        numbers go to at most one row per copy.  Each row's jumps come in
+        round order."""
         def sub(a, axis=0):
-            return None if a is None else a.take(rows, axis=axis)
+            return None if a is None else a.take(rows, axis=axis, mode="wrap")
 
         hit = marks = None
-        if self.hit is not None:
-            pos = np.full(self.z.shape[0], -1)
-            pos[rows] = np.arange(rows.size)
-            at = pos.take(self.hit)
-            keep = (at >= 0).nonzero()[0]
-            if keep.size:
-                hit, marks = at.take(keep), self.marks.take(keep, axis=0)
+        if self.hit is not None and rows.size:
+            n = self.z.shape[0]
+            copies = int(rows[-1]) // n + 1
+            # rows[first[c]:first[c + 1]] are the rows of copy c
+            first = np.searchsorted(rows, n * np.arange(copies + 1)).tolist()
+            hits, picked, partial = [], [], []
+            pos = None                        # a row's place in rows, -1 for none
+            for c, (lo, hi) in enumerate(zip(first, first[1:])):
+                if hi - lo == n:              # the whole copy: path p is at lo + p
+                    hits.append(self.hit + lo)
+                    picked.append(self.marks)
+                elif hi > lo:
+                    if pos is None:
+                        pos = np.full(copies * n, -1)
+                    pos[rows[lo:hi]] = np.arange(lo, hi)
+                    partial.append(c)
+            if partial:
+                at = pos.take((self.hit + n * np.array(partial)[:, None]).ravel())
+                keep = (at >= 0).nonzero()[0]
+                hits.append(at.take(keep))
+                picked.append(self.marks.take(keep % self.hit.size, axis=0))
+            hit = np.concatenate(hits)
+            if hit.size:
+                marks = np.concatenate(picked)
+            else:
+                hit = None
         return StepDraws(sub(self.z), sub(self.z2), sub(self.counts), hit, marks,
                          sub(self.zg), sub(self.unif, 1))
 
@@ -415,97 +423,54 @@ def _step_draws(streams, spec: ModelSpec, h: float, eps, lam_rate, nsteps: int, 
                                buffers=buffers, **kw)
 
 
-def _apply_step(spec: ModelSpec, sides, h: float, draws: StepDraws, eps,
-                lam: float | None = None, rows2: np.ndarray | None = None):
-    """Euler increments of one step for a batch, or for a coupled pair of batches.
+def _apply_step(spec: ModelSpec, x: np.ndarray, k: np.ndarray, h: float, draws: StepDraws,
+                eps, lam: float | None = None, u: np.ndarray | None = None):
+    """Euler increment of one step for an (n, d) batch at the states (x, k),
+    driven by ``draws``.  ``eps`` None means no jumps.
 
-    ``sides`` is ``((x, k),)`` or ``((X, K), (Xt, Kt))``, each x an (n, d)
-    batch; every side is driven by the same ``draws``.  With ``lam``
-    (reflection, two sides only) the Brownian part goes through the two-noise
-    split of Lindvall & Rogers (1986): the first side gets s_lam(X) dW1 +
-    sqrt(lam) dW2, the second s_lam(X~) dW1 + sqrt(lam) (I - 2uu^T) dW2, with
-    u the unit vector along X~ - X.  ``eps`` None means no jumps.
+    With ``lam`` (reflection) the Brownian part goes through the two-noise
+    split of Lindvall & Rogers (1986): s_lam(x) dW1 + sqrt(lam) dW2 for the
+    first side of a pair, and for the second side, whose unit vectors along
+    X~ - X are the rows of ``u``, s_lam(x) dW1 + sqrt(lam) (I - 2uu^T) dW2;
+    a zero u leaves dW2 unmirrored.  Every row is evaluated on its own, so a
+    row's increment does not depend on the other rows of the batch.
 
-    ``rows2`` (two sides only), an increasing index array, lists the rows of
-    the second side to evaluate; None evaluates them all, and an empty one
-    makes no second-side coefficient call.  Every other row
-    must hold the first side's state (a coalesced pair), and takes the first
-    side's increment: evaluating it would give the same bits, as every
-    coefficient sees the same state and draws, and under reflection u = 0
-    leaves dW2 unmirrored.
+    The jump coefficient is evaluated once over the marks of all rounds;
+    ``np.add.at`` adds each path's displacements in the order the draws
+    list them, round after round, one coordinate at a time, so each path's
+    sum runs in the same order as one update per round would.
 
-    The jump coefficient is evaluated once per side over the marks of all
-    rounds; ``np.add.at`` adds each path's displacements one round after
-    another, one coordinate at a time, so each path's sum runs in the same
-    order as one update per round would.
-
-    Returns the list of increments, one per side, and under reflection
-    (sl1, sl2, u, clamps) for the bridge-crossing step, else None: sl2 and u
-    at the rows ``rows2`` (None when it is empty), and ``clamps`` the number
-    of eigenvalues clamped in the roots of both sides, a row not evaluated
-    counting its first side's twice.
+    Returns ``(dx, roots)``: ``roots`` is None, or under reflection the pair
+    ``(s_lam(x), clamped)`` of ``_sigma_lambda``.
     """
     sqh = math.sqrt(h)
-    refl = None
-    # (x, k, draws) of every side that is evaluated
-    if rows2 is None:
-        sides = [(x, k, draws) for x, k in sides]
-    else:
-        (X, K), (Xt, Kt) = sides
-        sides = [(X, K, draws)]
-        if rows2.size:
-            sides.append((Xt.take(rows2, axis=0), Kt.take(rows2), draws.take(rows2)))
+    roots = None
     if lam is None:
-        dxs = [np.asarray(spec.drift(x, k), dtype=float) * h
-               + sqh * np.einsum("nij,nj->ni", np.asarray(spec.sigma(x, k), dtype=float), dr.z)
-               for x, k, dr in sides]
+        dx = (np.asarray(spec.drift(x, k), dtype=float) * h
+              + sqh * np.einsum("nij,nj->ni", np.asarray(spec.sigma(x, k), dtype=float), draws.z))
     else:
-        sqlam = math.sqrt(lam)
-        X, K, d1 = sides[0]
-        sl1, c1 = _sigma_lambda(spec, X, K, lam)
-        dxs = [np.asarray(spec.drift(X, K), dtype=float) * h
-               + sqh * (np.einsum("nij,nj->ni", sl1, d1.z) + sqlam * d1.z2)]
-        # side 2 first counts side 1's clamps at every row, then its own
-        # in place of side 1's at the rows it evaluates
-        clamps = 2 * np.count_nonzero(c1)
-        sl2 = u = None
-        if len(sides) == 2:
-            Xt, Kt, d2 = sides[1]
-            sl2, c2 = _sigma_lambda(spec, Xt, Kt, lam)
-            clamps += np.count_nonzero(c2) - np.count_nonzero(
-                c1 if rows2 is None else c1.take(rows2, axis=0))
-            diff = Xt - (X if rows2 is None else X.take(rows2, axis=0))
-            dn = row_norm(diff)
-            u = np.where(dn[:, None] > 0.0,
-                         diff / np.where(dn[:, None] > 0.0, dn[:, None], 1.0), 0.0)
-            w2_ref = d2.z2 - 2.0 * u * np.einsum("ni,ni->n", u, d2.z2)[:, None]
-            dxs.append(np.asarray(spec.drift(Xt, Kt), dtype=float) * h
-                       + sqh * (np.einsum("nij,nj->ni", sl2, d2.z) + sqlam * w2_ref))
-        refl = (sl1, sl2, u, clamps)
+        roots = _sigma_lambda(spec, x, k, lam)
+        w2 = draws.z2 if u is None else (
+            draws.z2 - 2.0 * u * np.einsum("ni,ni->n", u, draws.z2)[:, None])
+        dx = (np.asarray(spec.drift(x, k), dtype=float) * h
+              + sqh * (np.einsum("nij,nj->ni", roots[0], draws.z) + math.sqrt(lam) * w2))
 
     if eps is not None:
-        for (x, k, dr), dx in zip(sides, dxs):
-            comp = spec.jump_compensator(x, k, eps) if spec.jump_compensator is not None \
-                else _compensator_quadrature(spec, x, k, eps)
-            dx -= np.asarray(comp, dtype=float) * h
-            if dr.hit is not None:
-                disp = np.asarray(spec.jump_coeff(x.take(dr.hit, axis=0), k.take(dr.hit),
-                                                  dr.marks), dtype=float)
-                # column by column: ufunc.at over a 1-d array takes numpy's fast path
-                for j in range(disp.shape[1]):
-                    np.add.at(dx[:, j], dr.hit, disp[:, j])
-            if dr.zg is not None:
-                # a shared draw keeps the substitute synchronous; per-side roots
-                # preserve each marginal's covariance exactly
-                root, _ = sqrt_psd_batched(np.asarray(spec.small_jump_cov(x, k, eps),
-                                                      dtype=float))
-                dx += sqh * np.einsum("nij,nj->ni", root, dr.zg)
-    if rows2 is not None:
-        dx2 = dxs[0].copy()
-        if rows2.size:
-            dx2[rows2] = dxs.pop()
-        dxs.append(dx2)
-    return dxs, refl
+        comp = spec.jump_compensator(x, k, eps) if spec.jump_compensator is not None \
+            else _compensator_quadrature(spec, x, k, eps)
+        dx -= np.asarray(comp, dtype=float) * h
+        if draws.hit is not None:
+            disp = np.asarray(spec.jump_coeff(x.take(draws.hit, axis=0), k.take(draws.hit),
+                                              draws.marks), dtype=float)
+            # column by column: ufunc.at over a 1-d array takes numpy's fast path
+            for j in range(disp.shape[1]):
+                np.add.at(dx[:, j], draws.hit, disp[:, j])
+        if draws.zg is not None:
+            # a shared draw keeps the substitute synchronous; per-side roots
+            # preserve each marginal's covariance exactly
+            root, _ = sqrt_psd_batched(np.asarray(spec.small_jump_cov(x, k, eps), dtype=float))
+            dx += sqh * np.einsum("nij,nj->ni", root, draws.zg)
+    return dx, roots
 
 
 def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConfig,
@@ -552,7 +517,7 @@ def _evolve(spec: ModelSpec, x0: np.ndarray, k0: np.ndarray, cfg: IntegratorConf
                              n_unif=2 if switching else 0)
     for i, draws in enumerate(step_draws):
         t_next = (i + 1) * h
-        (dx,), _ = _apply_step(spec, ((x, k),), h, draws, eps)
+        dx, _ = _apply_step(spec, x, k, h, draws, eps)
 
         # a censored path keeps its state
         xn = np.add(x, dx, out=dx) if all_alive else np.where(alive[:, None], x + dx, x)
@@ -816,10 +781,13 @@ def _run_batches(work: Callable, n_batches: int, threads: int, n: int, names) ->
     Returns, for each of ``names``, the (n, ...) array holding ``out[name]``
     at rows ``dest``.  With ``threads`` > 1 the batches run on that many
     threads, else in the calling thread; either way the outputs merge in
-    batch order, so the result does not depend on the thread count.
+    batch order, so the result does not depend on the thread count.  A
+    ``threads`` below 1 raises ``ValueError`` before any batch runs.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     merged = {}
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         batches = range(n_batches)
         parts = pool.map(work, batches) if threads > 1 and n_batches > 1 else map(work, batches)
         for dest, out in parts:

@@ -227,6 +227,11 @@ KILLED = ["killed", "--model", "example51", "--start", "0,1", "--ball", "0,1", "
      "--z-max must be finite and nonnegative"),
     (["dynkin", "--model", "example52", "--x", "0.5,0.5", "--n", "64", "--z-max", "nan"],
      "--z-max must be finite and nonnegative"),
+    # a zero separation starts the pair at --x: its estimate is exactly 0 and
+    # strong-feller passed with trend_ok=True (exit 0)
+    (["strong-feller", "--model", "example51", "--x", "0", "--k", "1", "--separations", "0",
+      "--t", "0.05", "--n", "64"], "--separations must all be nonzero"),
+    (FELLER[:8] + ["0.2,-0.0", "--t", "0.05", "--n", "64"], "--separations must all be nonzero"),
 ])
 def test_vacuous_check_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
@@ -238,6 +243,16 @@ def test_vacuous_check_inputs_exit_2(argv, message, tmp_path, monkeypatch, capsy
     monkeypatch.setattr(cli, "dynkin_check", never)
     assert cli.run([*argv, "--outdir", str(tmp_path)]) == cli.EXIT_INPUT_ERROR
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("name", [c for c, argv in ARGV.items() if "--model" in argv])
+def test_thread_count_below_one_exits_2(name, threads, tmp_path, capsys):
+    # each ran on one thread, or ignored the option, and exited 0 or 1
+    argv = [name, *ARGV[name], "--threads", threads, "--outdir", str(tmp_path)]
+    assert cli.run(argv) == cli.EXIT_INPUT_ERROR
+    assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -131,6 +131,60 @@ class TestDrawContract:
         assert any(d.hit is None for d in quiet) and any(d.hit is not None for d in quiet)
 
 
+@st.composite
+def _gathers(draw):
+    """A batch of draws with jumps in several rounds, and increasing rows of
+    a batch of up to four copies of it: a path's numbers go to several rows,
+    one per copy, and a copy may give all of its rows, some or none."""
+    n = draw(st.integers(1, 10))
+    copies = draw(st.integers(1, 4))
+    rows = draw(st.sets(st.integers(0, copies * n - 1), max_size=copies * n))
+    return {"n": n, "rows": np.array(sorted(rows), dtype=np.intp), "model": draw(st.sampled_from(
+        sorted(MODELS))), "reflect": draw(st.booleans()), "gaussian": draw(st.booleans()),
+            "seed": draw(st.integers(0, 2**32))}
+
+
+class TestGather:
+    @PROPERTY
+    @given(case=_gathers())
+    def test_rows_see_their_source_paths(self, case):
+        spec, n, rows = MODELS[case["model"]], case["n"], case["rows"]
+        eps = spec.jump_measure.epsilon
+        (src,) = _draw_block(((derive_rng(case["seed"], 0), 0, n),), spec, 0.2, eps,
+                             spec.jump_measure.large_jump_rate(eps), 1, reflect=case["reflect"],
+                             gaussian=case["gaussian"], n_unif=3)
+        got = src.gather(rows)
+        at = rows % n
+        for key in ("z", "z2", "counts", "zg"):
+            a, b = getattr(src, key), getattr(got, key)
+            assert (a is None) == (b is None), key
+            if a is not None:
+                assert b.tobytes() == a[at].tobytes(), key
+        assert got.unif.tobytes() == src.unif[:, at].tobytes()
+
+        def marks_of(draws, path):     # a path's marks in the order listed
+            if draws.hit is None:
+                return np.empty((0,) + src.marks.shape[1:]) if src.marks is not None else []
+            return draws.marks[draws.hit == path]
+
+        for i, p in enumerate(at.tolist()):
+            # the source lists its jumps round by round, so these are in round order
+            assert np.asarray(marks_of(got, i)).tobytes() == np.asarray(marks_of(src, p)).tobytes()
+        assert (got.hit is None) == (int(got.counts.sum()) == 0)
+
+    def test_cases_reach_repeats_and_rounds(self):
+        # h = 0.2 gives several jump rounds; all of copy 0 and one row of each
+        # of three more copies send path 5's numbers to four rows
+        spec = example52()
+        eps = spec.jump_measure.epsilon
+        (src,) = _draw_block(((derive_rng(5, 0), 0, 6),), spec, 0.2, eps,
+                             spec.jump_measure.large_jump_rate(eps), 1)
+        assert int(src.counts.max()) >= 3
+        got = src.gather(np.r_[0:6, 11, 17, 23])
+        want = src.counts[[0, 1, 2, 3, 4, 5, 5, 5, 5]]
+        assert want[5] > 0 and np.bincount(got.hit, minlength=9).tolist() == want.tolist()
+
+
 def _digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:

@@ -5,10 +5,17 @@ steps all S separations on them; block j of the result is separation j.  The
 golden digests were recorded when every separation still ran as its own
 ``couple_ensemble`` call, so they show that a sweep changes no number.  The
 ensembles are two chunks wide, the second one partial.
+
+Pair i's first side is one state in every block until some block's first
+side switches or is censored; the engine evaluates it once per pair until
+then.  ``TestDivergedFirstSides`` builds sweeps whose first sides do split,
+through coupled switches and through censoring, and holds every block to
+its one-start run.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +31,7 @@ from rsjd import (
     feller_modulus,
     strong_feller_modulus,
 )
+from rsjd.config import load_model_config
 from rsjd.model import RowTruncator
 from rsjd.simulate import CHUNK_SIZE
 
@@ -179,3 +187,57 @@ class TestSweep:
         cfg = CouplingConfig(step=1.0 / 16, horizon=0.25)
         assert feller_modulus(example51(), F_TANH, STARTS["example51"], [], 1, 0.25, 10,
                               cfg, 0) == []
+
+
+def _assert_blocks_alone(spec, start, seconds, cfg, seed, threads):
+    """Run the sweep at ``threads`` and hold every block to its one-start run;
+    returns the blocks."""
+    sweep = couple_ensemble(spec, start, seconds, cfg, len(seconds) * N, seed,
+                            threads=threads)
+    blocks = sweep.blocks(len(seconds))
+    for second, block in zip(seconds, blocks):
+        alone = couple_ensemble(spec, start, second, cfg, N, seed)
+        for f in FIELDS:
+            a, b = getattr(alone, f), getattr(block, f)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), f
+    return blocks
+
+
+def _first_sides_differ(a, b):
+    return (a.x != b.x).any(axis=1) | (a.k != b.k)
+
+
+class TestDivergedFirstSides:
+    # fast switching whose rate depends on x, with config-model jumps
+    FAST = Path(__file__).parent / "data" / "fast_switch.yaml"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["basic", "reflection"])
+    def test_through_coupled_switches(self, kind, threads):
+        spec = load_model_config(self.FAST)
+        start = HybridState(np.array([0.0]), 1)
+        seconds = [HybridState(np.array([s]), 1) for s in (1.0, 0.3, 0.05)]
+        cfg = CouplingConfig(step=1.0 / 16, horizon=0.5, kind=kind)
+        blocks = _assert_blocks_alone(spec, start, seconds, cfg, 20401, threads)
+        # no pair is censored, so only switches split the first sides
+        assert all(np.isinf(b.exit_time).all() for b in blocks)
+        for other in blocks[1:]:
+            assert _first_sides_differ(blocks[0], other).any()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["basic", "reflection"])
+    @pytest.mark.parametrize("name", ["example51", "example52"])
+    def test_through_censoring(self, name, kind, threads):
+        # the far second start leaves r_max far more often than the near one,
+        # so a pair is often censored in one block and not in the other, and
+        # its first side stops there and moves on in the other block; the far
+        # block is block 0, whose rows are the ones side 1 is evaluated at
+        # while a pair has not diverged
+        x = STARTS[name]
+        cfg = CouplingConfig(step=1.0 / 16, horizon=0.5, kind=kind, r_max=2.0)
+        far, near = _assert_blocks_alone(MODELS[name](), HybridState(x, 1),
+                                         _second_starts(name, (1.5, 0.05)), cfg, 20402, threads)
+        only_far = np.isfinite(far.exit_time) & np.isinf(near.exit_time)
+        assert (only_far & _first_sides_differ(near, far)).any()
+

@@ -114,3 +114,18 @@ def test_config_model_ensemble(tmp_path):
                                 threads=threads)
         runs.append((ens.x, ens.k, ens.exit_time))
     _assert_same_bytes(runs)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_count_below_one_rejected(threads, monkeypatch):
+    # max(1, threads) ran such a count on one thread without a word
+    def never(*args, **kwargs):
+        raise AssertionError("ran a batch before checking the thread count")
+
+    monkeypatch.setattr("rsjd.simulate._evolve", never)
+    monkeypatch.setattr("rsjd.coupling._evolve_pair", never)
+    cfg = CouplingConfig(step=1.0 / 16, horizon=0.25)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        simulate_ensemble(example52(), START, cfg, 64, 0, threads=threads)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        couple_ensemble(example52(), START, SWEEP, cfg, 66, 0, threads=threads)
