@@ -154,9 +154,17 @@ def _thread_count(text: str) -> int:
     return threads
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a nonnegative master seed."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {seed}")
+    return seed
+
+
 def _common_args(p: argparse.ArgumentParser):
     p.add_argument("--model", required=True, help="example51, example52[:delta], or config path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     p.add_argument("--outdir", default=os.environ.get("RSJD_OUTDIR", "."),
                    help="output directory (env RSJD_OUTDIR)")

@@ -67,8 +67,8 @@ from ._linalg import row_norm, sqrt_psd_batched
 from .errors import TruncationError
 from .model import HybridState, ModelSpec, RowTruncator
 from .simulate import (CHUNK_SIZE, IntegratorConfig, PathRecord, StepDraws, _apply_step,
-                       _check_positive, _draw_block, _outside, _PathLog, _run_batches,
-                       _step_draws, _step_setup, _within, derive_rng)
+                       _check_positive, _outside, _PathLog, _run_batches, _step_draws,
+                       _step_setup, _within, derive_rng)
 
 __all__ = [
     "CouplingConfig",
@@ -217,6 +217,43 @@ def _coupled_switch(rows, ls, u1, u2, h: float):
     return do, idx // L, ls.take(idx % L)
 
 
+def _gather(draws: StepDraws, rows: np.ndarray) -> StepDraws:
+    """The draws of the increments at the rows ``rows`` of a batch made of
+    copies of the m-path ``draws`` laid end to end, as a batch of their own:
+    row i reads the normals and marks of path rows[i] % m.  ``rows`` is
+    increasing, so a path's numbers go to at most one row per copy, and each
+    row's jumps come in round order.  The switch uniforms are not copied:
+    the engine reads them at the pair index."""
+    def sub(a):
+        return None if a is None else a.take(rows, axis=0, mode="wrap")
+
+    hit = marks = None
+    if draws.hit is not None and rows.size:
+        m = draws.z.shape[0]
+        copies = int(rows[-1]) // m + 1
+        # rows[first[c]:first[c + 1]] are the rows of copy c
+        first = np.searchsorted(rows, m * np.arange(copies + 1)).tolist()
+        hits, picked, partial = [], [], []
+        pos = None                        # a row's place in rows, -1 for none
+        for c, (lo, hi) in enumerate(zip(first, first[1:])):
+            if hi - lo == m:              # the whole copy: path p is at lo + p
+                hits.append(draws.hit + lo)
+                picked.append(draws.marks)
+            elif hi > lo:
+                if pos is None:
+                    pos = np.full(copies * m, -1)
+                pos[rows[lo:hi]] = np.arange(lo, hi)
+                partial.append(c)
+        if partial:
+            at = pos.take((draws.hit + m * np.array(partial)[:, None]).ravel())
+            keep = (at >= 0).nonzero()[0]
+            hits.append(at.take(keep))
+            picked.append(draws.marks.take(keep % draws.hit.size, axis=0))
+        hit = np.concatenate(hits)
+        hit, marks = (hit, np.concatenate(picked)) if hit.size else (None, None)
+    return StepDraws(sub(draws.z), sub(draws.z2), hit, marks, sub(draws.zg))
+
+
 def _unit_rows(x, xt):
     """The unit vectors along the rows of xt - x, 0 where the rows coincide."""
     diff = xt - x
@@ -230,17 +267,17 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
 
     The batch is ``blocks`` equal blocks of m = n / blocks pairs that all see
     the same numbers: the draws are made once for m pairs from ``rng``, by
-    ``_draw_block`` a block of steps at a time, and row r of the batch reads
-    the draws of pair r % m.  Each block keeps its own ``RowTruncator``
-    and so its own truncation level, and block j holds exactly what a batch
-    of its m pairs alone would.  A step builds the switch candidates' rows
-    with one ``rows`` call per truncation level that its blocks stand at,
-    or one per block where a level does not hold (``_switch_rows``); the
-    candidates are the pairs whose first switch uniform falls below
-    1 - exp(-(Qbar_K + Qbar_K~) h), a threshold kept per pair and
-    recomputed only for the pairs whose regimes changed, from the whole-row
-    bounds ``screen_bound`` of the first block's truncator, which every
-    ``rows`` call checks its rows against.
+    ``_step_draws`` a block of steps at a time, and row r of the batch reads
+    the draws of pair r % m, copied by ``_gather`` for an increment.  Each
+    block keeps its own ``RowTruncator`` and so its own truncation level,
+    and block j holds exactly what a batch of its m pairs alone would.  A
+    step builds the switch candidates' rows with one ``rows`` call per
+    truncation level that its blocks stand at, or one per block where a
+    level does not hold (``_switch_rows``); the candidates are the pairs
+    whose first switch uniform falls below 1 - exp(-(Qbar_K + Qbar_K~) h), a
+    threshold kept per pair and recomputed only for the pairs whose regimes
+    changed, from the whole-row bounds ``screen_bound`` of the first block's
+    truncator, which every ``rows`` call checks its rows against.
 
     Each side is evaluated once per step by ``_apply_step``, and only where
     its increment can differ from one already evaluated:
@@ -249,11 +286,10 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
       the same draws, so it stays one state until some block's first side
       switches regime or is censored; from then on the pair has diverged.
       Side 1 is evaluated in one call at the m rows of block 0 and at the
-      rows of the diverged pairs in the other blocks: on the draws as
-      ``_draw_block`` made them while no pair has diverged, else on those
-      that ``StepDraws.gather`` picks for the rows.  Every row takes the
-      increment of its evaluated row (``src``), and ``n_clamped`` counts the
-      clamps of every row.
+      rows of the diverged pairs in the other blocks: on the draws as they
+      were made while no pair has diverged, else on those that ``_gather``
+      picks for the rows.  Every row takes the increment of its evaluated
+      row (``src``), and ``n_clamped`` counts the clamps of every row.
     * Under reflection a coalesced pair is stepped once: side 2 is evaluated
       only at the pairs that have not coalesced, on the draws gathered for
       them, and the others take the first side's increment, which is the one
@@ -348,29 +384,26 @@ def _evolve_pair(spec: ModelSpec, x0, xt0, k0, kt0, cfg: CouplingConfig,
         # still set a mark, None while that is every pair
         rows2 = (~merged).nonzero()[0] if reflect and merged.any() else None
         scan = rows2 if all_alive else (alive & ~merged).nonzero()[0]
-        # the increments read neither the Poisson counts nor the uniforms, so
-        # no gather copies them
-        inc = StepDraws(draws.z, draws.z2, hit=draws.hit, marks=draws.marks, zg=draws.zg)
 
         if rows1 is None:
             dx1, roots1 = _apply_step(spec, X[:m], K[:m], h, draws, eps, lam)
         else:
             dx1, roots1 = _apply_step(spec, X.take(rows1, axis=0), K.take(rows1), h,
-                                      inc.gather(rows1), eps, lam)
+                                      _gather(draws, rows1), eps, lam)
         dX = dx1.take(src, axis=0)
         u = roots2 = None
         if rows2 is None:
             if reflect:
                 u = _unit_rows(X, Xt)
             dXt, roots2 = _apply_step(spec, Xt, Kt, h,
-                                      draws if blocks == 1 else inc.gather(every), eps, lam, u)
+                                      draws if blocks == 1 else _gather(draws, every), eps, lam, u)
         else:
             dXt = dX.copy()
             if rows2.size:
                 x2 = Xt.take(rows2, axis=0)
                 u = _unit_rows(X.take(rows2, axis=0), x2)
                 dXt[rows2], roots2 = _apply_step(spec, x2, Kt.take(rows2), h,
-                                                 inc.gather(rows2), eps, lam, u)
+                                                 _gather(draws, rows2), eps, lam, u)
 
         # a censored pair keeps its state
         if all_alive:
@@ -634,7 +667,7 @@ def pair_one_step(spec: ModelSpec, x, xt, k: int, n: int, cfg: CouplingConfig,
     K = np.full(n, k, dtype=np.int64)
     x1 = np.tile(np.asarray(x, dtype=float), (n, 1))
     x2 = np.tile(np.asarray(xt, dtype=float), (n, 1))
-    (draws,) = _draw_block(((rng, 0, n),), spec, cfg.step, eps, lam_rate, 1,
+    (draws,) = _step_draws(((rng, 0, n),), spec, cfg.step, eps, lam_rate, 1,
                            reflect=lam is not None, gaussian=gaussian)
     dX, _ = _apply_step(spec, x1, K, cfg.step, draws, eps, lam)
     dXt, _ = _apply_step(spec, x2, K, cfg.step, draws, eps, lam,

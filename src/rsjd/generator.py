@@ -331,9 +331,10 @@ def apply_generator(spec: ModelSpec, f, x, k: int) -> GeneratorValue:
 
     The constants SMALL_CUTOFF, QUAD_TOL and TAIL_TOL set the bracket: the
     quadrature error estimate, the small-jump Taylor bound and the regime tail.
+    A point that is not a state of the model raises ``ValueError`` first.
     """
-    value, bracket = _generator(spec, as_test_function(f), np.asarray(x, dtype=float)[None],
-                                np.array([int(k)]))
+    state = spec.check_state(HybridState(x, k))
+    value, bracket = _generator(spec, as_test_function(f), state.x[None], np.array([state.k]))
     return GeneratorValue(float(value[0]), float(bracket[0]))
 
 
@@ -557,7 +558,7 @@ def dynkin_check(spec: ModelSpec, f, x, k: int, t_small: float, n_paths: int,
     The z-score divides the discrepancy by Monte Carlo noise plus an explicit
     allowance: the generator bracket, a bound on the simulator's dropped
     small-jump bias, and a first-order-in-(t, h) Taylor term.  ``n_paths``
-    must be at least 2, for the sample standard deviation.
+    must be at least 2 and (x, k) a state of the model, both checked first.
     """
     from dataclasses import replace
 
@@ -565,12 +566,13 @@ def dynkin_check(spec: ModelSpec, f, x, k: int, t_small: float, n_paths: int,
 
     if n_paths < 2:
         raise ValueError(f"the stderr needs at least two paths, got n_paths={n_paths}")
+    state = spec.check_state(HybridState(x, k))
+    x, k = state.x, state.k
     f = as_test_function(f)
-    x = np.asarray(x, dtype=float)
     gen = apply_generator(spec, f, x, k)
 
     cfg_run = replace(cfg, horizon=t_small)
-    ens = simulate_ensemble(spec, HybridState(x, k), cfg_run, n_paths, seed, threads=threads)
+    ens = simulate_ensemble(spec, state, cfg_run, n_paths, seed, threads=threads)
     vals = np.asarray(f.fn(ens.x, ens.k), dtype=float)
     f0 = float(f.fn(x, k))
     lhs = (float(np.mean(vals)) - f0) / t_small

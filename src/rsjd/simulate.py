@@ -45,7 +45,8 @@ the mark and switch uniforms of a step without gaussian normals come from
 one ``random(2 J + rows m)``.  No draw depends on the state, so the engines
 draw DRAW_PATH_STEPS // n steps of an n-path batch at a time ahead of
 stepping them; a chunk's numbers are the same whatever batch it is packed in
-and however many steps are drawn at once.
+and however many steps are drawn at once.  The Poisson counts only place the
+marks: a step's ``StepDraws`` hold just what the step engines read.
 """
 
 from __future__ import annotations
@@ -121,9 +122,12 @@ class IntegratorConfig:
 
 
 def derive_rng(seed: int, *spawn_key: int) -> np.random.Generator:
-    """Deterministic child generator for (master seed, stream/chunk key)."""
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**63 - 1),
-                                spawn_key=tuple(int(v) for v in spawn_key))
+    """Deterministic child generator for (master seed, stream/chunk key); the
+    seed must be nonnegative and is the entropy as given, with no bit masked."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(v) for v in spawn_key))
     return np.random.default_rng(ss)
 
 
@@ -217,30 +221,26 @@ def _sigma_lambda(spec: ModelSpec, x: np.ndarray, k: np.ndarray, lam: float):
     return sqrt_psd_batched(a)
 
 
-def _block_marks(quantile, eps: float, counts: np.ndarray, seg_los, block: np.ndarray):
-    """The marks of the large jumps of a block of steps, from their uniforms.
+def _mark_uniforms(counts: np.ndarray, seg_los, block: np.ndarray):
+    """The jumps of a block of steps, and the (2, J) quantile input U of
+    their marks, from their uniforms.
 
     ``counts`` holds the (steps, n) Poisson counts of a batch whose segment g
     starts at path ``seg_los[g]``.  ``block`` holds, step by step and within
     a step segment by segment, the 2 J uniforms that the segment drew for its
-    J jumps of the step.  Returns ``(hit, marks)``: jump j moves path
-    ``hit[j]`` by ``marks[j]``.  The jumps are listed step by step, and within
-    a step round by round, round r holding the paths with more than r jumps,
-    in path order.  A segment reads its 2 J uniforms of a step as consecutive
-    rounds: round r's c_r marks take c_r uniforms for row 0 of the quantile's
-    U, then c_r for row 1.  ``rng.random(a + b)`` is ``rng.random(a)``
-    followed by ``rng.random(b)`` bit for bit, so these are the numbers that
-    one ``rng.random((2, c_r))`` per step, round and segment would draw.
-    ``quantile`` maps the columns of U independently, so its one call over the
-    whole block gives the marks of one call per round.  Needs ``counts.any()``.
+    J jumps of the step.  Returns ``(hit, U)``: jump j moves path ``hit[j]``
+    by the mark of column j of U.  The jumps are listed step by step, and
+    within a step round by round, round r holding the paths with more than r
+    jumps, in path order.  A segment reads its 2 J uniforms of a step as
+    consecutive rounds: round r's c_r marks take c_r uniforms for row 0 of U,
+    then c_r for row 1.  ``rng.random(a + b)`` is ``rng.random(a)`` followed
+    by ``rng.random(b)`` bit for bit, so these are the numbers that one
+    ``rng.random((2, c_r))`` per step, round and segment would draw.  A
+    quantile map takes the columns of U independently, so its one call over
+    the whole block gives the marks of one call per round.  The index arrays
+    that order them die here, before the quantile allocates.  Needs
+    ``counts.any()``.
     """
-    hit, unif = _mark_uniforms(counts, seg_los, block)
-    return hit, quantile(eps, unif)
-
-
-def _mark_uniforms(counts: np.ndarray, seg_los, block: np.ndarray):
-    """``hit`` and the (2, J) quantile input U of ``_block_marks``; the
-    index arrays that order them die here, before the quantile allocates."""
     n = counts.shape[1]
     mask = counts[:, None, :] > np.arange(int(counts.max()))[:, None]  # (steps, rounds, n)
     hit = mask.ravel().nonzero()[0]                                      # step, then round
@@ -262,74 +262,34 @@ def _mark_uniforms(counts: np.ndarray, seg_los, block: np.ndarray):
 
 @dataclass(slots=True)
 class StepDraws:
-    """Every random number of one step of a batch, as ``_draw_block`` made
-    them or ``gather`` picked them.
+    """The random numbers of one step of a batch that a step engine reads, as
+    ``_draw_block`` made them.
 
     ``z`` holds the (n, d) Brownian normals and ``z2`` the second set under
-    reflection.  With jumps, ``counts`` holds the (n,) Poisson counts, and
-    when some path jumps, jump j moves path ``hit[j]`` by the mark
-    ``marks[j]``, listed round by round (see ``_block_marks``), after a
-    ``gather`` within each copy; either way each path's jumps come in round
-    order, the order ``_apply_step`` adds them in.  ``zg`` holds the
-    gaussian-policy normals and ``unif`` the (rows, n) switch uniforms, with
-    the bridge-crossing uniform as row 2 under reflection.  A field that the
-    step does not draw is None.  The arrays may be views into the buffers of
-    a block of steps, which ``_step_draws`` refills for the next block; the
-    step engines only read them.
+    reflection.  When some path jumps, jump j moves path ``hit[j]`` by the
+    mark ``marks[j]``; the jumps are listed round by round (see
+    ``_mark_uniforms``), so each path's jumps come in round order, the order
+    ``_apply_step`` adds them in.  ``zg`` holds the gaussian-policy normals
+    and ``unif`` the (rows, n) switch uniforms, with the bridge-crossing
+    uniform as row 2 under reflection.  A field that the step does not draw
+    is None.  The arrays may be views into the buffers of a block of steps,
+    which ``_step_draws`` refills for the next block; the step engines only
+    read them.
     """
 
     z: np.ndarray
     z2: np.ndarray | None = None
-    counts: np.ndarray | None = None
     hit: np.ndarray | None = None
     marks: np.ndarray | None = None
     zg: np.ndarray | None = None
     unif: np.ndarray | None = None
 
-    def gather(self, rows: np.ndarray) -> "StepDraws":
-        """The draws of the rows ``rows`` of a batch made of copies of this
-        one laid end to end, as a batch of their own: path i sees path rows[i]
-        % n's numbers, for n paths here.  ``rows`` is increasing, so a path's
-        numbers go to at most one row per copy.  Each row's jumps come in
-        round order."""
-        def sub(a, axis=0):
-            return None if a is None else a.take(rows, axis=axis, mode="wrap")
-
-        hit = marks = None
-        if self.hit is not None and rows.size:
-            n = self.z.shape[0]
-            copies = int(rows[-1]) // n + 1
-            # rows[first[c]:first[c + 1]] are the rows of copy c
-            first = np.searchsorted(rows, n * np.arange(copies + 1)).tolist()
-            hits, picked, partial = [], [], []
-            pos = None                        # a row's place in rows, -1 for none
-            for c, (lo, hi) in enumerate(zip(first, first[1:])):
-                if hi - lo == n:              # the whole copy: path p is at lo + p
-                    hits.append(self.hit + lo)
-                    picked.append(self.marks)
-                elif hi > lo:
-                    if pos is None:
-                        pos = np.full(copies * n, -1)
-                    pos[rows[lo:hi]] = np.arange(lo, hi)
-                    partial.append(c)
-            if partial:
-                at = pos.take((self.hit + n * np.array(partial)[:, None]).ravel())
-                keep = (at >= 0).nonzero()[0]
-                hits.append(at.take(keep))
-                picked.append(self.marks.take(keep % self.hit.size, axis=0))
-            hit = np.concatenate(hits)
-            if hit.size:
-                marks = np.concatenate(picked)
-            else:
-                hit = None
-        return StepDraws(sub(self.z), sub(self.z2), sub(self.counts), hit, marks,
-                         sub(self.zg), sub(self.unif, 1))
-
 
 def _draw_buffers(n: int, d: int, steps: int, *, jumps: bool, reflect: bool = False,
                   gaussian: bool = False, n_unif: int = 0):
     """Empty buffers for ``steps`` steps of an n-path batch, as ``_draw_block``
-    fills them: (z, z2, zg, counts, unif), None for a draw the step does not make."""
+    fills them: (z, z2, zg, counts, unif), None for a draw the step does not
+    make; only ``_draw_block`` reads the Poisson counts."""
     return (np.empty((steps, n, d)),
             np.empty((steps, n, d)) if reflect else None,
             np.empty((steps, n, d)) if jumps and gaussian else None,
@@ -337,20 +297,21 @@ def _draw_buffers(n: int, d: int, steps: int, *, jumps: bool, reflect: bool = Fa
             np.empty((steps, n_unif, n)) if n_unif else None)
 
 
-def _draw_block(streams, spec: ModelSpec, h: float, eps, lam_rate, steps: int, *,
-                reflect: bool = False, gaussian: bool = False,
-                n_unif: int = 0, buffers=None) -> list:
+def _draw_block(streams, spec: ModelSpec, h: float, eps, lam_rate, steps: int, buffers) -> list:
     """Make every draw of ``steps`` consecutive steps of a batch; the
     RNG-order contract.  Returns one ``StepDraws`` per step.
 
-    ``streams`` is a tuple of ``(rng, lo, hi)`` segments covering the batch
-    in order: paths lo..hi-1 draw from rng.  Each segment consumes its stream
-    step by step, and within a step of its m paths in this fixed order:
+    ``buffers`` come from ``_draw_buffers`` and say which draws a step
+    makes: z2 under reflection, zg under the gaussian policy, and n_unif
+    rows of switch uniforms.  ``streams`` is a tuple of ``(rng, lo, hi)``
+    segments covering the batch in order: paths lo..hi-1 draw from rng.
+    Each segment consumes its stream step by step, and within a step of its
+    m paths in this fixed order:
 
-    1. the (m, d) normals, and a second set under ``reflect``;
+    1. the (m, d) normals, and a second set under reflection;
     2. with jumps (``eps`` not None), the m Poisson counts, then
-       ``random(2 J)`` for the marks of its J jumps (see ``_block_marks``);
-    3. with jumps and under ``gaussian``, the (m, d) small-jump normals;
+       ``random(2 J)`` for the marks of its J jumps (see ``_mark_uniforms``);
+    3. with jumps, under the gaussian policy, the (m, d) small-jump normals;
     4. ``random((n_unif, m))``: the two switch uniforms, and the
        bridge-crossing one as a third row.
 
@@ -359,25 +320,22 @@ def _draw_block(streams, spec: ModelSpec, h: float, eps, lam_rate, steps: int, *
     draw is sized by the segment, so a segment consumes its stream
     exactly as a batch of its own paths would, and as ``steps`` calls of one
     step each would.  The draws go into the first ``steps`` steps of
-    ``buffers``, from ``_draw_buffers`` with the same flags, or into new ones;
-    the ``StepDraws`` are views of them, valid until the buffers are refilled.
-    The quantile map turns the mark uniforms of the whole block into marks in
-    one call.
+    ``buffers``; the ``StepDraws`` are views of them, valid until the
+    buffers are refilled.  The Poisson counts stay in their buffer: the
+    quantile map turns the mark uniforms of the whole block into marks in
+    one call, and each step gets its jumps as ``hit`` and ``marks``.
     """
-    n = streams[-1][2]
     jumps = eps is not None
-    if buffers is None:
-        buffers = _draw_buffers(n, spec.d, steps, jumps=jumps, reflect=reflect,
-                                gaussian=gaussian, n_unif=n_unif)
     z, z2, zg, counts, unif = (None if b is None else b[:steps] for b in buffers)
+    n_unif = 0 if unif is None else unif.shape[1]
     lam_h = lam_rate * h if jumps else None
-    merged = jumps and n_unif and not gaussian   # steps 2 and 4 in one call
+    merged = jumps and n_unif and zg is None   # steps 2 and 4 in one call
     mark_unif = []  # (step, segment) order
     for s in range(steps):
         for rng, lo, hi in streams:
             m = hi - lo
             rng.standard_normal(out=z[s, lo:hi])
-            if reflect:
+            if z2 is not None:
                 rng.standard_normal(out=z2[s, lo:hi])
             if jumps:
                 c = counts[s, lo:hi]
@@ -389,20 +347,18 @@ def _draw_block(streams, spec: ModelSpec, h: float, eps, lam_rate, steps: int, *
                     unif[s, :, lo:hi] = u[n_mark:].reshape(n_unif, m)
                     continue
                 mark_unif.append(rng.random(n_mark))
-                if gaussian:
+                if zg is not None:
                     rng.standard_normal(out=zg[s, lo:hi])
             if n_unif:
                 unif[s, :, lo:hi] = rng.random((n_unif, m))
 
-    def per_step(a):
-        return [None] * steps if a is None else list(a)
+    def at(a, s):
+        return None if a is None else a[s]
 
-    draws = [StepDraws(zs, z2s, cs, zg=zgs, unif=us)
-             for zs, z2s, cs, zgs, us in zip(list(z), per_step(z2), per_step(counts),
-                                             per_step(zg), per_step(unif))]
+    draws = [StepDraws(z[s], at(z2, s), zg=at(zg, s), unif=at(unif, s)) for s in range(steps)]
     if jumps and counts.any():
-        hit, marks = _block_marks(spec.jump_measure.large_jump_quantile, eps, counts,
-                                  [lo for _, lo, _ in streams], np.concatenate(mark_unif))
+        hit, u = _mark_uniforms(counts, [lo for _, lo, _ in streams], np.concatenate(mark_unif))
+        marks = spec.jump_measure.large_jump_quantile(eps, u)
         ends = [0] + np.cumsum(counts.sum(axis=1)).tolist()
         for dr, a, b in zip(draws, ends, ends[1:]):
             if b > a:
@@ -412,15 +368,14 @@ def _draw_block(streams, spec: ModelSpec, h: float, eps, lam_rate, steps: int, *
 
 def _step_draws(streams, spec: ModelSpec, h: float, eps, lam_rate, nsteps: int, **kw):
     """The ``StepDraws`` of ``nsteps`` steps in order, made by ``_draw_block``
-    DRAW_PATH_STEPS // n steps at a time for a batch of n paths; ``kw`` as
-    for ``_draw_block``.  Every block refills the same buffers, so a step's
-    draws hold only until the next step's are asked for."""
+    DRAW_PATH_STEPS // n steps at a time for a batch of n paths into buffers
+    from ``_draw_buffers(..., **kw)``.  Every block refills the same buffers,
+    so a step's draws hold only until the next step's are asked for."""
     n = streams[-1][2]
     block = min(nsteps, max(1, DRAW_PATH_STEPS // n))
     buffers = _draw_buffers(n, spec.d, block, jumps=eps is not None, **kw)
     for i in range(0, nsteps, block):
-        yield from _draw_block(streams, spec, h, eps, lam_rate, min(block, nsteps - i),
-                               buffers=buffers, **kw)
+        yield from _draw_block(streams, spec, h, eps, lam_rate, min(block, nsteps - i), buffers)
 
 
 def _apply_step(spec: ModelSpec, x: np.ndarray, k: np.ndarray, h: float, draws: StepDraws,

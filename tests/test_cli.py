@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,47 @@ def test_dynkin_needs_two_paths(tmp_path, monkeypatch, capsys):
     assert cli.run(argv) == cli.EXIT_INPUT_ERROR
     assert "at least two paths" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("extra, message", [
+    # --k 0 and --x nan exited 1 with "numeric failure: mark quadrature ...
+    # value=nan" after two RuntimeWarnings; --x 0,0 exited 2 with a numpy
+    # matmul message
+    (["--k", "0"], "regime index must be >= 1"),
+    (["--x", "nan"], "state vector must be finite"),
+    (["--x", "0,0"], "state dimension 2 does not match model dimension 1"),
+])
+def test_dynkin_invalid_state_exits_2(extra, message, tmp_path, capsys):
+    argv = ["dynkin", "--model", "example51", "--n", "64", "--t-small", "0.01", "--h", "0.001",
+            *extra, "--outdir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(argv) == cli.EXIT_INPUT_ERROR
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+SEEDED_KILLED = ["killed", "--model", "example51", "--start", "0,1", "--ball", "0,1",
+                 "--t", "0.1", "--n", "256"]
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    # -1 ran, on the numbers of 2^63 - 1
+    argv = [*SEEDED_KILLED, "--seed", "-1", "--outdir", str(tmp_path)]
+    assert cli.run(argv) == cli.EXIT_INPUT_ERROR
+    assert "argument --seed: must be nonnegative, got -1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_seed_2_63_is_not_seed_0(tmp_path):
+    # both wrote the estimate 0.928941...
+    results = []
+    for seed in ("0", str(2**63)):
+        out = tmp_path / seed
+        assert cli.run([*SEEDED_KILLED, "--seed", seed, "--threads", "1",
+                        "--outdir", str(out)]) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+        results.append(json.loads((out / "killed.json").read_text())["result"])
+    assert results[0] != results[1]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -5,7 +5,8 @@ steps of an n-path batch at a time.  The property below holds ``_draw_block``
 to the raw per-step calls of the documented order: for each step and each
 segment, the normals, the second normals under reflection, the Poisson
 counts, ``random(2 J)`` for the marks, the gaussian-policy normals, then
-``random((n_unif, m))``.  The arrays must agree byte for byte and every
+``random((n_unif, m))``.  The arrays must agree byte for byte, the per-step
+counts read from the jumps as ``np.bincount(hit, minlength=n)``, and every
 stream must be left where the raw calls leave it.  The ensembles below must
 not depend on the block size either.
 """
@@ -27,10 +28,22 @@ from rsjd import (
     simulate_path,
 )
 from rsjd import simulate
-from rsjd.simulate import _draw_block, derive_rng
+from rsjd.coupling import _gather
+from rsjd.simulate import _draw_block, _draw_buffers, derive_rng
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 MODELS = {"example51": example51(), "example52": example52()}
+
+
+def _draw(streams, spec, h, eps, lam_rate, steps, **kw):
+    """``_draw_block`` into new buffers for the flags ``kw``."""
+    buffers = _draw_buffers(streams[-1][2], spec.d, steps, jumps=eps is not None, **kw)
+    return _draw_block(streams, spec, h, eps, lam_rate, steps, buffers)
+
+
+def _counts(draws, n):
+    """The (n,) Poisson counts of a step, read from its jumps."""
+    return np.zeros(n, dtype=np.intp) if draws.hit is None else np.bincount(draws.hit, minlength=n)
 
 
 def _raw_draws(streams, spec, h, eps, lam_rate, steps, reflect, gaussian, n_unif):
@@ -106,12 +119,15 @@ class TestDrawContract:
 
         new, ref = streams(), streams()
         kw = {key: case[key] for key in ("reflect", "gaussian", "n_unif")}
-        got = _draw_block(new, spec, case["h"], eps, lam_rate, case["steps"], **kw)
+        got = _draw(new, spec, case["h"], eps, lam_rate, case["steps"], **kw)
         want = _raw_draws(ref, spec, case["h"], eps, lam_rate, case["steps"], **kw)
         assert len(got) == case["steps"]
         for dr, step in zip(got, want):
             for key, a in step.items():
-                mine = getattr(dr, key)
+                if key == "counts":
+                    mine = _counts(dr, b[-1]) if case["jumps"] else None
+                else:
+                    mine = getattr(dr, key)
                 assert (mine is None) == (a is None), key
                 if a is not None:
                     assert mine.shape == a.shape and mine.dtype == a.dtype, key
@@ -125,9 +141,9 @@ class TestDrawContract:
         spec = example52()
         eps = spec.jump_measure.epsilon
         streams = ((derive_rng(3, 0), 0, 5), (derive_rng(3, 1), 5, 9))
-        busy, quiet = (_draw_block(streams, spec, h, eps, spec.jump_measure.large_jump_rate(eps),
-                                   20) for h in (0.05, 0.002))
-        assert max(int(d.counts.max()) for d in busy) >= 3
+        busy, quiet = (_draw(streams, spec, h, eps, spec.jump_measure.large_jump_rate(eps), 20)
+                       for h in (0.05, 0.002))
+        assert max(int(_counts(d, 9).max()) for d in busy) >= 3
         assert any(d.hit is None for d in quiet) and any(d.hit is not None for d in quiet)
 
 
@@ -145,22 +161,25 @@ def _gathers(draw):
 
 
 class TestGather:
+    """The pair engine's ``coupling._gather``: each row gets its source
+    path's increment draws, and no switch uniforms."""
+
     @PROPERTY
     @given(case=_gathers())
     def test_rows_see_their_source_paths(self, case):
         spec, n, rows = MODELS[case["model"]], case["n"], case["rows"]
         eps = spec.jump_measure.epsilon
-        (src,) = _draw_block(((derive_rng(case["seed"], 0), 0, n),), spec, 0.2, eps,
-                             spec.jump_measure.large_jump_rate(eps), 1, reflect=case["reflect"],
-                             gaussian=case["gaussian"], n_unif=3)
-        got = src.gather(rows)
+        (src,) = _draw(((derive_rng(case["seed"], 0), 0, n),), spec, 0.2, eps,
+                       spec.jump_measure.large_jump_rate(eps), 1, reflect=case["reflect"],
+                       gaussian=case["gaussian"], n_unif=3)
+        got = _gather(src, rows)
         at = rows % n
-        for key in ("z", "z2", "counts", "zg"):
+        for key in ("z", "z2", "zg"):
             a, b = getattr(src, key), getattr(got, key)
             assert (a is None) == (b is None), key
             if a is not None:
                 assert b.tobytes() == a[at].tobytes(), key
-        assert got.unif.tobytes() == src.unif[:, at].tobytes()
+        assert got.unif is None
 
         def marks_of(draws, path):     # a path's marks in the order listed
             if draws.hit is None:
@@ -170,18 +189,19 @@ class TestGather:
         for i, p in enumerate(at.tolist()):
             # the source lists its jumps round by round, so these are in round order
             assert np.asarray(marks_of(got, i)).tobytes() == np.asarray(marks_of(src, p)).tobytes()
-        assert (got.hit is None) == (int(got.counts.sum()) == 0)
+        assert (got.hit is None) == (int(_counts(src, n)[at].sum()) == 0)
 
     def test_cases_reach_repeats_and_rounds(self):
         # h = 0.2 gives several jump rounds; all of copy 0 and one row of each
         # of three more copies send path 5's numbers to four rows
         spec = example52()
         eps = spec.jump_measure.epsilon
-        (src,) = _draw_block(((derive_rng(5, 0), 0, 6),), spec, 0.2, eps,
-                             spec.jump_measure.large_jump_rate(eps), 1)
-        assert int(src.counts.max()) >= 3
-        got = src.gather(np.r_[0:6, 11, 17, 23])
-        want = src.counts[[0, 1, 2, 3, 4, 5, 5, 5, 5]]
+        (src,) = _draw(((derive_rng(5, 0), 0, 6),), spec, 0.2, eps,
+                       spec.jump_measure.large_jump_rate(eps), 1)
+        counts = _counts(src, 6)
+        assert int(counts.max()) >= 3
+        got = _gather(src, np.r_[0:6, 11, 17, 23])
+        want = counts[[0, 1, 2, 3, 4, 5, 5, 5, 5]]
         assert want[5] > 0 and np.bincount(got.hit, minlength=9).tolist() == want.tolist()
 
 

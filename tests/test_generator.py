@@ -44,7 +44,27 @@ def f_gauss():
         bounded=True, bound=float(np.exp(-0.5) / np.sqrt(2.0)), label="x e^{-x^2}")
 
 
+# states of example51 that are not states: each evaluated before the fix,
+# k = 0 and a NaN x to a QuadratureError ("value=nan") after two
+# RuntimeWarnings, two coordinates to a numpy matmul error
+BAD_STATES = pytest.mark.parametrize("x, k, message", [
+    ([0.0], 0, "regime index must be >= 1"),
+    ([np.nan], 1, "state vector must be finite"),
+    ([0.0, 0.0], 1, "state dimension 2 does not match model dimension 1"),
+])
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("evaluated before checking the state")
+
+
 class TestApplyGenerator:
+    @BAD_STATES
+    def test_invalid_state_rejected_before_evaluating(self, x, k, message, monkeypatch):
+        monkeypatch.setattr(generator, "_generator", _never)
+        with pytest.raises(ValueError, match=message):
+            apply_generator(example51(), f_gauss(), np.array(x), k)
+
     def test_linear_function_drift_only(self):
         # the compensated jump integral of a linear function vanishes and the
         # regime-exchange term is skipped for k-independent f
@@ -336,6 +356,14 @@ class TestDynkin:
         res = dynkin_check(spec, f, x, 1, 2.0 ** -6, 200000, cfg, 11)
         assert res.rhs == pytest.approx(rhs_oracle, abs=1e-8)
         assert res.z_score <= 4.0, res
+
+    @BAD_STATES
+    def test_invalid_state_is_an_input_error(self, x, k, message, monkeypatch):
+        monkeypatch.setattr(generator, "_generator", _never)
+        monkeypatch.setattr(simulate, "simulate_ensemble", _never)
+        cfg = IntegratorConfig(step=1e-3, horizon=1.0)
+        with pytest.raises(ValueError, match=message):
+            dynkin_check(example51(), f_gauss(), np.array(x), k, 1e-2, 64, cfg, 3)
 
     def test_one_path_is_an_input_error(self, monkeypatch):
         # one path gave a NaN stderr, two RuntimeWarnings and z=nan (FAIL)

@@ -2,8 +2,8 @@
 
 Each jump measure declares an inverse-CDF map ``large_jump_quantile(eps, U)``
 on a (2, n) block of uniforms.  ``_draw_block`` draws one block per stream
-and step, and ``_block_marks`` maps the marks of a whole block of steps in
-one call.  The property below checks that against the per-round loop that
+and step, and maps the marks of a whole block of steps in one call: it
+orders the uniforms with ``_mark_uniforms`` and calls the quantile once.  The property below checks that against the per-round loop that
 drew the marks before, step after step, with the samplers that the measures
 declared then.  The digests were recorded before the change, so they show
 that it moves no number.
@@ -27,7 +27,7 @@ from rsjd import (
     simulate_ensemble,
 )
 from rsjd.config import _power_law_measure, load_model_config
-from rsjd.simulate import _block_marks, derive_rng
+from rsjd.simulate import _mark_uniforms, derive_rng
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 JUMP1D = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "jump1d.yaml"
@@ -102,11 +102,13 @@ def _batches(draw):
 
 
 def _block_loop(quantile, eps, counts, streams):
-    """``_block_marks`` on the uniforms that ``_draw_block`` draws for the
-    marks: ``random(2 J)`` per step and segment."""
+    """The mark map of ``_draw_block`` on the uniforms that it draws for the
+    marks, ``random(2 J)`` per step and segment: ``_mark_uniforms``, then one
+    quantile call."""
     block = np.concatenate([rng.random(2 * int(c[lo:hi].sum()))
                             for c in counts for rng, lo, hi in streams])
-    return _block_marks(quantile, eps, counts, [lo for _, lo, _ in streams], block)
+    hit, u = _mark_uniforms(counts, [lo for _, lo, _ in streams], block)
+    return hit, quantile(eps, u)
 
 
 class TestOneBlockDraw:

@@ -26,7 +26,7 @@ from rsjd import (
     simulate_killed_path,
     simulate_path,
 )
-from rsjd.simulate import _draw_block, _step_setup, derive_rng
+from rsjd.simulate import _draw_block, _draw_buffers, _step_setup, derive_rng
 
 from test_simulate import const_rate_matrix
 
@@ -47,8 +47,10 @@ def test_jump_log_is_recomputed(regime, model, x, seed):
     spec = model()
     rec = _path(regime, model, x, seed)
     nsteps, h, eps, lam_rate, gaussian, _ = _step_setup(spec, CFG)
+    buffers = _draw_buffers(1, spec.d, nsteps, jumps=eps is not None, gaussian=gaussian,
+                            n_unif=2 if regime == "switching" else 0)
     draws = _draw_block(((derive_rng(seed, 0, 0), 0, 1),), spec, h, eps, lam_rate, nsteps,
-                        gaussian=gaussian, n_unif=2 if regime == "switching" else 0)
+                        buffers)
     expect = []
     for i, dr in enumerate(draws):
         for u in (() if dr.hit is None else dr.marks):
@@ -108,7 +110,8 @@ def test_ensemble_observer_sees_the_step_draws():
                       observer=observer, stream=3)
     assert [i for i, _ in seen] == list(range(nsteps + 1))
     assert seen[0][1] is None
+    buffers = _draw_buffers(n, spec.d, nsteps, jumps=eps is not None, gaussian=gaussian, n_unif=2)
     draws = _draw_block(((derive_rng(seed, 3, 0), 0, n),), spec, h, eps, lam_rate, nsteps,
-                        gaussian=gaussian, n_unif=2)
+                        buffers)
     for (_, (z, unif)), dr in zip(seen[1:], draws):
         assert z.tobytes() == dr.z.tobytes() and unif.tobytes() == dr.unif.tobytes()

@@ -13,7 +13,7 @@ from rsjd import (
     simulate_path,
 )
 from rsjd.config import load_model_config
-from rsjd.simulate import _compensator_quadrature
+from rsjd.simulate import _compensator_quadrature, derive_rng
 
 # config model with the power-law family du/|u|^p on 0 < |u| < 1 and a jump
 # coefficient even in u, so its large-jump compensator is nonzero:
@@ -205,6 +205,29 @@ class TestCompensatorFallback:
         warm = simulate_ensemble(warm_spec, start, cfg, 64, 2)
         assert cold.x.tobytes() == warm.x.tobytes()
         assert cold.k.tobytes() == warm.k.tobytes()
+
+
+class TestDeriveRng:
+    def test_negative_seed_rejected(self):
+        # the seed was masked to 63 bits, so -1 drew the numbers of 2^63 - 1
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            derive_rng(-1, 0, 0)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            simulate_ensemble(example51(), HybridState(np.array([0.0]), 1),
+                              IntegratorConfig(step=0.25, horizon=1.0), 8, -3)
+
+    def test_seeds_at_or_above_2_63_are_their_own(self):
+        # the mask gave 2^63 + s the numbers of s
+        def first(seed):
+            return derive_rng(seed, 0, 0).random(4).tobytes()
+
+        for s in (0, 5, 2**63 - 1):
+            assert first(2**63 + s) != first(s)
+
+    def test_seeds_below_2_63_keep_their_streams(self):
+        for seed in (0, 7, 2**62 + 3, 2**63 - 1):
+            ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3, 1)))
+            assert derive_rng(seed, 3, 1).random(4).tobytes() == ref.random(4).tobytes()
 
 
 class TestEnsemble:

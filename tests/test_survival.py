@@ -49,7 +49,9 @@ def test_caller_observer_with_killed_mode():
             seen.update(np.array([i, t]).tobytes() + x.tobytes() + k.tobytes()
                         + alive.tobytes())
             if draws is not None:
-                seen.update(draws.z.tobytes() + draws.counts.tobytes())
+                seen.update(draws.z.tobytes())
+                if draws.hit is not None:
+                    seen.update(draws.hit.tobytes() + draws.marks.tobytes())
         observe.seen = seen
         return observe
 
