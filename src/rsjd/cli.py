@@ -146,9 +146,18 @@ def _coupling_args(p: argparse.ArgumentParser):
     p.add_argument("--eta", type=float, default=None)
 
 
+def _int(text: str) -> int:
+    """An integer option's value, with argparse's own message for one that is
+    not an integer rather than one naming the private type function."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _thread_count(text: str) -> int:
     """``--threads``: a worker count of at least 1."""
-    threads = int(text)
+    threads = _int(text)
     if threads < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
     return threads
@@ -156,7 +165,7 @@ def _thread_count(text: str) -> int:
 
 def _seed(text: str) -> int:
     """``--seed``: a nonnegative master seed."""
-    seed = int(text)
+    seed = _int(text)
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {seed}")
     return seed

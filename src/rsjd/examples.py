@@ -1,9 +1,9 @@
 """Built-in models: a 1-d and a 2-d regime-switching jump diffusion.
 
-Both come with closed-form row sums / tail bounds, jump compensators and
-small-jump covariances, so the integrators never need per-step quadrature on
-them.  All coefficients follow the broadcasting convention documented in
-:mod:`rsjd.model`.
+Both come with closed-form tail bounds, jump compensators and small-jump
+covariances, so the integrators never need per-step quadrature on them;
+``example52`` also declares a closed-form row sum.  All coefficients follow
+the broadcasting convention documented in :mod:`rsjd.model`.
 """
 
 from __future__ import annotations
@@ -160,7 +160,12 @@ def example52(delta: float = 1.0) -> ModelSpec:
         u = np.asarray(u, dtype=float)
         mag = row_norm(u)
         amp = np.sqrt(k / (k + 1.0)) * gamma * mag
-        return amp[..., None] * x
+        if x.ndim != amp.ndim + 1:
+            return amp[..., None] * x
+        # the same product with the coordinate axis outermost in memory, so it
+        # loops over rows and marks, not over 2-vectors; transposes align the
+        # axes from the left, hence the equal ranks
+        return (amp.T * x.T).T
 
     def density(u):
         u = np.asarray(u, dtype=float)

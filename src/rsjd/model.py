@@ -69,7 +69,11 @@ def _check_positive(name: str, value, *, finite: bool) -> None:
 
 @dataclass(frozen=True)
 class HybridState:
-    """A point (x, k) of the hybrid state space R^d x {1,2,...}."""
+    """A point (x, k) of the hybrid state space R^d x {1,2,...}.
+
+    ``k`` is stored as an ``int``; a bool, a fractional or non-finite number
+    and a non-number raise ``ValueError``, while a whole float such as 3.0, or
+    a 0-d array holding one, is regime 3."""
 
     x: np.ndarray
     k: int
@@ -80,10 +84,18 @@ class HybridState:
             raise ValueError("state vector must be one-dimensional")
         if not np.all(np.isfinite(x)):
             raise ValueError("state vector must be finite")
-        if int(self.k) < 1:
+        k = self.k
+        if isinstance(k, (np.ndarray, np.generic)) and k.ndim == 0:
+            k = k.item()
+        # int() would turn 2.5 into regime 2 and True into regime 1
+        whole = isinstance(k, numbers.Integral) or (
+            isinstance(k, numbers.Real) and float(k).is_integer())
+        if isinstance(k, bool) or not whole:
+            raise ValueError(f"regime index must be a whole number, got {self.k!r}")
+        if k < 1:
             raise ValueError("regime index must be >= 1")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", int(k))
 
     @property
     def d(self) -> int:

@@ -164,7 +164,12 @@ def integrate(spec: ModelSpec, integrand: Callable, states: tuple, lo: float, hi
     marks u of shape (1, m, mark_dim), the nodes of every segment, and returns
     (n, m) or (n, m, ...) -- the broadcasting convention of ``jump_coeff`` and
     ``TestFunction.fn``.  Rows are fed in blocks of at most ``BLOCK`` (state,
-    node) pairs per segment.
+    node) pairs per segment.  A 2-d state of 2 to 7 columns arrives
+    component-major, each column contiguous, so that an elementwise operation
+    on (n, m, d) arrays loops over states and nodes, not over short d-vectors;
+    other states arrive in the layout given.  The integrand may return its
+    value in any layout: the sums take it in C order, so the layout moves no
+    bit.
 
     Returns ``(value, error)``, each (N,) or (N, ...): the higher-order value
     and the per-state error estimate |higher - lower order| plus
@@ -175,13 +180,14 @@ def integrate(spec: ModelSpec, integrand: Callable, states: tuple, lo: float, hi
     max(100 tol, 1e-6 (1 + |value|)) or is not finite.
 
     An (n, m) integrand's sums go through one (rows, m) @ (m, 3) product
-    per block, whose last bits depend on the number of rows: a state's value
-    can differ in the last bits with the number of states that share its
+    per block, whose last bits depend on the number of rows (and on the
+    layout of its input, hence the C order above): a state's value can
+    differ in the last bits with the number of states that share its
     block, so one call over a grid and one call per point of it need not
     agree bit for bit.
     """
     plan = _plan(spec.jump_measure, spec.jump_radial, lo, hi)
-    states = [np.asarray(s) for s in states]
+    states = [_component_major(np.asarray(s)) for s in states]
     n = len(states[0])
     rows = max(1, BLOCK // plan.size)
     acc = None
@@ -190,8 +196,9 @@ def integrate(spec: ModelSpec, integrand: Callable, states: tuple, lo: float, hi
     for start in range(0, max(n, 1), rows):
         g = np.asarray(integrand(*(s[start:start + rows, None] for s in states), plan.marks),
                        dtype=float)
-        # node axis last: (n, ..., m), and each segment's sums come back (3, n, ...)
-        g = g.transpose(0, *range(2, g.ndim), 1)
+        # node axis last: (n, ..., m), and each segment's sums come back (3, n, ...);
+        # C order, because the product's last bits depend on its input's layout
+        g = np.ascontiguousarray(g.transpose(0, *range(2, g.ndim), 1))
         back = (g.ndim - 1, *range(g.ndim - 1))
         if acc is None:
             acc = np.zeros((4, n) + g.shape[1:-1])
@@ -204,6 +211,16 @@ def integrate(spec: ModelSpec, integrand: Callable, states: tuple, lo: float, hi
     error = np.abs(value - low) + np.abs(inner) + ROUNDING * mass
     _require(value, error, tol, lo, hi)
     return value, error
+
+
+def _component_major(s: np.ndarray) -> np.ndarray:
+    """A 2-d state array of 2 to 7 columns as a Fortran-ordered copy, each
+    column contiguous; any other array as given.  In C order the length-d
+    axis is innermost, so every (rows, nodes, d) operation of an integrand
+    runs rows * nodes loops of d elements.  From 8 columns on, numpy's own
+    last-axis sums and norms, which ``_linalg`` calls there, group their terms
+    by layout, so wider states keep theirs and with it their bits."""
+    return np.asfortranarray(s) if s.ndim == 2 and 2 <= s.shape[1] < 8 else s
 
 
 def _require(value, error, tol, lo, hi):

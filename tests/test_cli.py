@@ -198,6 +198,16 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("option", ["--seed", "--threads"])
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_non_integer_seed_and_threads_exit_2(option, value, tmp_path, capsys):
+    # the message named the private type functions: "invalid _seed value"
+    argv = [*SEEDED_KILLED, option, value, "--outdir", str(tmp_path)]
+    assert cli.run(argv) == cli.EXIT_INPUT_ERROR
+    assert f"argument {option}: invalid int value: '{value}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_seed_2_63_is_not_seed_0(tmp_path):
     # both wrote the estimate 0.928941...
     results = []

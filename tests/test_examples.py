@@ -109,6 +109,24 @@ class TestExample52:
             v = float(self.spec.jump_measure.c_second_moment(x, k))
             assert v == pytest.approx(k / (k + 1.0) * float(x @ x), rel=1e-12)
 
+    @pytest.mark.parametrize("x_shape, k_shape, u_shape", [
+        ((250, 2), (250,), (250, 2)),          # the jumps of one step
+        ((24, 1, 2), (24, 1), (1, 340, 2)),    # a quadrature block
+        ((2,), (), (5, 2)),                    # one state, several marks
+    ], ids=["step", "block", "broadcast"])
+    def test_jump_coeff_is_the_broadcast_product(self, x_shape, k_shape, u_shape):
+        # the product is formed coordinate-outermost, with the bits of
+        # amp[..., None] * x in every layout of x
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=x_shape) * 3.0
+        k = rng.integers(1, 30, size=k_shape)
+        u = rng.uniform(-0.7, 0.7, size=u_shape)
+        amp = np.sqrt(k / (k + 1.0)) * np.sqrt(1.0 / (2.0 * np.pi)) * np.linalg.norm(u, axis=-1)
+        want = amp[..., None] * x
+        for xx in (x, np.asfortranarray(x)):
+            got = self.spec.jump_coeff(xx, k, u)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_jump_coeff_vanishes_at_origin(self):
         u = np.array([0.3, 0.1])
         assert np.all(self.spec.jump_coeff(np.zeros(2), 2, u) == 0.0)

@@ -52,6 +52,18 @@ class TestHybridState:
         with pytest.raises(ValueError):
             HybridState(np.array([np.inf]), 1)
 
+    @pytest.mark.parametrize("k", [2.5, np.float64(3.7), True, np.bool_(True), np.nan, "2",
+                                   np.array(2.5)])
+    def test_regime_not_a_whole_number(self, k):
+        # int() made 2.5 regime 2, 3.7 regime 3 and True regime 1
+        with pytest.raises(ValueError, match="whole number"):
+            HybridState(np.array([0.0]), k)
+
+    @pytest.mark.parametrize("k", [3, np.int64(3), 3.0, np.float64(3.0), np.array(3)])
+    def test_whole_regime_becomes_int(self, k):
+        s = HybridState(np.array([0.0]), k)
+        assert s.k == 3 and type(s.k) is int
+
 
 class TestRowTruncation:
     def test_example51_row_sum_origin(self):

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from rsjd import QuadratureError, TestFunction, apply_generator, example51, example52
 from rsjd import quadrature
+from rsjd._linalg import row_norm
 from rsjd.config import load_model_config
-from rsjd.generator import _jump_outer_integral, _small_second_moment
+from rsjd.generator import QUAD_TOL, SMALL_CUTOFF, _jump_outer_integral, _small_second_moment
+from rsjd.simulate import COMP_QUAD_TOL
 
 from test_mark_draw import JUMP1D
 from test_simulate import jump_config
@@ -253,6 +255,90 @@ class TestPlan:
             exact = 0.5 * 2.0 * power_moment(2.0 - exponent, 0.05)
             assert np.allclose(value, exact, rtol=1e-12, atol=0.0), exponent
             del spec
+
+
+def lyapunov_grid():
+    """The example52 states of the ``lyapunov`` benchmark sweep: a 9 x 9 grid
+    on [-5, 5]^2 times the regimes 1..10, in C order."""
+    g = np.linspace(-5.0, 5.0, 9)
+    pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    return np.repeat(pts, 10, axis=0), np.tile(np.arange(1, 11), len(pts))
+
+
+class TestLayout:
+    """``integrate`` hands states of 2 to 7 columns to the integrand
+    column-major, and wider ones as given; the value and error bytes are
+    those of the states as given."""
+
+    @staticmethod
+    def both_ways(monkeypatch, call):
+        """``call()`` as it runs, and with every state passed as given."""
+        ours = call()
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_component_major", lambda s: s)
+            given = call()
+        return ours, given
+
+    @staticmethod
+    def assert_same_bytes(ours, given):
+        for a, b in zip(ours, given):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_outer_jump_integrand(self, monkeypatch):
+        spec = example52(1.0)
+        f = spec.default_lyapunov
+        xs, ks = lyapunov_grid()
+        f0, grads = f.fn(xs, ks), f.gradients(xs, ks)
+        seen = []
+
+        def fn(x, k):
+            seen.append(x[..., 0].flags.c_contiguous)
+            return f.fn(x, k)
+
+        probe = replace(f, fn=fn)
+        ours, given = self.both_ways(monkeypatch, lambda: _jump_outer_integral(
+            spec, probe, xs, ks, f0, grads, SMALL_CUTOFF, QUAD_TOL))
+        self.assert_same_bytes(ours, given)
+        # more than one block, and f.fn saw each coordinate contiguous only
+        # when the states arrived column-major
+        assert len(seen) > 2 and seen == [True] * (len(seen) // 2) + [False] * (len(seen) // 2)
+
+    def test_vector_compensator_fallback(self, monkeypatch):
+        # the (n, m, 2) integrand of simulate._compensator_quadrature, whose
+        # value comes back coordinate-outermost
+        spec = replace(example52(1.0), jump_compensator=None)
+        xs, ks = lyapunov_grid()
+        self.assert_same_bytes(*self.both_ways(monkeypatch, lambda: quadrature.integrate(
+            spec, spec.jump_coeff, (xs, ks), 0.2, 1.0, COMP_QUAD_TOL)))
+
+    @pytest.mark.parametrize("part", ["comp", "c2"])
+    def test_integrand_value_in_any_layout(self, part):
+        # the per-segment products take their input in C order, so a
+        # Fortran-ordered value gives the same bits
+        spec = example52(1.0)
+        rng = np.random.default_rng(3)
+        xs, ks = rng.normal(size=(200, 2)) * 3.0, rng.integers(1, 20, 200)
+        g = spec.jump_coeff if part == "comp" else c_squared(spec)
+        runs = [quadrature.integrate(spec, integrand, (xs, ks), 0.01, 1.0, 1e-9)
+                for integrand in (g, lambda *a: np.asfortranarray(g(*a)))]
+        self.assert_same_bytes(*runs)
+
+    def test_wide_states_arrive_as_given(self, monkeypatch):
+        # from 8 columns numpy's last-axis sum groups its terms by layout
+        spec = example52(1.0)
+        xs = np.random.default_rng(5).normal(size=(60, 9))
+        seen = []
+
+        def g(x, k, u):
+            seen.append(x.strides[-1])
+            return np.sum(x * x, axis=-1) * row_norm(u)
+
+        for states in (xs, np.asfortranarray(xs)):
+            seen.clear()
+            ours, given = self.both_ways(monkeypatch, lambda: quadrature.integrate(
+                spec, g, (states, np.ones(60)), 0.05, 1.0, 1e-10))
+            self.assert_same_bytes(ours, given)
+            assert set(seen) == {states.strides[-1]}
 
 
 def f_gauss_fn(x, k):
